@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench artifacts examples lint serve loadtest soak all clean
+.PHONY: install test bench artifacts ledger ledger-compare examples lint serve loadtest soak all clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -27,6 +27,16 @@ bench:
 
 artifacts:
 	$(PYTHON) benchmarks/run_all.py
+
+# The perf ledger (benchmarks/ledger/README.md): four workloads, every
+# end-to-end metric of BENCHMARK.json, correctness-checked.  Compare two
+# ledger documents with `make ledger-compare A=before.json B=after.json`
+# (exit 1 on any "worse" row).
+ledger:
+	PYTHONPATH=src $(PYTHON) benchmarks/ledger/run.py --out ledger.json
+
+ledger-compare:
+	$(PYTHON) benchmarks/ledger/compare.py $(A) $(B)
 
 examples:
 	@for ex in examples/*.py; do \

@@ -1,10 +1,10 @@
 """STOR — storage engine: journal appends vs full-image rewrites.
 
-The ISSUE's acceptance shape for the durable storage engine: the old
-flusher rewrote the whole JSON snapshot on every dirty flush, so the
-bytes written *per update* grew linearly with the log; the journal
-appends only the changed cells, so its per-update cost is flat.  And
-recovery must stay practical at scale: restoring a replica from a
+The acceptance shape for the durable storage engine: a flusher that
+rewrites the whole image on every dirty flush (baseline: the one-shot
+``replica_snapshot`` image) writes bytes *per update* that grow linearly
+with the log; the journal appends only the changed cells, so its
+per-update cost is flat.  And recovery must stay practical at scale: restoring a replica from a
 10⁵-update journal — digest chain verified end to end — in seconds, not
 minutes.
 
@@ -59,9 +59,9 @@ def write_cost(ops: int = WRITE_OPS, sample_every: int = WRITE_SAMPLE) -> dict:
             st.sync(r)
             if i % sample_every == 0:
                 journal_series.append((i, st.bytes_on_disk() - before))
-                # the pre-journal flusher: serialize the entire image
+                # the rewrite-the-whole-image baseline
                 snapshot_series.append(
-                    (i, len(replica_snapshot(r, version=2).encode("utf-8")))
+                    (i, len(replica_snapshot(r).encode("utf-8")))
                 )
         st.close()
     return {
@@ -76,7 +76,8 @@ def write_cost(ops: int = WRITE_OPS, sample_every: int = WRITE_SAMPLE) -> dict:
 
 def recovery_scale(ops: int = RECOVERY_OPS) -> dict:
     """Recover a replica from a ``ops``-update journal; report seconds
-    and bytes on disk for the journal vs the one-shot v2 snapshot."""
+    and bytes on disk for the journal vs the one-shot in-memory image
+    (same records, same chain verification, no file scan)."""
     r = _replica(ops)
     with tempfile.TemporaryDirectory(prefix="repro-bench-storage-") as tmp:
         path = os.path.join(tmp, "r.journal")
@@ -94,7 +95,7 @@ def recovery_scale(ops: int = RECOVERY_OPS) -> dict:
         journal_s = time.perf_counter() - t0
         st2.close()
 
-        snap = replica_snapshot(r, version=2)
+        snap = replica_snapshot(r)
         t0 = time.perf_counter()
         fresh2 = UniversalReplica(0, 3, SPEC, track_witness=False)
         restore_replica(fresh2, snap)

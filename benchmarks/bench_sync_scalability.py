@@ -75,6 +75,7 @@ def run_payload_series():
         _heartbeat_round(c)
         for r in c.replicas:
             r.collect_garbage()
+        # measured only: parse_sync_request no longer accepts this dialect
         v1_payload = (SYNC_REQ, 0, frozenset(issued_uids))
         v2_payload = c.replicas[0].sync_request()
         series.append(

@@ -51,7 +51,6 @@ from repro.core.sync import (
     StateHandoff,
     StateTransferRequired,
     SyncDigest,
-    handoff_digest,
 )
 from repro.core.universal import Stamped, UniversalReplica
 from repro.obs.metrics import MetricsRegistry
@@ -442,22 +441,13 @@ class GarbageCollectedReplica(CheckpointedReplica):
                     f"replica {requester} is missing updates at or below "
                     f"replica {self.pid}'s GC floor {floor}, which only a "
                     "state transfer can repair, but its digest does not "
-                    "accept one (a v1 requester, or a replica without a "
-                    "base state)"
+                    "accept one (a replica without a base state)"
                 )
             # The handoff travels under the same integrity discipline the
             # base segment has on disk: a digest over its canonical
             # content, which StateHandoff.parse verifies on the receiver
             # before install_gc_state ever sees the payload.
-            handoff = StateHandoff(
-                base=self._base,
-                clock_floor=floor,
-                frontier=self._gc_frontier,
-                heard=tuple(self.heard),
-                digest=handoff_digest(
-                    self._base, floor, self._gc_frontier, tuple(self.heard)
-                ),
-            )
+            handoff = StateHandoff(**self.durable_gc_state())
             self.send_to(requester, handoff.payload(self.pid))
             self._state_transfers.inc()
         super()._serve_sync(requester, digest)
@@ -531,7 +521,7 @@ class GarbageCollectedReplica(CheckpointedReplica):
         base, its completeness floor, the fold frontier and the ``heard``
         vector.  The base is an atomically-rewritten compacted segment in
         the on-disk model — unlike live log entries it is never truncated
-        by a missed fsync (see :mod:`repro.sim.persist`)."""
+        by a missed fsync (see :func:`repro.proto.wire.replica_snapshot`)."""
         return {
             "base": self._base,
             "clock_floor": self._gc_clock_floor,

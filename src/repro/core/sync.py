@@ -1,12 +1,12 @@
 """Anti-entropy v2: compact digests, paged responses, state transfer.
 
-The v1 handshake shipped ``frozenset(self._known)`` — every update id the
-replica had ever seen, O(total updates) bits per sync request.  Section
-VII-C's complexity stance ("each message only contains the information to
-identify the update and a timestamp") and the ROADMAP's heavy-traffic
-north star both demand a summary whose size tracks the *live* window, not
-the history.  This module defines that summary and the wire tags of the
-v2 handshake; the replica-side behaviour lives in
+A sync request that lists every update id the replica has ever seen costs
+O(total updates) bits.  Section VII-C's complexity stance ("each message
+only contains the information to identify the update and a timestamp")
+and the ROADMAP's heavy-traffic north star both demand a summary whose
+size tracks the *live* window, not the history.  This module defines that
+summary and the wire tags of the handshake; the replica-side behaviour
+lives in
 :class:`repro.core.universal.UniversalReplica` (digest construction,
 paging) and :class:`repro.core.checkpoint.GarbageCollectedReplica`
 (completeness floors, state transfer).
@@ -33,13 +33,11 @@ at or below ``heard[j]`` collapses into one integer, and only ids learned
 out-of-band (paged in by a previous sync round, hence above ``heard``)
 remain as exceptions.
 
-Wire formats (all tuples tagged with a leading string, like the v1
-handshake, so they can never be confused with ``(clock, pid, update)``
-triples):
+Wire formats (all tuples tagged with a leading string, so they can never
+be confused with ``(clock, pid, update)`` triples):
 
-* ``(SYNC_REQ, requester, floors, intervals, accepts_state)`` — v2
-  request; v1's ``(SYNC_REQ, requester, frozenset_of_ids)`` is still
-  parsed (as an all-floors-zero digest that cannot accept state).
+* ``(SYNC_REQ, requester, floors, intervals, accepts_state)`` — the
+  request; no other shape is accepted.
 * ``(SYNC_RESP, (stamped, ...))`` — one bounded page of missing updates;
   a repair that used to be one unbounded message is now a sequence of
   independent pages (no reassembly protocol: each page folds through the
@@ -48,18 +46,17 @@ triples):
   — state transfer: the responder's compacted base state and the
   completeness floor it certifies, sent when the requester is missing
   updates the responder has already folded away and can no longer
-  enumerate.  Since the storage engine landed, the payload also carries
-  a ``digest`` — the same integrity-tag idea as the journal's rolling
-  digest chain, computed over the canonical handoff content — which the
-  receiver verifies before installing (a truncated or bit-rotted base
-  handoff is refused, not silently folded in).  Payloads without the
-  field (older senders) still parse.
+  enumerate.  The payload also carries a mandatory ``digest`` — the
+  same integrity-tag idea as the journal's rolling digest chain,
+  computed over the canonical handoff content — which the receiver
+  verifies before installing (a truncated or bit-rotted base handoff,
+  or one with no tag at all, is refused, not silently folded in).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 #: control-payload tags of the anti-entropy handshake.
@@ -81,9 +78,8 @@ class StateTransferRequired(SyncProtocolError):
     enumerate — only a state transfer can repair it, and the requester's
     digest declared it cannot install one (``accepts_state=False``).
 
-    Before v2 this was the silent-divergence path: ``_on_sync_request``
-    served whatever was still in the live log and dropped the rest on the
-    floor.
+    Without this error it would be a silent-divergence path: serving
+    whatever is still in the live log and dropping the rest on the floor.
     """
 
 
@@ -180,37 +176,26 @@ class SyncDigest:
     # -- wire codec ---------------------------------------------------------------
 
     def request_payload(self, requester: int) -> tuple:
-        """The v2 sync-request wire tuple for this digest."""
+        """The sync-request wire tuple for this digest."""
         return (SYNC_REQ, requester, self.floors, self.intervals,
                 self.accepts_state)
 
 
 def parse_sync_request(payload: tuple) -> tuple[int, SyncDigest]:
-    """``(requester, digest)`` from a v1 or v2 sync-request payload.
-
-    v1 requests (``(SYNC_REQ, pid, frozenset_of_ids)``) are upgraded to an
-    all-floors-zero digest that cannot accept a state transfer — exactly
-    the claims a v1 known-set makes.
-    """
-    if not (isinstance(payload, tuple) and payload and payload[0] == SYNC_REQ):
-        raise SyncProtocolError(f"not a sync request: {payload!r}")
-    if len(payload) == 3 and isinstance(payload[2], (set, frozenset)):
-        requester = int(payload[1])
-        known = payload[2]
-        n = max((j for _, j in known), default=requester) + 1
-        n = max(n, requester + 1)
-        return requester, SyncDigest.from_uids(known, n)
-    if len(payload) == 5:
-        _, requester, floors, intervals, accepts_state = payload
-        return int(requester), SyncDigest(
-            floors=tuple(int(f) for f in floors),
-            intervals=tuple(
-                tuple((int(lo), int(hi)) for lo, hi in runs)
-                for runs in intervals
-            ),
-            accepts_state=bool(accepts_state),
-        )
-    raise SyncProtocolError(f"malformed sync request: {payload!r}")
+    """``(requester, digest)`` from a sync-request payload."""
+    if not (
+        isinstance(payload, tuple) and len(payload) == 5 and payload[0] == SYNC_REQ
+    ):
+        raise SyncProtocolError(f"malformed sync request: {payload!r}")
+    _, requester, floors, intervals, accepts_state = payload
+    return int(requester), SyncDigest(
+        floors=tuple(int(f) for f in floors),
+        intervals=tuple(
+            tuple((int(lo), int(hi)) for lo, hi in runs)
+            for runs in intervals
+        ),
+        accepts_state=bool(accepts_state),
+    )
 
 
 def pages(entries: list, page_size: int) -> Iterator[tuple]:
@@ -264,17 +249,15 @@ def handoff_digest(
 class StateHandoff:
     """Decoded contents of a ``SYNC_STATE`` payload.
 
-    ``digest`` is the sender's :func:`handoff_digest` over the other
-    fields; ``None`` only for payloads from pre-digest senders.
+    The wire form always carries the :func:`handoff_digest` of these
+    fields: :meth:`payload` computes it, :meth:`parse` refuses a payload
+    whose tag is missing or does not verify.
     """
 
     base: object
     clock_floor: int
     frontier: tuple[int, int] | None
-    heard: tuple[int, ...] = field(default=())
-    #: integrity metadata, not identity — two handoffs with the same
-    #: content are equal whether or not a digest travelled with them.
-    digest: str | None = field(default=None, compare=False)
+    heard: tuple[int, ...] = ()
 
     def payload(self, sender: int) -> tuple:
         return (SYNC_STATE, sender, {
@@ -282,7 +265,7 @@ class StateHandoff:
             "clock_floor": self.clock_floor,
             "frontier": self.frontier,
             "heard": tuple(self.heard),
-            "digest": self.digest if self.digest is not None else handoff_digest(
+            "digest": handoff_digest(
                 self.base, self.clock_floor, self.frontier, self.heard
             ),
         })
@@ -304,14 +287,13 @@ class StateHandoff:
             frontier=None if frontier is None else
             (int(frontier[0]), int(frontier[1])),
             heard=tuple(int(h) for h in state.get("heard", ())),
-            digest=None if state.get("digest") is None else str(state["digest"]),
         )
-        if handoff.digest is not None and handoff.digest != handoff_digest(
+        if state.get("digest") != handoff_digest(
             handoff.base, handoff.clock_floor, handoff.frontier, handoff.heard
         ):
             raise SyncProtocolError(
                 f"state transfer from {payload[1]} failed its integrity "
-                f"digest ({handoff.digest}): refusing to install a damaged "
-                "base segment"
+                f"digest ({state.get('digest')!r}): refusing to install a "
+                "damaged or untagged base segment"
             )
         return int(payload[1]), handoff

@@ -83,8 +83,7 @@ class UniversalReplica(Replica):
     knowledge (per-author completeness floors plus exception runs);
     receivers reply point-to-point with the updates the requester lacks,
     split into pages of at most ``sync_page_size`` entries, and
-    counter-request when the digest claims ids they do not know.  v1
-    requests (a frozenset of every known id) are still served.  Control
+    counter-request when the digest claims ids they do not know.  Control
     payloads are tuples tagged with a leading string, so they can never
     be confused with ``(clock, pid, update)`` wire triples.
     """
@@ -279,6 +278,11 @@ class UniversalReplica(Replica):
 
     def _on_sync_request(self, payload: tuple) -> Sequence[Any]:
         requester, digest = parse_sync_request(payload)
+        if digest.n != self.n:
+            raise SyncProtocolError(
+                f"sync request from {requester} digests {digest.n} "
+                f"processes, replica {self.pid} runs {self.n}"
+            )
         self._serve_sync(requester, digest)
         if self._digest_claims_unknown(digest):
             # The requester has updates we lack (e.g. restored from its

@@ -130,7 +130,7 @@ def rep203_clock_before_log(module: ModuleInfo) -> Iterator[Finding]:
     """In any function that both restores a Lamport clock and loads/inserts
     into the update log, the clock must come first.
 
-    The clock is a write-ahead cell (see ``repro.sim.persist``): a
+    The clock is a write-ahead cell (see ``repro.proto.wire``): a
     recovering process that replays log entries before raising its clock
     can stamp a fresh update with a ``(clock, pid)`` pair its pre-crash
     broadcasts already used — two different updates with one identity, and

@@ -16,10 +16,9 @@ algorithms, and the node's only job is to interpret the returned effects:
   first, then new log entries, each frame CRC'd and digest-chained) on a
   short throttle.  :meth:`kill` skips the final flush — a crash loses the
   unflushed tail, which is precisely the ``fsync_point`` recovery model,
-  and the journal's torn-tail truncation makes it physically true.
-  Legacy v1/v2 JSON snapshot images are still read (and migrated to a
-  journal) at boot; a corrupt image raises a typed
-  :class:`~repro.storage.journal.CorruptImageError` — or, with
+  and the journal's torn-tail truncation makes it physically true.  The
+  journal is the only durable image read at boot; a corrupt one raises a
+  typed :class:`~repro.storage.journal.CorruptImageError` — or, with
   ``on_corrupt="quarantine"``, sets the file aside and rejoins empty via
   anti-entropy, surfacing the damage on ``/healthz``.
 * :class:`~repro.proto.effects.Timer` — schedule a one-shot follow-up
@@ -243,14 +242,6 @@ class ReplicaNode:
     # -- lifecycle -----------------------------------------------------------------
 
     @property
-    def snapshot_path(self) -> str | None:
-        """The *legacy* v1/v2 JSON image path — still read at boot (and
-        migrated into the journal), never written any more."""
-        if self.data_dir is None:
-            return None
-        return os.path.join(self.data_dir, f"replica-{self.pid}.json")
-
-    @property
     def journal_path(self) -> str | None:
         if self.data_dir is None:
             return None
@@ -288,22 +279,17 @@ class ReplicaNode:
             self._spawn(self._flush_loop())
 
     def _recover_from_disk(self) -> None:
-        """Open the journal and recover whatever the disk holds.
+        """Open the journal and recover whatever it holds.
 
-        Precedence: an existing journal wins; otherwise a legacy v1/v2
-        JSON snapshot is read and immediately migrated into a fresh
-        journal.  Every failure mode — torn beyond repair, bit-flipped
-        frames, undecodable JSON, a restore that rejects the image — is
-        normalised to :class:`~repro.storage.journal.CorruptImageError`
-        and handled per :attr:`on_corrupt`.
+        Every failure mode — torn beyond repair, bit-flipped frames, a
+        restore that rejects the image — is normalised to
+        :class:`~repro.storage.journal.CorruptImageError` and handled per
+        :attr:`on_corrupt`.
         """
         assert self.journal_path is not None
         try:
             self._store = JournalStore(self.journal_path, self.pid)
             image = self._store.open()
-            source = self.journal_path
-            if image is None:
-                image, source = self._read_legacy_snapshot()
         except CorruptImageError as exc:
             self._quarantine_or_raise(exc)
             return
@@ -312,25 +298,11 @@ class ReplicaNode:
         try:
             self._apply_effects(self.core.recover(image))
         except ValueError as exc:
-            # A parseable image the codec still rejects (digest mismatch,
-            # foreign pid, unknown format): same corruption policy.
-            self._quarantine_or_raise(CorruptImageError(source, 0, str(exc)))
-            return
-        if source != self.journal_path:
-            # Migrated from a legacy JSON image: seed the journal now so
-            # the next boot (and every flush) is journal-native.  The
-            # legacy file is left in place untouched — the journal takes
-            # precedence from here on.
-            self._flush_snapshot()
-
-    def _read_legacy_snapshot(self) -> tuple[str | None, str]:
-        """The v1/v2 JSON image, if one exists (pre-journal data dirs)."""
-        path = self.snapshot_path
-        assert path is not None
-        if not os.path.exists(path):
-            return None, path
-        with open(path, encoding="utf-8") as fh:
-            return fh.read(), path
+            # Well-framed records the codec still rejects (digest
+            # mismatch, foreign pid): same corruption policy.
+            self._quarantine_or_raise(
+                CorruptImageError(self.journal_path, 0, str(exc))
+            )
 
     def _quarantine_or_raise(self, exc: CorruptImageError) -> None:
         """Apply the :attr:`on_corrupt` policy to a damaged image."""
@@ -338,17 +310,14 @@ class ReplicaNode:
         self._log.error(
             "corrupt_image", path=exc.path, offset=exc.offset, error=exc.reason
         )
+        if self._store is not None:
+            self._store.close()
+            self._store = None
         if self.on_corrupt == "raise":
-            if self._store is not None:
-                self._store.close()
-                self._store = None
             raise exc
         # Quarantine: set the damaged file aside (keeping the evidence),
         # reopen a fresh journal and rejoin empty — anti-entropy pulls
         # back everything the cluster still has.
-        if self._store is not None:
-            self._store.close()
-            self._store = None
         if os.path.exists(exc.path):
             os.replace(exc.path, exc.path + ".corrupt")
             fsync_dir(os.path.dirname(exc.path) or ".")
@@ -677,10 +646,10 @@ class ReplicaNode:
     def _flush_snapshot(self) -> None:
         """Flush the durable image: append the changed journal cells.
 
-        Unlike the old rewrite-the-whole-JSON-image flusher, cost is flat
-        in the log length — the clock cell (if it advanced) plus the
-        entries that arrived since the last flush; compaction (a full
-        atomic rewrite) only happens when the GC floor moved.
+        Bytes written are flat in the log length — the clock cell (if it
+        advanced) plus the entries that arrived since the last flush;
+        compaction (a full atomic rewrite) only happens when the GC
+        floor moved.
         """
         if self.journal_path is None:
             return

@@ -212,14 +212,15 @@ class ProtocolCore:
 
     # -- durable image -------------------------------------------------------------
 
-    def snapshot(self, *, fsync_point: int | None = None, version: int = 2) -> str:
+    def snapshot(self, *, fsync_point: int | None = None, version: int = 3) -> str:
         """The replica's current durable image (what a real deployment
         would have fsynced); ``fsync_point`` models a crash that beat the
-        last log fsync.  ``version=3`` emits the digest-chained journal
-        image instead of the monolithic v2 document."""
-        return wire.replica_snapshot(
-            self.replica, fsync_point=fsync_point, version=version
-        )
+        last log fsync.  ``version`` is a vestige — there is one format;
+        the frozen perf ledger passes ``version=3``, anything else is
+        rejected — to be dropped in the next ``benchmark`` PR."""
+        if version != 3:
+            raise ValueError(f"unknown replica image version {version!r}")
+        return wire.replica_snapshot(self.replica, fsync_point=fsync_point)
 
     # -- introspection (read-only passthroughs) ------------------------------------
 

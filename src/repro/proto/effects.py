@@ -41,9 +41,9 @@ class Persist:
     ``reason`` says which transition dirtied the image (``"update"``,
     ``"message"``, ``"recover"``).  The effect is a *hint*, not a write
     barrier: backends may coalesce consecutive Persists (the asyncio
-    node throttles snapshots), and the paper's fsync model — the clock is
-    write-ahead, the log tail may lag — is what
-    :func:`repro.proto.wire.replica_snapshot` encodes.
+    node throttles journal flushes), and the paper's fsync model — the
+    clock is write-ahead, the log tail may lag — is what the record
+    order of a :func:`repro.proto.wire.replica_snapshot` image encodes.
     """
 
     reason: str

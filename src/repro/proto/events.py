@@ -65,9 +65,10 @@ class SyncTick:
 class CrashRecovered:
     """The process restarted and its durable image was read back.
 
-    ``snapshot`` is the :func:`repro.proto.wire.replica_snapshot` JSON the
-    backend's storage survived the crash with; ``fsync_point`` is already
-    baked into that image by whoever took it.  The core rebuilds its
+    ``snapshot`` is the v3 journal image the backend's storage survived
+    the crash with (a :func:`repro.proto.wire.replica_snapshot`, or the
+    records :mod:`repro.storage` read off disk); ``fsync_point`` is
+    already baked into that image by whoever took it.  The core rebuilds its
     replica from scratch, restores the image, and emits the rejoin
     effects (an anti-entropy request plus whatever the restore hooks
     queued).

@@ -14,12 +14,11 @@ dicts with non-string keys, :class:`~repro.core.adt.Update` /
 :class:`~repro.core.adt.Query` operations) each get a small
 ``{"@": tag, ...}`` wrapper.
 
-This module is the historical home of ``repro.sim.persist``'s codec; the
-sim module re-exports it unchanged.  It moved here because the *network*
-backend needs it too: :mod:`repro.net` frames :func:`encode_payload`
-bytes over TCP, and its durable store writes :func:`replica_snapshot`
-images.  Keeping one codec is what makes the two backends
-wire-compatible.
+Both backends use this one codec: the simulator's crash-recovery restores
+:func:`replica_snapshot` images, :mod:`repro.net` frames
+:func:`encode_payload` bytes over TCP, and :mod:`repro.storage` journals
+the very records a :func:`replica_snapshot` image is made of.  Keeping one
+codec is what makes the two backends wire- and disk-compatible.
 """
 
 from __future__ import annotations
@@ -30,13 +29,11 @@ from typing import Any, Iterable
 
 from repro.core.adt import Query, Update
 
-#: durable replica image formats (see :func:`replica_snapshot`).
-REPLICA_FORMAT = "repro-replica-log-v2"
-REPLICA_FORMAT_V1 = "repro-replica-log-v1"
-#: v3: a journal image — an ordered record sequence (meta, compacted
-#: base, write-ahead clock cell, one record per update) threaded on a
-#: rolling digest chain.  This is the textual twin of the on-disk binary
-#: journal (:mod:`repro.storage.journal`); both speak the same records.
+#: the durable replica image format (see :func:`replica_snapshot`): a
+#: journal image — an ordered record sequence (meta, compacted base,
+#: write-ahead clock cell, one record per update) threaded on a rolling
+#: digest chain.  This is the textual twin of the on-disk binary journal
+#: (:mod:`repro.storage.journal`); both speak the same records.
 REPLICA_FORMAT_V3 = "repro-replica-journal-v3"
 
 
@@ -184,16 +181,11 @@ def decode_trace_headers(headers: Any) -> dict[tuple[int, int], tuple[str, float
 
 # -- the v3 journal record vocabulary ------------------------------------------
 #
-# A v3 durable image is not a monolithic document but an ordered sequence
-# of *journal records* — the same records the on-disk binary journal
-# (:mod:`repro.storage.journal`) appends one fsync at a time:
-#
-#   {"r": "meta",  "format": ..., "pid": p}            file/image header
-#   {"r": "base",  "c": n, "base": ..., "clock_floor": f,
-#                  "frontier": ..., "heard": ...}      compacted GC segment
-#   {"r": "clock", "c": n, "value": v}                 write-ahead clock cell
-#   {"r": "heard", "c": n, "h": ...}                   heard-vector advance
-#   {"r": "entry", "c": n, "k": "cl.pid", "e": ...}    one logged update
+# A durable image is an ordered sequence of *journal records* — the same
+# records the on-disk binary journal (:mod:`repro.storage.journal`)
+# appends one fsync at a time.  The five constructors below are the one
+# definition of their shape; writers (:func:`journal_records`, the storage
+# engine's incremental sync) build records through them only.
 #
 # ``c`` is the journal's update counter: a per-generation monotone serial
 # that the engine's current-state k/v map references (key -> (counter,
@@ -203,6 +195,44 @@ def decode_trace_headers(headers: Any) -> dict[tuple[int, int], tuple[str, float
 # forms a hash chain ``H = sha256(H' | sha256(record))`` from a per-pid
 # genesis value, and a reordered, spliced or bit-flipped image fails
 # verification even when each record is individually well-formed.
+
+
+def meta_record(pid: int) -> dict:
+    """The image/file header record."""
+    return {"r": "meta", "format": REPLICA_FORMAT_V3, "pid": pid}
+
+
+def base_record(counter: int, gc: dict) -> dict:
+    """The compacted GC segment; ``gc`` is the replica's
+    ``durable_gc_state()``."""
+    return {
+        "r": "base", "c": counter,
+        "base": encode_value(gc["base"]),
+        "clock_floor": int(gc["clock_floor"]),
+        "frontier": encode_value(gc["frontier"]),
+        "heard": encode_value(tuple(gc["heard"])),
+    }
+
+
+def clock_record(counter: int, value: int) -> dict:
+    """The write-ahead Lamport clock cell."""
+    return {"r": "clock", "c": counter, "value": value}
+
+
+def heard_record(counter: int, heard: Iterable[int]) -> dict:
+    """A heard-vector advance between compactions."""
+    return {"r": "heard", "c": counter, "h": encode_value(tuple(heard))}
+
+
+def entry_record(counter: int, stamped: tuple) -> dict:
+    """One logged ``(clock, pid, update)`` triple, keyed by its timestamp."""
+    cl, j, update = stamped
+    return {
+        "r": "entry", "c": counter,
+        "k": encode_ts_key((cl, j)),
+        "e": encode_value((cl, j, update)),
+    }
+
 
 #: bytes of the hex rolling digest each record carries as its ``d`` link.
 DIGEST_LINK_HEX = 16
@@ -274,30 +304,17 @@ def journal_records(
             raise ValueError(f"fsync point must be non-negative, got {fsync_point}")
         entries = entries[:fsync_point]
         complete = len(entries) == len(replica.updates)
-    records: list[dict] = [
-        {"r": "meta", "format": REPLICA_FORMAT_V3, "pid": replica.pid}
-    ]
+    records: list[dict] = [meta_record(replica.pid)]
     counter = 0
     durable_gc = getattr(replica, "durable_gc_state", None)
     if durable_gc is not None:
-        gc = durable_gc()
         counter += 1
-        records.append({
-            "r": "base", "c": counter,
-            "base": encode_value(gc["base"]),
-            "clock_floor": int(gc["clock_floor"]),
-            "frontier": encode_value(gc["frontier"]),
-            "heard": encode_value(tuple(gc["heard"])),
-        })
+        records.append(base_record(counter, durable_gc()))
     counter += 1
-    records.append({"r": "clock", "c": counter, "value": replica.clock.value})
-    for cl, j, update in entries:
+    records.append(clock_record(counter, replica.clock.value))
+    for stamped in entries:
         counter += 1
-        records.append({
-            "r": "entry", "c": counter,
-            "k": encode_ts_key((cl, j)),
-            "e": encode_value((cl, j, update)),
-        })
+        records.append(entry_record(counter, stamped))
     return records, complete
 
 
@@ -322,145 +339,54 @@ def journal_image(
 # -- the durable replica image -------------------------------------------------
 
 
-def replica_snapshot(
-    replica: Any, *, fsync_point: int | None = None, version: int = 2
-) -> str:
-    """Serialize a replica's durable state (update log + Lamport clock).
+def replica_snapshot(replica: Any, *, fsync_point: int | None = None) -> str:
+    """Serialize a replica's durable state (update log + Lamport clock)
+    as a one-shot v3 journal image: the :func:`journal_records` sequence
+    threaded on the rolling digest chain — shaped like the on-disk binary
+    journal, so recovery is the same verified record replay either way.
 
     ``fsync_point`` caps how many log entries survived the crash (``None``
-    = the whole log was fsynced).  The clock always survives in full (a
-    write-ahead cell, fsynced at every tick): a recovering process must
-    never reuse a ``(clock, pid)`` timestamp that copies of its pre-crash
-    broadcasts may still carry.  The replica must be of the
-    :class:`~repro.core.universal.UniversalReplica` family (an ``updates``
-    log of ``(clock, pid, update)`` triples and a ``clock``).
-
-    Format v2 additionally records:
-
-    * ``complete`` — whether the snapshot holds the *whole* log (no
-      fsync truncation), so restore knows whether stored completeness
-      claims can be trusted verbatim;
-    * ``gc`` — for garbage-collected replicas (anything exposing
-      ``durable_gc_state``): the compacted base state, its clock floor,
-      the fold frontier and the ``heard`` vector.  Without it a
-      crash+recover silently rewinds every collected update — the
-      compacted base is modeled as an atomically-rewritten segment, so
-      the fsync point never truncates it.
-
-    ``version=3`` emits the journal image instead: the
-    :func:`journal_records` sequence threaded on the rolling digest
-    chain — same durable truth, but shaped like the on-disk binary
-    journal, so recovery is a verified record replay rather than a
-    monolithic document load.
+    = the whole log was fsynced); the image's ``complete`` flag records
+    whether it holds the *whole* log, so restore knows whether stored
+    completeness claims can be trusted verbatim.  The clock always
+    survives in full (a write-ahead cell, fsynced at every tick): a
+    recovering process must never reuse a ``(clock, pid)`` timestamp that
+    copies of its pre-crash broadcasts may still carry.  Neither does the
+    fsync point truncate a garbage-collected replica's ``base`` record
+    (anything exposing ``durable_gc_state``) — the compacted base is
+    modeled as an atomically-rewritten segment, and without it a
+    crash+recover would silently rewind every collected update.  The
+    replica must be of the :class:`~repro.core.universal.UniversalReplica`
+    family (an ``updates`` log of ``(clock, pid, update)`` triples and a
+    ``clock``).
     """
-    if version == 3:
-        records, complete = journal_records(replica, fsync_point=fsync_point)
-        digest = genesis_digest(replica.pid)
-        stamped = []
-        for rec in records:
-            digest, s = chain_record(digest, rec)
-            stamped.append(s)
-        return journal_image(
-            replica.pid, stamped, digest.hex(), complete=complete
-        )
-    if version != 2:
-        raise ValueError(f"unknown replica image version {version!r}")
-    entries = list(replica.updates)
-    if fsync_point is not None:
-        if fsync_point < 0:
-            raise ValueError(f"fsync point must be non-negative, got {fsync_point}")
-        entries = entries[:fsync_point]
-    doc = {
-        "format": REPLICA_FORMAT,
-        "pid": replica.pid,
-        "clock": replica.clock.value,
-        "complete": len(entries) == len(replica.updates),
-        "entries": [encode_value(tuple(e)) for e in entries],
-    }
-    durable_gc = getattr(replica, "durable_gc_state", None)
-    if durable_gc is not None:
-        gc = durable_gc()
-        doc["gc"] = {
-            "base": encode_value(gc["base"]),
-            "clock_floor": int(gc["clock_floor"]),
-            "frontier": encode_value(gc["frontier"]),
-            "heard": encode_value(tuple(gc["heard"])),
-        }
-    return json.dumps(doc)
+    records, complete = journal_records(replica, fsync_point=fsync_point)
+    digest = genesis_digest(replica.pid)
+    stamped = []
+    for rec in records:
+        digest, s = chain_record(digest, rec)
+        stamped.append(s)
+    return journal_image(replica.pid, stamped, digest.hex(), complete=complete)
 
 
 def restore_replica(replica: Any, text: str) -> int:
-    """Load a :func:`replica_snapshot` into a fresh replica of the same pid.
+    """Load a v3 journal image into a fresh replica of the same pid.
 
-    Restores the clock first (no timestamp reuse after log amnesia), then
-    installs the compacted GC state if the snapshot carries one, then
-    folds the surviving entries through the replica's ``load_log``.
-    Garbage-collected replicas finally re-derive their ``heard`` claims
-    (``finish_restore``): trusted verbatim from a complete snapshot,
-    rewound to what the surviving prefix proves after a truncated one.
-    Returns the number of log entries restored.
-
-    v3 journal images are accepted too: the digest chain is verified end
-    to end first (a broken link raises :class:`ValueError`), then the
-    records are replayed in journal order — clock cells merge, base
-    records install, entries fold through ``load_log`` — which gives the
-    identical restore semantics whether the image came from a one-shot
-    snapshot or an incrementally grown journal.
+    The digest chain is verified end to end before any record touches
+    replica state (a broken link raises :class:`ValueError`), then the
+    records are replayed in journal order — the clock first (no timestamp
+    reuse after log amnesia), then the compacted base if the image
+    carries one, then the surviving entries through the replica's
+    ``load_log`` — which gives the identical restore semantics whether
+    the image came from :func:`replica_snapshot` or an incrementally
+    grown journal.  Garbage-collected replicas finally re-derive their
+    ``heard`` claims (``finish_restore``): trusted verbatim from a
+    complete image, rewound to what the surviving prefix proves after a
+    truncated one.  Returns the number of log entries restored.
     """
     doc = json.loads(text)
-    if isinstance(doc, dict) and doc.get("format") == REPLICA_FORMAT_V3:
-        return _restore_v3(replica, doc)
-    if not isinstance(doc, dict) or doc.get("format") not in (
-        REPLICA_FORMAT, REPLICA_FORMAT_V1,
-    ):
-        raise ValueError(f"not a {REPLICA_FORMAT} file")
-    if int(doc["pid"]) != replica.pid:
-        raise ValueError(
-            f"snapshot belongs to process {doc['pid']}, not {replica.pid}"
-        )
-    replica.clock.merge(int(doc["clock"]))
-    gc_doc = doc.get("gc")
-    if gc_doc is not None:
-        _install_base(
-            replica,
-            base=decode_value(gc_doc["base"]),
-            clock_floor=int(gc_doc["clock_floor"]),
-            frontier=decode_value(gc_doc["frontier"]),
-        )
-    loaded = replica.load_log(decode_value(e) for e in doc["entries"])
-    finish = getattr(replica, "finish_restore", None)
-    if finish is not None:
-        complete = bool(doc.get("complete", False))
-        stored_heard = gc_doc.get("heard") if gc_doc is not None else None
-        finish(
-            int(doc["clock"]),
-            heard=decode_value(stored_heard)
-            if complete and stored_heard is not None else None,
-        )
-    return loaded
-
-
-def _install_base(replica: Any, *, base: Any, clock_floor: int, frontier: Any) -> None:
-    """Install a compacted base segment into ``replica`` (v2 ``gc``
-    section or v3 ``base`` record), refusing targets that cannot."""
-    install = getattr(replica, "install_gc_state", None)
-    if install is None:
-        raise ValueError(
-            "image carries a compacted base state but the target replica "
-            f"({type(replica).__name__}) cannot install one; restore into "
-            "a GarbageCollectedReplica"
-        )
-    install(
-        base=base,
-        clock_floor=int(clock_floor),
-        frontier=None if frontier is None else tuple(frontier),
-    )
-
-
-def _restore_v3(replica: Any, doc: dict) -> int:
-    """Replay a v3 journal image into a fresh replica (see
-    :func:`restore_replica`).  The chain is verified before any record
-    touches replica state."""
+    if not isinstance(doc, dict) or doc.get("format") != REPLICA_FORMAT_V3:
+        raise ValueError(f"not a {REPLICA_FORMAT_V3} image")
     pid = int(doc["pid"])
     if pid != replica.pid:
         raise ValueError(f"snapshot belongs to process {pid}, not {replica.pid}")
@@ -501,11 +427,18 @@ def _restore_v3(replica: Any, doc: dict) -> int:
         # unknown record kinds: skip (forward compatibility)
     replica.clock.merge(clock)
     if base_rec is not None:
-        _install_base(
-            replica,
+        install = getattr(replica, "install_gc_state", None)
+        if install is None:
+            raise ValueError(
+                "image carries a compacted base state but the target replica "
+                f"({type(replica).__name__}) cannot install one; restore into "
+                "a GarbageCollectedReplica"
+            )
+        frontier = decode_value(base_rec["frontier"])
+        install(
             base=decode_value(base_rec["base"]),
             clock_floor=int(base_rec["clock_floor"]),
-            frontier=decode_value(base_rec["frontier"]),
+            frontier=None if frontier is None else tuple(frontier),
         )
     loaded = replica.load_log(decode_value(r["e"]) for r in entry_recs)
     finish = getattr(replica, "finish_restore", None)

@@ -53,7 +53,7 @@ from repro.sim.replica import Replica
 #: closed ``repro.proto.effects.Effect`` union this backend dispatches on.
 HANDLED_EFFECTS = (Broadcast, Send)
 #: Deliberately uninterpreted here: the sim's durable image is taken on
-#: demand by :mod:`repro.sim.persist` (``Persist`` marks nothing), virtual
+#: demand by :meth:`Cluster.recover` (``Persist`` marks nothing), virtual
 #: time makes follow-up ticks explicit scenario steps (``Timer``), and
 #: query outputs are returned synchronously (``QueryAnswered``).
 IGNORED_EFFECTS = (Persist, Timer, QueryAnswered)
@@ -495,7 +495,7 @@ class Cluster:
         if pid not in self.crashed:
             raise ValueError(f"process {pid} is not crashed")
         core = self.cores[pid]
-        snapshot = core.snapshot(fsync_point=fsync_point, version=3)
+        snapshot = core.snapshot(fsync_point=fsync_point)
         effects = core.recover(snapshot)
         self.crashed.discard(pid)
         self._recovered.inc()

@@ -1,4 +1,4 @@
-"""Trace and replica-log persistence: save and reload runs as JSON.
+"""Trace persistence: save and reload runs as JSON.
 
 Simulated runs are deterministic from their seed, but an audited trace is
 often the artifact one wants to keep (or to feed to the checkers on a
@@ -6,25 +6,10 @@ different machine).  The codec round-trips every payload the library
 produces: operations (name/args/output), witness metadata (timestamps,
 visibility sets), and the common Python value shapes (tuples, frozensets,
 dicts with non-string keys) that JSON cannot express natively — each gets
-a small ``{"@": tag, ...}`` wrapper.
-
-The same codec backs the *durable log* used by crash-recovery
-(:meth:`repro.sim.cluster.Cluster.recover`): :func:`replica_snapshot`
-serializes a replica's timestamped update log as the on-disk image a real
-deployment would fsync, and :func:`restore_replica` reloads it into a
-fresh replica.  The ``fsync_point`` parameter models a crash that beat the
-last fsync — only a prefix of the log survives.  The Lamport clock is
-always persisted in full (a write-ahead cell, fsynced at every tick): a
-recovering process must never reuse a ``(clock, pid)`` timestamp that
-copies of its pre-crash broadcasts may still carry.
-
-The value codec and the durable replica image now live in
-:mod:`repro.proto.wire` — the sans-io protocol package — because the real
-transport (:mod:`repro.net`) frames the same encodings over TCP and its
-durable store writes the same snapshot format; one codec is what makes
-the two backends wire- and disk-compatible.  This module keeps the
-*trace* codec (traces are a simulator artifact) and re-exports the moved
-functions under their historical names.
+a small ``{"@": tag, ...}`` wrapper from the value codec in
+:mod:`repro.proto.wire`, which is also the home of the durable replica
+image (``replica_snapshot`` / ``restore_replica``) that crash-recovery
+reads back.
 
 Security note: the decoder builds only plain data (no pickle, no code
 execution), so loading untrusted trace files is safe.
@@ -35,21 +20,12 @@ from __future__ import annotations
 import json
 
 from repro.core.adt import Query, Update
-from repro.proto.wire import (  # noqa: F401  (re-exported compatibility surface)
-    decode_value,
-    encode_value,
-    replica_snapshot,
-    restore_replica,
-)
+from repro.proto.wire import decode_value, encode_value
 from repro.sim.cluster import OpRecord, Trace
 
 _FORMAT = "repro-trace-v1"
 
 __all__ = [
-    "encode_value",
-    "decode_value",
-    "replica_snapshot",
-    "restore_replica",
     "trace_to_json",
     "trace_from_json",
     "save_trace",

@@ -25,8 +25,8 @@ by the journal's monotone update counter.  The cells are exactly the
 
 Writes are *incremental*: :meth:`JournalStore.sync` appends only the
 cells that changed since the last sync, so the per-update write cost is
-flat in the log length — the whole point over the previous
-rewrite-the-entire-JSON-image flusher (see ``benchmarks/bench_storage``).
+flat in the log length — the whole point over rewriting the entire image
+on every flush (see ``benchmarks/bench_storage``).
 
 Compaction is keyed to the GC replica's floor: once
 ``replica.gc_clock_floor`` passes what the on-disk base record covers,
@@ -41,12 +41,15 @@ import os
 from typing import Any
 
 from repro.proto.wire import (
-    REPLICA_FORMAT_V3,
+    base_record,
+    clock_record,
     decode_value,
     encode_ts_key,
-    encode_value,
+    entry_record,
+    heard_record,
     journal_image,
     journal_records,
+    meta_record,
 )
 from repro.storage.journal import Journal
 
@@ -129,34 +132,29 @@ class JournalStore:
             return {"appended": 0, "compacted": 1}
         batch: list[dict] = []
         if journal.records == 0:
-            batch.append({"r": "meta", "format": REPLICA_FORMAT_V3, "pid": self.pid})
+            batch.append(meta_record(self.pid))
             if durable_gc is not None:
-                batch.append(self._base_record(durable_gc()))
+                self._counter += 1
+                batch.append(base_record(self._counter, durable_gc()))
         clock = int(replica.clock.value)
         if clock > self._clock_written:
             self._counter += 1
-            batch.append({"r": "clock", "c": self._counter, "value": clock})
-        for cl, j, update in replica.updates:
-            key = encode_ts_key((cl, j))
-            if key in self.kv:
+            batch.append(clock_record(self._counter, clock))
+        for stamped in replica.updates:
+            if encode_ts_key(stamped[:2]) in self.kv:
                 continue
             self._counter += 1
-            batch.append({
-                "r": "entry", "c": self._counter, "k": key,
-                "e": encode_value((cl, j, update)),
-            })
-        if durable_gc is not None:
+            batch.append(entry_record(self._counter, stamped))
+        if durable_gc is not None and journal.records:
             # The heard vector is a completeness claim, so it goes *last*
             # in the batch: a torn suffix must never keep a heard advance
             # while dropping the entry cells that justify it.  One small
-            # record per flush keeps the base segment compaction-only.
+            # record per flush keeps the base segment compaction-only
+            # (at journal birth the base record carries the vector).
             heard = tuple(int(h) for h in replica.heard)
             if heard != self._heard_written:
                 self._counter += 1
-                batch.append({
-                    "r": "heard", "c": self._counter,
-                    "h": encode_value(heard),
-                })
+                batch.append(heard_record(self._counter, heard))
         if not batch:
             return {"appended": 0, "compacted": 0}
         for rec in batch:
@@ -234,19 +232,6 @@ class JournalStore:
         elif kind == "entry":
             self.kv[str(rec["k"])] = (counter, rec)
         # meta (and unknown kinds): not a state cell.
-
-    def _base_record(self, gc: dict) -> dict:
-        self._counter += 1
-        # the base carries the heard vector, so a heard record in the
-        # same batch would be redundant
-        self._heard_written = tuple(int(h) for h in gc["heard"])
-        return {
-            "r": "base", "c": self._counter,
-            "base": encode_value(gc["base"]),
-            "clock_floor": int(gc["clock_floor"]),
-            "frontier": encode_value(gc["frontier"]),
-            "heard": encode_value(tuple(gc["heard"])),
-        }
 
     def _require_journal(self) -> Journal:
         if self._journal is None:

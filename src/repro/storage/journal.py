@@ -60,7 +60,7 @@ class CorruptImageError(RuntimeError):
     ``/healthz``) can point at the damage.  Torn tails never raise this —
     they are the crash model working as designed and are silently
     truncated; this error means bytes the journal *did* fsync came back
-    different, or a JSON image did not parse.
+    different, or recovery rejected the image they decode to.
     """
 
     def __init__(self, path: str, offset: int, reason: str) -> None:
@@ -125,25 +125,32 @@ class Journal:
         records and whether a torn tail was truncated.  A stale
         compaction tmp file (crash between tmp write and rename) is
         removed — the rename never happened, so the old generation is
-        still the durable truth.  Raises :class:`CorruptImageError` on
-        mid-file damage.
+        still the durable truth.  A file shorter than the magic that is a
+        prefix of it is a torn *creation*: the magic is rewritten and
+        ``torn`` is True.  Raises :class:`CorruptImageError` on mid-file
+        damage (a full-length wrong magic included, at offset 0).
         """
         tmp = path + ".tmp"
         if os.path.exists(tmp):
             os.unlink(tmp)
         journal = cls(path, pid, fsync=fsync)
-        if not os.path.exists(path):
-            with open(path, "xb") as fh:
+        fresh = not os.path.exists(path)
+        raw = b""
+        if not fresh:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        if len(raw) < len(MAGIC) and MAGIC.startswith(raw):
+            # No file yet — or a torn creation: a power cut between
+            # creating the file and the magic's fsync leaves a strict
+            # prefix of MAGIC, which is a torn tail like any other.
+            with open(path, "xb" if fresh else "wb") as fh:
                 fh.write(MAGIC)
                 fh.flush()
                 os.fsync(fh.fileno())
             fsync_dir(os.path.dirname(path) or ".")
-            journal._fh = open(path, "r+b")
-            journal._fh.seek(0, os.SEEK_END)
-            return journal, [], False
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        records, valid_end, torn = journal._scan(raw)
+            records, valid_end, torn = [], len(MAGIC), not fresh
+        else:
+            records, valid_end, torn = journal._scan(raw)
         journal._fh = open(path, "r+b")
         if torn:
             journal._fh.truncate(valid_end)

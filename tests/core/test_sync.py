@@ -24,6 +24,7 @@ from repro.core.sync import (
     parse_sync_request,
 )
 from repro.core.universal import UniversalReplica
+from repro.proto.wire import replica_snapshot, restore_replica
 from repro.sim import Cluster
 from repro.specs import SetSpec
 from repro.specs import set_spec as S
@@ -104,14 +105,24 @@ class TestSyncDigest:
         assert requester == 1
         assert parsed == d
 
-    def test_v1_known_set_still_parses(self):
+    def test_v1_known_set_is_rejected(self):
+        # the frozenset-of-every-id dialect is gone, not upgraded
         known = frozenset({(1, 0), (2, 1), (3, 1)})
-        requester, d = parse_sync_request((SYNC_REQ, 0, known))
-        assert requester == 0
-        assert d.floors == (0, 0)
-        assert not d.accepts_state
-        assert all(d.covers(cl, j) for cl, j in known)
-        assert not d.covers(4, 1)
+        with pytest.raises(SyncProtocolError, match="malformed sync request"):
+            parse_sync_request((SYNC_REQ, 0, known))
+
+    @pytest.mark.parametrize("make", [
+        lambda: UniversalReplica(0, 3, SPEC),
+        lambda: GarbageCollectedReplica(0, 3, SPEC),
+    ], ids=["universal", "gc"])
+    def test_wrong_process_count_rejected(self, make):
+        # Regression: a well-formed digest over fewer processes than the
+        # replica runs used to die with a raw IndexError in covers().
+        r = make()
+        r.on_message(2, (1, 2, S.insert(5)))  # an update authored by pid 2
+        with pytest.raises(SyncProtocolError, match="digests 1 processes"):
+            r.on_message(1, (SYNC_REQ, 1, (0,), ((),), False))
+        assert not r.outbox  # nothing was served
 
     def test_malformed_request_rejected(self):
         with pytest.raises(SyncProtocolError):
@@ -143,6 +154,25 @@ class TestStateHandoff:
     def test_malformed_rejected(self):
         with pytest.raises(SyncProtocolError):
             StateHandoff.parse(("sync-state", 0, "not-a-dict"))
+
+    def test_tampered_handoff_refused(self):
+        h = StateHandoff(base=frozenset({1}), clock_floor=7, frontier=(7, 2))
+        tag, sender, state = h.payload(2)
+        with pytest.raises(SyncProtocolError, match="integrity"):
+            StateHandoff.parse((tag, sender, dict(state, clock_floor=8)))
+
+    def test_untagged_handoff_refused_and_installs_nothing(self):
+        # Regression: a SYNC_STATE with the digest key simply absent used
+        # to install unverified ("older senders still parse").
+        r = GarbageCollectedReplica(0, 3, SPEC)
+        r.on_update(S.insert(1))
+        before = (r.local_state(), r.gc_clock_floor, r.clock.value)
+        h = StateHandoff(base=frozenset({99}), clock_floor=50, frontier=(50, 1))
+        tag, sender, state = h.payload(1)
+        del state["digest"]
+        with pytest.raises(SyncProtocolError, match="integrity"):
+            r.on_message(1, (tag, sender, state))
+        assert (r.local_state(), r.gc_clock_floor, r.clock.value) == before
 
 
 class TestPagedSync:
@@ -229,14 +259,15 @@ class TestStateTransfer:
         return c
 
     def test_sub_floor_gap_without_consent_is_detected(self):
-        # Satellite regression: v1 answered a requester missing sub-floor
-        # updates with whatever was still in the live log — an incomplete
-        # response and silent divergence.  The gap must now be *detected*.
+        # Satellite regression: a requester missing sub-floor updates must
+        # not be answered with whatever is still in the live log — an
+        # incomplete response and silent divergence.  The gap is *detected*.
         c = self._collected_cluster()
         r0 = c.replicas[0]
-        v1_request = (SYNC_REQ, 1, frozenset())  # claims nothing, v1 dialect
+        # claims nothing, and cannot install a base state
+        request = SyncDigest.from_uids((), c.n, accepts_state=False)
         with pytest.raises(StateTransferRequired):
-            r0.on_message(1, v1_request)
+            r0.on_message(1, request.request_payload(1))
 
     def test_consenting_requester_gets_state(self):
         c = self._collected_cluster()
@@ -308,8 +339,6 @@ class TestRecoveryRegression:
         assert c.replicas[2].gc_clock_floor > 0
 
     def test_snapshot_round_trips_gc_state(self):
-        from repro.sim.persist import replica_snapshot, restore_replica
-
         c = gc_cluster()
         for _ in range(4):
             gossip(c)
@@ -325,8 +354,6 @@ class TestRecoveryRegression:
         assert fresh.local_state() == r2.local_state()
 
     def test_gc_snapshot_needs_gc_capable_target(self):
-        from repro.sim.persist import replica_snapshot, restore_replica
-
         c = gc_cluster()
         for _ in range(4):
             gossip(c)
@@ -337,8 +364,6 @@ class TestRecoveryRegression:
             restore_replica(UniversalReplica(2, c.n, SPEC), snap)
 
     def test_truncated_restore_freezes_own_heard(self):
-        from repro.sim.persist import replica_snapshot, restore_replica
-
         c = gc_cluster()
         for _ in range(2):
             gossip(c)
@@ -365,8 +390,6 @@ class TestRecoveryRegression:
         assert fresh._own_suspect_below == 0
 
     def test_complete_restore_trusts_stored_heard(self):
-        from repro.sim.persist import replica_snapshot, restore_replica
-
         c = gc_cluster()
         for _ in range(3):
             gossip(c)

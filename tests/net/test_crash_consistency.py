@@ -2,7 +2,7 @@
 
 The journal/engine unit tests (``tests/storage``) pin the byte-level
 contract; here the same fates — torn tail, bit rot, interrupted
-compaction, legacy images — hit a *running node*: recovery must feed the
+compaction, torn creation — hit a *running node*: recovery must feed the
 survivors' state back through anti-entropy, corruption must surface as a
 typed error (or a quarantine + empty rejoin), and ``/healthz`` must tell
 the operator which of those happened.
@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.universal import UniversalReplica
 from repro.net.harness import LocalCluster
-from repro.proto.wire import replica_snapshot
 from repro.specs.set_spec import SetSpec, insert
 from repro.storage import CorruptImageError
 
@@ -125,49 +124,60 @@ def test_quarantine_mode_sets_file_aside_and_rejoins_empty(tmp_path):
     asyncio.run(scenario())
 
 
-def test_legacy_json_image_migrates_into_the_journal(tmp_path):
-    # a pre-journal data dir: node 0 has only a v2 JSON snapshot
-    offline = UniversalReplica(0, 3, SPEC)
-    for v in (10, 11, 12):
-        offline.on_update(insert(v))
-    legacy = tmp_path / "replica-0.json"
-    legacy.write_text(replica_snapshot(offline, version=2), encoding="utf-8")
+def test_stray_json_image_is_ignored(tmp_path):
+    # a data dir from before the journal: node 0 has only a
+    # replica-0.json.  That format is no longer read (docs/storage.md):
+    # the node boots empty and rejoins by anti-entropy.
+    stray = tmp_path / "replica-0.json"
+    stray.write_text(
+        '{"format": "repro-replica-log-v2", "pid": 0, "clock": 3, '
+        '"complete": true, "entries": []}',
+        encoding="utf-8",
+    )
+    before = stray.read_bytes()
 
     async def scenario():
         cluster = make_cluster(tmp_path)
         await cluster.start()
         try:
+            node = cluster.nodes[0]
+            assert node.core.replica.clock.value == 0  # nothing restored
+            assert node.corrupt_image is None
+            cluster.submit(1, insert(10))
             await cluster.settle(timeout=10)
-            # the legacy state came back and replicated out
-            assert cluster.states() == {p: {10, 11, 12} for p in range(3)}
-            # ... and was migrated: the journal now exists and wins
-            assert os.path.exists(journal_of(tmp_path, 0))
-            assert os.path.exists(legacy)  # evidence left untouched
-            await asyncio.sleep(0.2)
-            cluster.kill(0)
-            node = await cluster.restart(0)
-            await cluster.settle(timeout=10)
+            assert cluster.states() == {p: {10} for p in range(3)}
             assert node.storage_info()["backend"] == "journal"
-            assert cluster.states()[0] == {10, 11, 12}
+            assert os.path.exists(journal_of(tmp_path, 0))
+            assert stray.read_bytes() == before  # left untouched
         finally:
             await cluster.stop()
 
     asyncio.run(scenario())
 
 
-def test_corrupt_legacy_image_is_a_typed_error_too(tmp_path):
-    (tmp_path / "replica-1.json").write_text(
-        '{"format": "repro-replica-v2", "pid": 1, "clock": troll',
-        encoding="utf-8",
-    )
+@pytest.mark.parametrize("prefix", [b"", b"RJ"], ids=["0B", "2B"])
+def test_torn_journal_creation_boots_clean(tmp_path, prefix):
+    # a power cut between creating the journal and its magic's fsync must
+    # not brick the node, even under the default on_corrupt="raise"
+    with open(journal_of(tmp_path, 1), "wb") as fh:
+        fh.write(prefix)
 
     async def scenario():
         cluster = make_cluster(tmp_path)
-        with pytest.raises(CorruptImageError) as info:
-            await cluster.start()
-        assert info.value.path.endswith("replica-1.json")
-        for pid in range(cluster.n):
-            cluster.kill(pid)
+        await cluster.start()
+        try:
+            node = cluster.nodes[1]
+            assert node.storage_info()["journal"]["truncated_tail"]
+            assert node.corrupt_image is None
+            await seed_and_flush(cluster, range(3))
+            assert cluster.states() == {p: set(range(3)) for p in range(3)}
+            cluster.kill(1)
+            node = await cluster.restart(1)
+            await cluster.settle(timeout=10)
+            assert not node.storage_info()["journal"]["truncated_tail"]
+            assert cluster.states()[1] == set(range(3))
+        finally:
+            await cluster.stop()
 
     asyncio.run(scenario())
 

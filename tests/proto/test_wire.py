@@ -7,10 +7,16 @@ is itself a tested invariant, not an implementation detail.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.adt import Query, Update
-from repro.proto.wire import decode_payload, encode_payload
+from repro.core.checkpoint import GarbageCollectedReplica
+from repro.core.universal import UniversalReplica
+from repro.proto.wire import decode_payload, encode_payload, replica_snapshot
+from repro.specs import SetSpec
+from repro.specs import set_spec as S
 
 ROUND_TRIPS = [
     None,
@@ -53,3 +59,43 @@ def test_bytes_are_compact_json():
 def test_unencodable_values_raise():
     with pytest.raises(TypeError):
         encode_payload(object())
+
+
+# -- the durable image is pinned byte for byte -----------------------------------
+#
+# Expected digests were computed at the commit *before* the v1/v2 image
+# formats were deleted (``replica_snapshot(r, version=3)`` there): moving
+# the record constructors must not move a byte of the image, and hence
+# not of the journal (``journal_bytes_per_update`` in the perf ledger).
+
+
+def _scripted_universal():
+    r = UniversalReplica(0, 3, SetSpec())
+    for i in range(4):
+        r.on_update(S.insert(i))
+    r.on_message(1, (100, 1, S.insert(99)))
+    r.on_update(S.delete(2))
+    return r
+
+
+def _scripted_collected():
+    r = GarbageCollectedReplica(0, 2, SetSpec(), checkpoint_interval=2)
+    for i in range(6):
+        r.on_update(S.insert(i))
+    r.on_message(1, (3, 1, S.insert("x")))
+    r.on_message(1, (9, 1, S.delete(0)))
+    r.collect_garbage()
+    r.on_update(S.insert(7))
+    assert r.gc_clock_floor == 6 and r.log_length == 2  # base and tail both live
+    return r
+
+
+@pytest.mark.parametrize("make,golden", [
+    (_scripted_universal,
+     "2a03ffca0d0ba50edd49c72e138156c23ca9ca2061cc3408246893fa88eaede4"),
+    (_scripted_collected,
+     "4e032eeba943a9ceebf288149b512c4a00e951c02551b3b579bb1c8d607c22e5"),
+], ids=["universal", "collected"])
+def test_image_bytes_are_golden(make, golden):
+    image = replica_snapshot(make())
+    assert hashlib.sha256(image.encode("utf-8")).hexdigest() == golden

@@ -1,4 +1,5 @@
-"""Tests for trace persistence (JSON round-trips)."""
+"""Tests for trace persistence and the durable replica image (JSON
+round-trips)."""
 
 from __future__ import annotations
 
@@ -8,14 +9,16 @@ from hypothesis import given, settings, strategies as st
 from repro.core.adt import Query, Update
 from repro.core.criteria.witness import verify_suc_witness
 from repro.core.universal import UniversalReplica
+from repro.proto.wire import (
+    decode_value,
+    encode_value,
+    replica_snapshot,
+    restore_replica,
+)
 from repro.sim import Cluster
 from repro.sim.network import ExponentialLatency
 from repro.sim.persist import (
-    decode_value,
-    encode_value,
     load_trace,
-    replica_snapshot,
-    restore_replica,
     save_trace,
     trace_from_json,
     trace_to_json,
@@ -173,11 +176,13 @@ class TestReplicaSnapshot:
             restore_replica(other, text)
 
     def test_wrong_format_rejected(self):
-        with pytest.raises(ValueError, match="repro-replica-log"):
-            restore_replica(
-                UniversalReplica(0, 3, SPEC),
-                '{"format": "nope", "pid": 0, "clock": 0, "entries": []}',
-            )
+        # the retired v1/v2 documents are as foreign as any other JSON
+        for fmt in ("nope", "repro-replica-log-v2"):
+            with pytest.raises(ValueError, match="not a repro-replica-journal-v3"):
+                restore_replica(
+                    UniversalReplica(0, 3, SPEC),
+                    '{"format": "%s", "pid": 0, "clock": 0, "entries": []}' % fmt,
+                )
 
     def test_restore_is_idempotent_per_update(self):
         # Restoring on top of a replica that already knows some entries
@@ -193,9 +198,10 @@ class TestReplicaSnapshot:
         import json
 
         doc = json.loads(replica_snapshot(self.make_replica()))
-        assert doc["format"].startswith("repro-replica-log")
+        assert doc["format"] == "repro-replica-journal-v3"
         assert doc["pid"] == 0
-        assert len(doc["entries"]) == 5
+        assert doc["complete"] is True
+        assert sum(rec["r"] == "entry" for rec in doc["records"]) == 5
 
     def test_non_dict_meta_rejected(self):
         import json
@@ -221,8 +227,13 @@ class TestJournalImage:
         return r
 
     def test_round_trip_restores_log_and_clock(self):
+        import json
+
         old = self.make_replica()
-        text = replica_snapshot(old, version=3)
+        text = replica_snapshot(old)
+        # the write-ahead rule is the record order: clock before entries
+        kinds = [rec["r"] for rec in json.loads(text)["records"]]
+        assert kinds == ["meta", "clock"] + ["entry"] * 5
         fresh = UniversalReplica(0, 3, SPEC)
         assert restore_replica(fresh, text) == 5
         assert fresh.log_length == old.log_length
@@ -237,25 +248,15 @@ class TestJournalImage:
             old.on_update(S.insert(i))
         old.collect_garbage()
         fresh = GarbageCollectedReplica(0, 1, SPEC, checkpoint_interval=2)
-        restore_replica(fresh, replica_snapshot(old, version=3))
+        restore_replica(fresh, replica_snapshot(old))
         assert fresh.local_state() == old.local_state()
         assert fresh.gc_clock_floor == old.gc_clock_floor
         assert tuple(fresh.heard) == tuple(old.heard)
 
-    def test_fsync_point_semantics_match_v2(self):
-        old = self.make_replica()
-        for version in (2, 3):
-            fresh = UniversalReplica(0, 3, SPEC)
-            restore_replica(
-                fresh, replica_snapshot(old, fsync_point=2, version=version)
-            )
-            assert fresh.log_length == 2
-            assert fresh.clock.value == old.clock.value
-
     def test_tampered_record_breaks_the_chain(self):
         import json
 
-        doc = json.loads(replica_snapshot(self.make_replica(), version=3))
+        doc = json.loads(replica_snapshot(self.make_replica()))
         for rec in doc["records"]:
             if rec["r"] == "clock":
                 rec["value"] += 1  # CRC-level tools would miss this
@@ -265,7 +266,7 @@ class TestJournalImage:
     def test_tampered_top_level_digest_rejected(self):
         import json
 
-        doc = json.loads(replica_snapshot(self.make_replica(), version=3))
+        doc = json.loads(replica_snapshot(self.make_replica()))
         doc["digest"] = "0" * len(doc["digest"])
         with pytest.raises(ValueError, match="digest mismatch"):
             restore_replica(UniversalReplica(0, 3, SPEC), json.dumps(doc))
@@ -273,7 +274,7 @@ class TestJournalImage:
     def test_reordered_records_rejected(self):
         import json
 
-        doc = json.loads(replica_snapshot(self.make_replica(), version=3))
+        doc = json.loads(replica_snapshot(self.make_replica()))
         doc["records"][-1], doc["records"][-2] = (
             doc["records"][-2], doc["records"][-1],
         )
@@ -309,5 +310,12 @@ class TestJournalImage:
         assert tuple(fresh.heard) == newer
 
     def test_unsupported_version_rejected(self):
-        with pytest.raises(ValueError, match="version"):
-            replica_snapshot(self.make_replica(), version=7)
+        # ProtocolCore.snapshot keeps a vestigial ``version`` keyword for
+        # the frozen perf ledger; it names the one format and nothing else
+        from repro.proto.core import ProtocolCore
+
+        core = ProtocolCore(0, 3, lambda p, n: UniversalReplica(p, n, SPEC))
+        assert core.snapshot(version=3) == core.snapshot()
+        for version in (2, 7):
+            with pytest.raises(ValueError, match="version"):
+                core.snapshot(version=version)

@@ -1,11 +1,13 @@
-"""Differential test: journal-backed recovery ≡ snapshot-backed recovery.
+"""Differential test: journal on disk ≡ one-shot image ≡ the live replica.
 
-The storage engine replays a digest-chained record sequence; the v2
-snapshot restores a one-shot image.  Both must land a fresh replica in
-*exactly* the same state — on the seeded chaos workload (crashes,
-partitions, lossy links, crash-recovery), not just on hand-built logs.
-Any divergence here means the journal dropped, reordered or duplicated
-a cell the flat image kept.
+The storage engine grows a digest-chained record sequence one flush at a
+time and reads it back off disk; :func:`replica_snapshot` emits the same
+records in one shot, in memory.  Restoring either must land a fresh
+replica in *exactly* the state of the replica they were taken from — on
+the seeded chaos workload (crashes, partitions, lossy links,
+crash-recovery), not just on hand-built logs.  Any divergence here means
+the journal dropped, reordered or duplicated a cell, or the two writers
+disagree on a record.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.sim.network import LossyNetwork, Network
 from repro.specs import SetSpec
 from repro.specs import set_spec as S
 from repro.storage import JournalStore
+from repro.storage.journal import FRAME_HEADER, MAGIC
 
 SPEC = SetSpec()
 
@@ -37,7 +40,7 @@ def observable(replica):
 
 def restore_from_snapshot(replica, pid, n, *, cls=UniversalReplica, **kw):
     fresh = cls(pid, n, SPEC, **kw)
-    restore_replica(fresh, replica_snapshot(replica, version=2))
+    restore_replica(fresh, replica_snapshot(replica))
     return fresh
 
 
@@ -106,28 +109,40 @@ class TestChaosDifferential:
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_fsync_truncation_semantics_match(self, tmp_path, seed):
-        # a crash that beat the last fsync: the v3 journal's torn tail
-        # must lose exactly the entries fsync_point says a v2 image loses
+        # a crash that beat the last fsync: a journal torn inside entry
+        # ``keep`` must lose exactly what fsync_point=keep says is lost
         cluster = chaos_cluster(seed)
         pid = next(p for p in cluster.alive() if cluster.replicas[p].updates)
         replica = cluster.replicas[pid]
         keep = max(1, len(replica.updates) // 2)
-        for version in (2, 3):
-            fresh = UniversalReplica(pid, cluster.n, SPEC, relay=True)
-            restore_replica(
-                fresh,
-                replica_snapshot(replica, fsync_point=keep, version=version),
-            )
-            assert len(fresh.updates) == keep
-            assert fresh.clock.value == replica.clock.value  # WAL clock cell
-            if version == 2:
-                v2_observable = observable(fresh)
-        assert observable(fresh) == v2_observable
+        modeled = UniversalReplica(pid, cluster.n, SPEC, relay=True)
+        restore_replica(modeled, replica_snapshot(replica, fsync_point=keep))
+        assert len(modeled.updates) == keep
+        assert modeled.clock.value == replica.clock.value  # WAL clock cell
+
+        path = tmp_path / f"torn-{seed}.journal"
+        st = JournalStore(str(path), pid)
+        st.open()
+        st.sync(replica)
+        st.close()
+        raw = path.read_bytes()
+        offset = len(MAGIC)
+        for _ in range(2 + keep):  # meta, clock, then ``keep`` entry frames
+            (length, _crc) = FRAME_HEADER.unpack_from(raw, offset)
+            offset += FRAME_HEADER.size + length
+        path.write_bytes(raw[:offset + FRAME_HEADER.size + 3])
+        st2 = JournalStore(str(path), pid)
+        image = st2.open()
+        assert st2.truncated_tail
+        st2.close()
+        torn = UniversalReplica(pid, cluster.n, SPEC, relay=True)
+        restore_replica(torn, image)
+        assert observable(torn) == observable(modeled)
 
 
 class TestIncrementalDifferential:
     """The engine syncs *incrementally* during the run, not once at the
-    end — the accumulated journal must still equal a one-shot snapshot."""
+    end — the accumulated journal must still equal the one-shot image."""
 
     def test_interleaved_syncs_accumulate_the_same_image(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -171,7 +186,7 @@ class TestIncrementalDifferential:
         jour = make()
         restore_replica(jour, image)
         snap = make()
-        restore_replica(snap, replica_snapshot(replica, version=2))
+        restore_replica(snap, replica_snapshot(replica))
         assert observable(jour) == observable(snap) == observable(replica)
         assert jour.gc_clock_floor == snap.gc_clock_floor == \
             replica.gc_clock_floor

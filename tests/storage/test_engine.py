@@ -190,3 +190,34 @@ class TestGcCompaction:
         assert fresh.gc_clock_floor == r.gc_clock_floor
         assert fresh.clock.value == r.clock.value
         st2.close()
+
+
+def test_journal_file_bytes_are_golden(tmp_path):
+    """Every record kind the engine appends — meta, base, clock, entry,
+    heard, then a compaction rewrite — lands on disk as the exact bytes
+    the pre-``proto.wire``-constructors engine wrote (digests computed at
+    the parent commit), so ``journal_bytes_per_update`` cannot have moved."""
+    import hashlib
+
+    path = tmp_path / "golden.journal"
+    r = GarbageCollectedReplica(0, 2, SPEC, checkpoint_interval=2)
+    st = JournalStore(str(path), 0)
+    st.open()
+    for i in range(4):
+        r.on_update(S.insert(i))
+    st.sync(r)  # birth: meta, base, clock, entries
+    r.on_message(1, (7, 1, S.insert("x")))
+    r.on_update(S.delete(0))
+    st.sync(r)  # incremental: clock, entries, heard
+    assert {rec["r"] for _, rec in st.kv.values()} == {
+        "base", "clock", "entry", "heard",
+    }
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "fc381425999a59c2e519efed6ec979468b69202b46c78a0bebb9125e3008cba6"
+    )
+    r.collect_garbage()
+    assert st.sync(r)["compacted"] == 1
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "3a4ea42f6eb17b8fd45f13b67339cc7d659e8aadd3c10916784a8b029f433a11"
+    )
+    st.close()

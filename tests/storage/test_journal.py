@@ -117,6 +117,28 @@ class TestTornTail:
         _, records, torn = Journal.open(str(path), 0)
         assert torn and len(records) == len(RECORDS) - 1
 
+    @pytest.mark.parametrize("prefix", [b"", MAGIC[:2]], ids=["0B", "2B"])
+    def test_torn_creation_is_a_torn_tail(self, tmp_path, prefix):
+        # a power cut between creating the file and the magic's fsync
+        # leaves a strict prefix of MAGIC: torn, never corrupt
+        path = tmp_path / "j"
+        path.write_bytes(prefix)
+        j, records, torn = Journal.open(str(path), 0)
+        assert torn and records == []
+        for rec in RECORDS:
+            j.append(rec)
+        j.commit()
+        j.close()
+        _, records2, torn2 = Journal.open(str(path), 0)
+        assert not torn2 and len(records2) == len(RECORDS)
+
+    def test_short_file_that_is_not_a_magic_prefix_is_corrupt(self, tmp_path):
+        path = tmp_path / "j"
+        path.write_bytes(b"XY")
+        with pytest.raises(CorruptImageError) as info:
+            Journal.open(str(path), 0)
+        assert info.value.offset == 0
+
     def test_appends_continue_after_truncation(self, tmp_path):
         path = tmp_path / "j"
         make_journal(path, RECORDS)

@@ -89,9 +89,9 @@ def recovery_scale(ops: int = RECOVERY_OPS) -> dict:
 
         t0 = time.perf_counter()
         st2 = JournalStore(path, 0, fsync=False)
-        image = st2.open()  # scans frames, CRCs, replays the digest chain
+        image = st2.open()  # scans frames, CRCs, verifies the digest chain
         fresh = UniversalReplica(0, 3, SPEC, track_witness=False)
-        loaded = restore_replica(fresh, image)  # re-verifies the chain
+        loaded = restore_replica(fresh, image)  # records in, replica out
         journal_s = time.perf_counter() - t0
         st2.close()
 
@@ -110,7 +110,7 @@ def recovery_scale(ops: int = RECOVERY_OPS) -> dict:
         "snapshot_bytes": len(snap.encode("utf-8")),
         "journal_recovery_s": journal_s,
         "snapshot_recovery_s": snapshot_s,
-        "digest_verified": True,  # restore_replica raised otherwise
+        "digest_verified": True,  # open() / restore_replica raised otherwise
     }
 
 

@@ -55,6 +55,15 @@ from repro.core.sync import (
 from repro.core.universal import Stamped, UniversalReplica
 from repro.obs.metrics import MetricsRegistry
 
+#: Pending updates (within one checkpoint stride) from which a fold goes
+#: through ``spec.apply_batch`` instead of one ``spec.apply`` each.  Every
+#: spec's batch fold costs one copy of the state (two for a set batch
+#: with deletes) plus a step per update, a single apply one copy:
+#: measured on ``SetSpec`` states of 100, 1 000 and 10 000 elements the
+#: batch breaks even between 2 and 3 updates at every size.  Below the
+#: mark — the suffix a query at a busy node sees — ``apply`` stays.
+BATCH_FOLD_MIN = 4
+
 
 class CheckpointedReplica(UniversalReplica):
     """Algorithm 1 with cached replay prefix and a checkpoint tree."""
@@ -149,12 +158,21 @@ class CheckpointedReplica(UniversalReplica):
         i = self._applied
         start = i
         log = self.updates
+        end = len(log)
         interval = self.checkpoint_interval
-        apply = self.spec.apply
+        spec = self.spec
         record = self._ckpts.record
-        while i < len(log):
-            state = apply(state, log[i][2])
-            i += 1
+        # One stride per checkpoint position.  The few updates a query at
+        # a busy node finds pending are applied one by one; a long suffix
+        # (restored log, caught-up rejoiner) goes a batch fold at a time.
+        while i < end:
+            stop = min(end, i - i % interval + interval)
+            if stop - i < BATCH_FOLD_MIN:
+                for j in range(i, stop):
+                    state = spec.apply(state, log[j][2])
+            else:
+                state = spec.apply_batch(state, [s[2] for s in log[i:stop]])
+            i = stop
             if i % interval == 0:
                 record(i, state)
         self._replayed.inc(i - start)
@@ -163,15 +181,16 @@ class CheckpointedReplica(UniversalReplica):
 
     def _peek_state(self) -> Any:
         """Introspection fold: reuses the cached prefix but mutates
-        nothing and charges nothing (see the base-class docstring)."""
+        nothing and charges nothing (see the base-class docstring).  The
+        pending suffix — the whole log on a restored replica nobody has
+        queried, which ``settle()`` polls — is one batch fold."""
         if self._fast_path:
             return self._fast_state
-        state = self._state
-        log = self.updates
-        apply = self.spec.apply
-        for i in range(self._applied, len(log)):
-            state = apply(state, log[i][2])
-        return state
+        if self._applied == len(self.updates):
+            return self._state
+        return self.spec.apply_batch(
+            self._state, [s[2] for s in self.updates[self._applied:]]
+        )
 
 
 class StabilityViolation(RuntimeError):
@@ -376,9 +395,7 @@ class GarbageCollectedReplica(CheckpointedReplica):
             state = self.spec.apply(state, update)
             self._gc_frontier = (cl, j)
         self._base = state
-        del self.updates[:cut]
-        del self._keys[:cut]
-        self._visible_cache = None
+        self._drop_prefix(cut)
         if self._fast_path:
             # The arrival-order fold already contains the collected
             # prefix; only the log representation changed.
@@ -486,10 +503,7 @@ class GarbageCollectedReplica(CheckpointedReplica):
         self.clock.merge(clock_floor)
         if clock_floor <= self._gc_clock_floor:
             return False
-        cut = bisect_left(self._keys, (clock_floor + 1,))
-        del self.updates[:cut]
-        del self._keys[:cut]
-        self._visible_cache = None
+        self._drop_prefix(bisect_left(self._keys, (clock_floor + 1,)))
         self._base = base
         self._gc_clock_floor = clock_floor
         if frontier is not None:

@@ -56,6 +56,7 @@ be confused with ``(clock, pid, update)`` triples):
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -147,12 +148,12 @@ class SyncDigest:
         """Does this digest claim knowledge of update id ``(cl, j)``?"""
         if cl <= self.floors[j]:
             return True
-        for lo, hi in self.intervals[j]:
-            if lo > cl:
-                return False
-            if cl <= hi:
-                return True
-        return False
+        runs = self.intervals[j]
+        # Runs are sorted and disjoint; ``(cl + 1,)`` sorts before every
+        # run starting above ``cl``, so the one before it is the only
+        # run that can hold ``cl``.
+        i = bisect_left(runs, (cl + 1,))
+        return i > 0 and cl <= runs[i - 1][1]
 
     def coverage_floor(self, j: int) -> int:
         """The largest clock ``C`` such that this digest claims *every*

@@ -52,6 +52,8 @@ states, recomputed only when a late message arrives) and
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import islice
+from operator import itemgetter
 from typing import Any, Hashable, Iterable, Sequence
 
 from repro.core.adt import UQADT, Update
@@ -97,6 +99,8 @@ class UniversalReplica(Replica):
         "track_witness",
         "relay",
         "_keys",
+        "_authored",
+        "unflushed_from",
         "_known",
         "_last_meta",
         "_fast_path",
@@ -143,6 +147,15 @@ class UniversalReplica(Replica):
         #: flat tuple list needs no per-comparison key callable, and the
         #: witness/visibility machinery reads it without rebuilding pairs.
         self._keys: list[tuple[int, int]] = []
+        #: live log entries per author: lets :meth:`_serve_sync` ignore
+        #: the digest floor of an author with nothing here to ship.
+        self._authored = [0] * n
+        #: the flush mark: ``updates[:unflushed_from]`` is unchanged since
+        #: :meth:`mark_flushed` (or since the log was loaded from its
+        #: durable image), so a journal flush looks at the suffix from
+        #: here only.  Appends never lower it, a late message lowers it to
+        #: where it landed, a collected prefix shifts it left.
+        self.unflushed_from = 0
         self.track_witness = track_witness
         #: epidemic relay: re-broadcast first-seen updates.  Algorithm 1
         #: assumes *reliable* broadcast — all-or-nothing delivery even when
@@ -293,8 +306,19 @@ class UniversalReplica(Replica):
     def _serve_sync(self, requester: int, digest: SyncDigest) -> None:
         """Page the live updates the digest does not cover back to the
         requester (the GC subclass prepends a state transfer when the
-        requester's coverage ends below the collected floor)."""
-        missing = [s for s in self.updates if not digest.covers(s[0], s[1])]
+        requester's coverage ends below the collected floor).  The log is
+        sorted by clock, so the scan starts above the lowest floor among
+        the authors that have entries here: O(log n + what is left)."""
+        floors = digest.floors
+        low = min(
+            (floors[j] for j, count in enumerate(self._authored) if count),
+            default=0,
+        )
+        start = bisect_left(self._keys, (low + 1,)) if low > 0 else 0
+        covers = digest.covers
+        missing = [
+            s for s in self.updates[start:] if not covers(s[0], s[1])
+        ]
         for page in pages(missing, self.sync_page_size):
             self._sync_pages.inc()
             self._sync_shipped.inc(len(page))
@@ -339,20 +363,32 @@ class UniversalReplica(Replica):
     def load_log(self, entries: Iterable[Stamped]) -> int:
         """Rebuild from a durable update log (crash-recovery).
 
-        Folds each entry through the normal insertion path (deduplicated,
-        clock-merged), so a truncated log — an fsync that missed the tail —
-        is safe: the anti-entropy handshake refetches the rest.  Returns
-        the number of entries actually loaded.
+        Entries are deduplicated and the clock merged, so a truncated log
+        — an fsync that missed the tail — is safe: the anti-entropy
+        handshake refetches the rest.  They are sorted first (a journal
+        holds them in arrival order), so each appends in O(1) instead of
+        bisecting its way in; a log that was empty came wholly from the
+        durable image, so the flush mark moves past it.  Returns the
+        number of entries actually loaded.
         """
-        loaded = 0
+        covers = self._covers_uid
+        known = self._known
+        fresh: list[Stamped] = []
         for cl, j, update in entries:
-            if self._covers_uid(cl, j):
+            if covers(cl, j):
                 continue
-            self._known.add((cl, j))
-            self.clock.merge(cl)
-            self._insert((cl, j, update))
-            loaded += 1
-        return loaded
+            known.add((cl, j))
+            fresh.append((cl, j, update))
+        if not fresh:
+            return 0
+        fresh.sort(key=itemgetter(0, 1))
+        self.clock.merge(fresh[-1][0])
+        restoring = not self.updates
+        for stamped in fresh:
+            self._insert(stamped)
+        if restoring:
+            self.mark_flushed()
+        return len(fresh)
 
     def on_query(self, name: str, args: tuple[Hashable, ...] = ()) -> Any:
         cl = self.clock.tick_value()  # line 13
@@ -389,8 +425,26 @@ class UniversalReplica(Replica):
             pos = bisect_left(keys, key)
             keys.insert(pos, key)
             self.updates.insert(pos, stamped)
+            if pos < self.unflushed_from:
+                self.unflushed_from = pos
+        self._authored[key[1]] += 1
         self._visible_cache = None
         self._after_insert(pos, stamped)
+
+    def _drop_prefix(self, cut: int) -> None:
+        """Delete the first ``cut`` log entries (folded into a base state
+        by the GC subclass), keeping the per-entry bookkeeping in step."""
+        authored = self._authored
+        for _, j in islice(self._keys, cut):
+            authored[j] -= 1
+        del self.updates[:cut]
+        del self._keys[:cut]
+        self.unflushed_from = max(0, self.unflushed_from - cut)
+        self._visible_cache = None
+
+    def mark_flushed(self) -> None:
+        """The storage engine made the whole log durable."""
+        self.unflushed_from = len(self.updates)
 
     def _after_insert(self, pos: int, stamped: Stamped) -> None:
         """Hook running after ``stamped`` landed at ``pos`` in the sorted

@@ -279,7 +279,9 @@ class ReplicaNode:
             self._spawn(self._flush_loop())
 
     def _recover_from_disk(self) -> None:
-        """Open the journal and recover whatever it holds.
+        """Open the journal and recover whatever it holds: the records
+        its scan verified go straight to the core (records in, replica
+        out — one decode and one chain check per record per boot).
 
         Every failure mode — torn beyond repair, bit-flipped frames, a
         restore that rejects the image — is normalised to
@@ -298,8 +300,9 @@ class ReplicaNode:
         try:
             self._apply_effects(self.core.recover(image))
         except ValueError as exc:
-            # Well-framed records the codec still rejects (digest
-            # mismatch, foreign pid): same corruption policy.
+            # Well-framed, well-chained records the restore still rejects
+            # (no meta record, a base this replica cannot install): same
+            # corruption policy.
             self._quarantine_or_raise(
                 CorruptImageError(self.journal_path, 0, str(exc))
             )
@@ -646,8 +649,9 @@ class ReplicaNode:
     def _flush_snapshot(self) -> None:
         """Flush the durable image: append the changed journal cells.
 
-        Bytes written are flat in the log length — the clock cell (if it
-        advanced) plus the entries that arrived since the last flush;
+        Bytes written *and entries examined* are flat in the log length —
+        the clock cell (if it advanced) plus the entries from the
+        replica's flush mark, i.e. what arrived since the last flush;
         compaction (a full atomic rewrite) only happens when the GC
         floor moved.
         """

@@ -183,22 +183,28 @@ class ProtocolCore:
         self._drain(replica, effects)
         return tuple(effects)
 
-    def recover(self, snapshot: str) -> tuple[Effect, ...]:
+    def recover(self, image: str | wire.JournalImage) -> tuple[Effect, ...]:
         """Rebuild the replica from its durable image and rejoin.
 
-        A fresh replica comes from the factory (re-homed on the bound
-        registry), the image is restored through
+        ``image`` is what the backend's storage survived the crash with:
+        the verified records the journal engine read off disk
+        (:class:`~repro.proto.wire.JournalImage` — records in, replica
+        out, no text in between) or an image text (the simulator's
+        :meth:`snapshot`).  A fresh replica comes from the factory
+        (re-homed on the bound registry), the image is restored through
         :func:`repro.proto.wire.restore_replica` (clock first — the
         write-ahead rule), and the rejoin effects are emitted: an
         anti-entropy broadcast for sync-capable replicas, any directed
         sends the restore hooks queued, a :class:`Persist` (the restored
         image is the new durable truth), and a :class:`Timer` asking the
-        backend for a follow-up sync round.
+        backend for a follow-up sync round.  Raises :class:`ValueError`
+        — leaving the current replica in place — when the image is
+        rejected.
         """
         fresh = self._factory(self.pid, self.n)
         if self._registry is not None:
             fresh.bind_metrics(self._registry)
-        wire.restore_replica(fresh, snapshot)
+        wire.restore_replica(fresh, image)
         self.replica = fresh
         effects: list[Effect] = []
         sync = getattr(fresh, "sync_request", None)

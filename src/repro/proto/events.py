@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Hashable, Union
 
 from repro.core.adt import Update
+from repro.proto.wire import JournalImage
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,15 +67,16 @@ class CrashRecovered:
     """The process restarted and its durable image was read back.
 
     ``snapshot`` is the v3 journal image the backend's storage survived
-    the crash with (a :func:`repro.proto.wire.replica_snapshot`, or the
-    records :mod:`repro.storage` read off disk); ``fsync_point`` is
+    the crash with (a :func:`repro.proto.wire.replica_snapshot` text, or
+    the verified :class:`~repro.proto.wire.JournalImage` that
+    :mod:`repro.storage` read off disk); ``fsync_point`` is
     already baked into that image by whoever took it.  The core rebuilds its
     replica from scratch, restores the image, and emits the rejoin
     effects (an anti-entropy request plus whatever the restore hooks
     queued).
     """
 
-    snapshot: str
+    snapshot: str | JournalImage
     #: informational only (carried into traces); the truncation itself
     #: happened when the snapshot was taken.
     fsync_point: int | None = field(default=None)

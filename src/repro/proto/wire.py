@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from repro.core.adt import Query, Update
 
@@ -188,13 +188,13 @@ def decode_trace_headers(headers: Any) -> dict[tuple[int, int], tuple[str, float
 # engine's incremental sync) build records through them only.
 #
 # ``c`` is the journal's update counter: a per-generation monotone serial
-# that the engine's current-state k/v map references (key -> (counter,
-# record)), and whose order refines the Lamport ``(clock, pid)`` total
-# order the log itself is sorted by.  Every record also carries ``d``, a
-# prefix of the rolling digest *before* the record — so the sequence
-# forms a hash chain ``H = sha256(H' | sha256(record))`` from a per-pid
-# genesis value, and a reordered, spliced or bit-flipped image fails
-# verification even when each record is individually well-formed.
+# stamped in append order (within one flush batch, the Lamport
+# ``(clock, pid)`` order the log itself is sorted by).  Every record also
+# carries ``d``, a prefix of the rolling digest *before* the record — so
+# the sequence forms a hash chain ``H = sha256(H' | sha256(record))``
+# from a per-pid genesis value, and a reordered, spliced or bit-flipped
+# image fails verification even when each record is individually
+# well-formed.
 
 
 def meta_record(pid: int) -> dict:
@@ -318,22 +318,38 @@ def journal_records(
     return records, complete
 
 
-def journal_image(
-    pid: int, records: list[dict], digest: str, *, complete: bool = True
-) -> str:
-    """Assemble a v3 image document from already-chained records.
-
-    The storage engine calls this with the records it read (and verified)
-    off the binary journal; :func:`restore_replica` re-verifies the chain
-    end to end, so recovery never trusts the reader's bookkeeping.
+class JournalImage(NamedTuple):
+    """A v3 record sequence whose digest chain has been verified — once,
+    by whoever produced it: :func:`read_image` (from an image text) or the
+    storage engine's ``JournalStore.open()`` (the journal scan, on the raw
+    frame bytes).  ``complete`` is False when the entry tail was cut (by
+    ``fsync_point`` or a torn write), so stored completeness claims
+    cannot be trusted verbatim.
     """
-    return json.dumps({
-        "format": REPLICA_FORMAT_V3,
-        "pid": int(pid),
-        "complete": bool(complete),
-        "digest": digest,
-        "records": records,
-    })
+
+    pid: int
+    records: list[dict]
+    complete: bool
+
+
+def read_image(text: str) -> JournalImage:
+    """Parse and verify a v3 image text (:func:`replica_snapshot`'s
+    output).  Raises :class:`ValueError` on a foreign document, a broken
+    chain link or a final digest the chain does not replay to."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict) or doc.get("format") != REPLICA_FORMAT_V3:
+        raise ValueError(f"not a {REPLICA_FORMAT_V3} image")
+    pid = int(doc["pid"])
+    records = doc.get("records")
+    if not isinstance(records, list):
+        raise ValueError("v3 journal image carries no records")
+    digest = verify_chain(pid, records)
+    if doc.get("digest") != digest:
+        raise ValueError(
+            f"rolling digest mismatch: image claims {doc.get('digest')!r}, "
+            f"chain replays to {digest!r}"
+        )
+    return JournalImage(pid, records, bool(doc.get("complete", False)))
 
 
 # -- the durable replica image -------------------------------------------------
@@ -366,39 +382,39 @@ def replica_snapshot(replica: Any, *, fsync_point: int | None = None) -> str:
     for rec in records:
         digest, s = chain_record(digest, rec)
         stamped.append(s)
-    return journal_image(replica.pid, stamped, digest.hex(), complete=complete)
+    return json.dumps({
+        "format": REPLICA_FORMAT_V3,
+        "pid": int(replica.pid),
+        "complete": complete,
+        "digest": digest.hex(),
+        "records": stamped,
+    })
 
 
-def restore_replica(replica: Any, text: str) -> int:
+def restore_replica(replica: Any, image: str | JournalImage) -> int:
     """Load a v3 journal image into a fresh replica of the same pid.
 
-    The digest chain is verified end to end before any record touches
-    replica state (a broken link raises :class:`ValueError`), then the
-    records are replayed in journal order — the clock first (no timestamp
-    reuse after log amnesia), then the compacted base if the image
-    carries one, then the surviving entries through the replica's
-    ``load_log`` — which gives the identical restore semantics whether
-    the image came from :func:`replica_snapshot` or an incrementally
-    grown journal.  Garbage-collected replicas finally re-derive their
-    ``heard`` claims (``finish_restore``): trusted verbatim from a
-    complete image, rewound to what the surviving prefix proves after a
-    truncated one.  Returns the number of log entries restored.
+    The one reader of the durable format.  ``image`` is the verified
+    records the storage engine read off disk (:class:`JournalImage`) or
+    an image text, which goes through :func:`read_image` first — either
+    way every chain link was checked exactly once before any record
+    touches replica state.  Records are replayed in journal order: the
+    clock first (no timestamp reuse after log amnesia), then the
+    compacted base if the image carries one, then the surviving entries
+    through the replica's ``load_log``.  Garbage-collected replicas
+    finally re-derive their ``heard`` claims (``finish_restore``):
+    trusted verbatim from a complete image, rewound to what the surviving
+    prefix proves after a truncated one.  Raises :class:`ValueError` on
+    an image the replica cannot take.  Returns the number of log entries
+    restored.
     """
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("format") != REPLICA_FORMAT_V3:
-        raise ValueError(f"not a {REPLICA_FORMAT_V3} image")
-    pid = int(doc["pid"])
+    if isinstance(image, str):
+        image = read_image(image)
+    pid, records, complete = image
     if pid != replica.pid:
         raise ValueError(f"snapshot belongs to process {pid}, not {replica.pid}")
-    records = doc.get("records")
-    if not isinstance(records, list) or not records:
+    if not records:
         raise ValueError("v3 journal image carries no records")
-    digest = verify_chain(pid, records)
-    if doc.get("digest") != digest:
-        raise ValueError(
-            f"rolling digest mismatch: image claims {doc.get('digest')!r}, "
-            f"chain replays to {digest!r}"
-        )
     meta = records[0]
     if meta.get("r") != "meta" or meta.get("format") != REPLICA_FORMAT_V3:
         raise ValueError("v3 journal image does not start with a meta record")
@@ -413,18 +429,18 @@ def restore_replica(replica: Any, text: str) -> int:
     clock = 0
     base_rec: dict | None = None
     heard_rec: dict | None = None
-    entry_recs: list[dict] = []
-    for rec in records[1:]:
+    entries: list[Any] = []
+    for rec in records:
         kind = rec.get("r")
-        if kind == "clock":
+        if kind == "entry":
+            entries.append(rec["e"])
+        elif kind == "clock":
             clock = max(clock, int(rec["value"]))
         elif kind == "base":
             base_rec = rec
         elif kind == "heard":
             heard_rec = rec
-        elif kind == "entry":
-            entry_recs.append(rec)
-        # unknown record kinds: skip (forward compatibility)
+        # meta and unknown record kinds: skip (forward compatibility)
     replica.clock.merge(clock)
     if base_rec is not None:
         install = getattr(replica, "install_gc_state", None)
@@ -440,10 +456,9 @@ def restore_replica(replica: Any, text: str) -> int:
             clock_floor=int(base_rec["clock_floor"]),
             frontier=None if frontier is None else tuple(frontier),
         )
-    loaded = replica.load_log(decode_value(r["e"]) for r in entry_recs)
+    loaded = replica.load_log(decode_value(entries))
     finish = getattr(replica, "finish_restore", None)
     if finish is not None:
-        complete = bool(doc.get("complete", False))
         # ``heard`` records (appended by the storage engine when the
         # vector advances between compactions) supersede the base
         # record's copy — last wins, heard is per-component monotone.

@@ -58,8 +58,9 @@ class SetSpec(UQADT):
 
     def apply_batch(self, state: frozenset, updates) -> frozenset:
         """Single reverse pass: the last operation on each value decides
-        its membership, untouched values keep their old membership —
-        O(n + |state|) instead of n frozenset copies."""
+        its membership, untouched values keep their old membership — n
+        Python steps plus at most two C-level passes over the state,
+        instead of n frozenset copies."""
         decided: dict = {}
         for u in reversed(updates):
             (v,) = u.args
@@ -70,9 +71,10 @@ class SetSpec(UQADT):
                     decided[v] = False
                 else:
                     raise ValueError(f"unknown set update {u.name!r}")
-        kept = (v for v in state if decided.get(v, True))
-        added = (v for v, present in decided.items() if present)
-        return frozenset(kept) | frozenset(added)
+        removed = [v for v, present in decided.items() if not present]
+        if removed:
+            state = state.difference(removed)
+        return state.union(v for v, present in decided.items() if present)
 
     def probe_updates(self) -> Sequence[Update]:
         # insert("a") / delete("a") is the canonical order-sensitive pair

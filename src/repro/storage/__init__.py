@@ -2,8 +2,8 @@
 
 The physical realisation of the paper's ``fsync_point`` crash model: an
 append-only journal of CRC-framed, digest-chained records
-(:mod:`repro.storage.journal`) under a current-state k/v engine with
-update-counter references and GC-keyed compaction
+(:mod:`repro.storage.journal`) under an engine that flushes the cells
+that changed and compacts on the GC floor
 (:mod:`repro.storage.engine`).  ``python -m repro.storage.smoke`` runs
 the crash-consistency scenarios (torn tail, bit flip, interrupted
 compaction) end to end — the chaos CI job's storage leg.

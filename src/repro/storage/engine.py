@@ -1,10 +1,9 @@
-"""The storage engine: a journal plus a current-state k/v map.
+"""The storage engine: a journal of state cells, flushed incrementally.
 
 Modeled on ``statejournal`` (SNIPPETS.md): the durable truth is the
-append-only journal (:mod:`repro.storage.journal`); on top of it the
-engine keeps an in-memory *current-state* map ``key -> (update_counter,
-record)`` — the latest journal record for each logical cell, referenced
-by the journal's monotone update counter.  The cells are exactly the
+append-only journal (:mod:`repro.storage.journal`), a sequence of *cells*
+stamped with the journal's monotone update counter, of which the latest
+per key is the current state.  The cells are exactly the
 :mod:`repro.proto.wire` v3 record vocabulary:
 
 * ``"clock"`` — the write-ahead Lamport clock cell.  Re-appended (cheap:
@@ -23,10 +22,16 @@ by the journal's monotone update counter.  The cells are exactly the
   the paper's Algorithm 1 replays in, which is why replaying the journal
   start-to-end and restoring a one-shot snapshot land in the same state.
 
-Writes are *incremental*: :meth:`JournalStore.sync` appends only the
-cells that changed since the last sync, so the per-update write cost is
-flat in the log length — the whole point over rewriting the entire image
-on every flush (see ``benchmarks/bench_storage``).
+Writes are *incremental* in bytes and in work: :meth:`JournalStore.sync`
+looks only at the log suffix from the replica's flush mark
+(``UniversalReplica.unflushed_from`` — what arrived, or was displaced by
+a late arrival, since the last flush) and appends the cells that
+changed.  In memory the engine keeps the singleton cells' latest values
+and the *timestamps* of the journaled entries, not the records.  Reads
+are one pass: :meth:`JournalStore.open` returns the records the journal
+scan CRC-checked and chain-verified as the
+:class:`~repro.proto.wire.JournalImage` that
+:func:`~repro.proto.wire.restore_replica` restores from.
 
 Compaction is keyed to the GC replica's floor: once
 ``replica.gc_clock_floor`` passes what the on-disk base record covers,
@@ -41,30 +46,27 @@ import os
 from typing import Any
 
 from repro.proto.wire import (
+    JournalImage,
     base_record,
     clock_record,
+    decode_ts_key,
     decode_value,
-    encode_ts_key,
     entry_record,
     heard_record,
-    journal_image,
     journal_records,
     meta_record,
 )
 from repro.storage.journal import Journal
-
-#: k/v keys of the singleton cells (every other key is a timestamp).
-CLOCK_KEY = "clock"
-BASE_KEY = "base"
-HEARD_KEY = "heard"
 
 
 class JournalStore:
     """One replica's durable storage engine.
 
     Lifecycle: :meth:`open` once (recovers whatever the journal holds and
-    returns it as a v3 image for ``ProtocolCore.recover``), then
-    :meth:`sync` on every dirty-flag flush, :meth:`close` on shutdown.
+    returns it as a verified :class:`~repro.proto.wire.JournalImage` for
+    ``ProtocolCore.recover``), then :meth:`sync` on every dirty-flag
+    flush, :meth:`close` on shutdown.  One store journals one replica:
+    :meth:`sync` consumes the replica's flush mark.
     """
 
     def __init__(self, path: str, pid: int, *, fsync: bool = True) -> None:
@@ -72,8 +74,9 @@ class JournalStore:
         self.pid = int(pid)
         self.fsync = fsync
         self._journal: Journal | None = None
-        #: current-state map: key -> (update_counter, record).
-        self.kv: dict[str, tuple[int, dict]] = {}
+        #: timestamps of the entry cells this generation holds — what
+        #: tells a late arrival from the journaled entries it displaced.
+        self._journaled: set[tuple[int, int]] = set()
         self._counter = 0
         self._clock_written = -1
         self._base_floor: int | None = None
@@ -82,27 +85,28 @@ class JournalStore:
         self.truncated_tail = False
         self.compactions = 0
         self.appends = 0
+        #: log entries the last :meth:`sync` looked at (the work counter
+        #: the flat-flush tests pin: new arrivals, not log length).
+        self.examined = 0
 
     # -- lifecycle ---------------------------------------------------------------
 
-    def open(self) -> str | None:
+    def open(self) -> JournalImage | None:
         """Open/create the journal; recover its contents.
 
-        Returns the surviving state as a v3 image (text) to feed to
-        ``ProtocolCore.recover`` — whose restore re-verifies the digest
-        chain end to end — or ``None`` when the journal is fresh/empty.
-        Raises :class:`CorruptImageError` on mid-file damage.
+        Returns the surviving records — CRC-checked and chain-verified
+        once, on the raw bytes, by the journal's scan — as the image
+        ``ProtocolCore.recover`` restores from, or ``None`` when the
+        journal is fresh/empty.  Raises :class:`CorruptImageError` on
+        mid-file damage.
         """
         journal, records, torn = Journal.open(self.path, self.pid, fsync=self.fsync)
         self._journal = journal
         self.truncated_tail = torn
-        for rec in records:
-            self._account(rec)
+        self._account(records)
         if len(records) <= 1:  # nothing but (at most) the meta record
             return None
-        return journal_image(
-            self.pid, records, journal.digest_hex, complete=not torn
-        )
+        return JournalImage(self.pid, records, not torn)
 
     def close(self) -> None:
         if self._journal is not None:
@@ -114,10 +118,13 @@ class JournalStore:
     def sync(self, replica: Any) -> dict[str, int]:
         """Append whatever changed since the last sync; maybe compact.
 
-        The append order is the write-ahead discipline: base (only at
-        journal birth), then the clock cell, then new entry cells — so
-        any torn suffix of a batch loses entries, never the clock that
-        stamped them.  Returns ``{"appended": ..., "compacted": 0|1}``.
+        Only the log suffix from the replica's flush mark is examined, so
+        the work is proportional to what arrived, not to the log.  The
+        append order is the write-ahead discipline: base (only at journal
+        birth), then the clock cell, then new entry cells in timestamp
+        order — so any torn suffix of a batch loses entries, never the
+        clock that stamped them.  Returns ``{"appended": ...,
+        "compacted": 0|1}``.
         """
         journal = self._require_journal()
         durable_gc = getattr(replica, "durable_gc_state", None)
@@ -131,7 +138,8 @@ class JournalStore:
             self.compact(replica)
             return {"appended": 0, "compacted": 1}
         batch: list[dict] = []
-        if journal.records == 0:
+        birth = journal.records == 0
+        if birth:
             batch.append(meta_record(self.pid))
             if durable_gc is not None:
                 self._counter += 1
@@ -140,12 +148,17 @@ class JournalStore:
         if clock > self._clock_written:
             self._counter += 1
             batch.append(clock_record(self._counter, clock))
-        for stamped in replica.updates:
-            if encode_ts_key(stamped[:2]) in self.kv:
-                continue
+        # A newborn journal holds nothing, whatever another store wrote
+        # of this replica before: take the whole log.
+        suffix = replica.updates[0 if birth else replica.unflushed_from:]
+        self.examined = len(suffix)
+        journaled = self._journaled
+        for stamped in suffix:
+            if stamped[:2] in journaled:
+                continue  # displaced by a late arrival, not new
             self._counter += 1
             batch.append(entry_record(self._counter, stamped))
-        if durable_gc is not None and journal.records:
+        if durable_gc is not None and not birth:
             # The heard vector is a completeness claim, so it goes *last*
             # in the batch: a torn suffix must never keep a heard advance
             # while dropping the entry cells that justify it.  One small
@@ -155,12 +168,11 @@ class JournalStore:
             if heard != self._heard_written:
                 self._counter += 1
                 batch.append(heard_record(self._counter, heard))
-        if not batch:
-            return {"appended": 0, "compacted": 0}
-        for rec in batch:
-            self._account(journal.append(rec))
-        journal.commit()
-        self.appends += len(batch)
+        if batch:
+            self._account([journal.append(rec) for rec in batch])
+            journal.commit()
+            self.appends += len(batch)
+        replica.mark_flushed()
         return {"appended": len(batch), "compacted": 0}
 
     def compact(self, replica: Any) -> None:
@@ -169,13 +181,13 @@ class JournalStore:
         journal = self._require_journal()
         records, _complete = journal_records(replica)
         stamped = journal.rewrite(records)
-        self.kv.clear()
+        self._journaled.clear()
         self._counter = 0
         self._clock_written = -1
         self._base_floor = None
         self._heard_written = None
-        for rec in stamped:
-            self._account(rec)
+        self._account(stamped)
+        replica.mark_flushed()
         self.appends += len(stamped)
         self.compactions += 1
 
@@ -184,11 +196,6 @@ class JournalStore:
     @property
     def digest_hex(self) -> str:
         return self._require_journal().digest_hex
-
-    @property
-    def counter(self) -> int:
-        """The journal's current update counter (this generation)."""
-        return self._counter
 
     def bytes_on_disk(self) -> int:
         if self._journal is None:
@@ -210,28 +217,29 @@ class JournalStore:
 
     # -- internals ---------------------------------------------------------------
 
-    def _account(self, rec: dict) -> None:
-        """Fold one (stamped) journal record into the current-state map."""
-        kind = rec.get("r")
-        counter = int(rec.get("c", 0))
-        self._counter = max(self._counter, counter)
-        if kind == "clock":
-            self.kv[CLOCK_KEY] = (counter, rec)
-            self._clock_written = max(self._clock_written, int(rec["value"]))
-        elif kind == "base":
-            self.kv[BASE_KEY] = (counter, rec)
-            self._base_floor = int(rec["clock_floor"])
-            self._heard_written = tuple(
-                int(h) for h in decode_value(rec["heard"])
-            )
-        elif kind == "heard":
-            self.kv[HEARD_KEY] = (counter, rec)
-            self._heard_written = tuple(
-                int(h) for h in decode_value(rec["h"])
-            )
-        elif kind == "entry":
-            self.kv[str(rec["k"])] = (counter, rec)
-        # meta (and unknown kinds): not a state cell.
+    def _account(self, records: list[dict]) -> None:
+        """Note what (stamped) journal records say is on disk: the
+        singleton cells' latest values and which entries are journaled."""
+        journaled = self._journaled
+        for rec in records:
+            kind = rec.get("r")
+            if kind == "entry":
+                journaled.add(decode_ts_key(rec["k"]))
+            elif kind == "clock":
+                self._clock_written = max(self._clock_written, int(rec["value"]))
+            elif kind == "base":
+                self._base_floor = int(rec["clock_floor"])
+                self._heard_written = tuple(
+                    int(h) for h in decode_value(rec["heard"])
+                )
+            elif kind == "heard":
+                self._heard_written = tuple(
+                    int(h) for h in decode_value(rec["h"])
+                )
+            # meta (and unknown kinds): not a state cell.
+        if records:
+            # counters are monotone within a generation; meta carries none
+            self._counter = max(self._counter, int(records[-1].get("c", 0)))
 
     def _require_journal(self) -> Journal:
         if self._journal is None:

@@ -3,9 +3,10 @@
 CI entry point (``python -m repro.storage.smoke``): in a throwaway
 directory, write a journal through the engine, then inflict each crash
 fate — torn tail, mid-file bit rot, interrupted compaction — and check
-the recovery contract end to end (including the digest chain re-verified
-by :func:`repro.proto.wire.restore_replica`).  Prints one ``PASS`` line
-per scenario; any failure is a traceback and a non-zero exit.
+the recovery contract end to end (the journal scan's CRC and digest-chain
+checks, then :func:`repro.proto.wire.restore_replica` on the records it
+returns).  Prints one ``PASS`` line per scenario; any failure is a
+traceback and a non-zero exit.
 
 The pytest suites (``tests/storage``, ``tests/net``) cover the same
 ground exhaustively; this module exists so the chaos CI job — which runs

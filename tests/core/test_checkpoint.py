@@ -165,6 +165,96 @@ class TestRollbackAccounting:
         assert r.rollbacks == 0
 
 
+class CountingSetSpec(SetSpec):
+    """A set spec that counts its per-update and batch folds."""
+
+    def __init__(self):
+        self.applies = 0
+        self.batches = []
+
+    def apply(self, state, update):
+        self.applies += 1
+        return super().apply(state, update)
+
+    def apply_batch(self, state, updates):
+        self.batches.append(len(updates))
+        return super().apply_batch(state, updates)
+
+
+class TestColdFold:
+    """A long pending suffix (a restored log, a caught-up rejoiner) folds
+    in checkpoint-sized batch strides; the short suffix a steady-state
+    query sees stays on per-update ``apply``.  Counted in calls."""
+
+    def restored(self, n_entries, *, interval=64):
+        spec = CountingSetSpec()
+        r = GarbageCollectedReplica(0, 3, spec, checkpoint_interval=interval)
+        r.load_log(
+            (cl, cl % 2, S.insert(cl) if cl % 7 else S.delete(cl - 1))
+            for cl in range(1, n_entries + 1)
+        )
+        assert spec.applies == 0 and spec.batches == []
+        return r, spec
+
+    def test_first_query_on_a_restored_log_never_applies_per_entry(self):
+        r, spec = self.restored(8000)
+        answer = r.on_query("read")
+        assert spec.applies == 0
+        assert spec.batches == [64] * 125
+        assert r.replayed_updates == 8000 == len(r.updates)
+        naive = UniversalReplica(0, 3, SetSpec(), batch_replay=False)
+        naive.load_log(r.updates)
+        assert answer == naive.on_query("read")
+
+    def test_strides_leave_the_checkpoints_a_stepwise_replay_leaves(self):
+        r, spec = self.restored(1000, interval=16)
+        r.on_query("read")
+        assert spec.batches[-1] == 1000 % 16
+        stepwise = CheckpointedReplica(0, 3, SetSpec(), checkpoint_interval=16)
+        for stamped in r.updates:
+            stepwise._insert(stamped)
+            stepwise.on_query("read")  # replays one entry at a time
+        assert r.checkpoint_indices() == stepwise.checkpoint_indices()
+        assert r._state == stepwise._state
+
+    def test_short_suffix_stays_on_apply(self):
+        from repro.core.checkpoint import BATCH_FOLD_MIN
+
+        r, spec = self.restored(640)
+        r.on_query("read")
+        spec.batches.clear()
+        for i in range(BATCH_FOLD_MIN - 1):
+            r.on_message(1, (10_000 + i, 1, S.insert(-i)))
+        r.on_query("read")
+        assert spec.applies == BATCH_FOLD_MIN - 1 and spec.batches == []
+        for i in range(BATCH_FOLD_MIN):
+            r.on_message(1, (20_000 + i, 1, S.insert(-100 - i)))
+        r.on_query("read")
+        assert spec.applies == BATCH_FOLD_MIN - 1
+        assert spec.batches == [BATCH_FOLD_MIN]
+
+    def test_peek_folds_a_long_suffix_in_one_batch_and_keeps_nothing(self):
+        # LocalCluster.settle() polls local_state() on a rejoiner nobody
+        # has queried: each poll is one batch fold, not n frozenset copies
+        r, spec = self.restored(8000)
+        state = r.local_state()
+        assert spec.applies == 0 and spec.batches == [8000]
+        assert r.replayed_updates == 0 and r.checkpoint_indices() == [0]
+        assert state == r.on_query("read")
+
+    def test_rollback_accounting_survives_the_batch_path(self):
+        r, spec = self.restored(640)
+        r.on_query("read")
+        for clock in (600, 300, 100):  # late: lands inside the replayed prefix
+            r.on_message(2, (clock, 2, S.insert(-clock)))
+            r.on_query("read")
+        assert r.rollbacks == 3
+        assert r.replayed_updates == len(r.updates) + r.rollback_replayed
+        naive = UniversalReplica(0, 3, SetSpec(), batch_replay=False)
+        naive.load_log(r.updates)
+        assert r.on_query("read") == naive.on_query("read")
+
+
 class TestGarbageCollection:
     def gc_cluster(self, n=3, gc_interval=5, **kw):
         kw.setdefault("fifo", True)

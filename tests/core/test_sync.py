@@ -10,6 +10,7 @@ for sub-floor gaps).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.checkpoint import GarbageCollectedReplica, StabilityViolation
@@ -82,6 +83,43 @@ class TestSyncDigest:
         assert d.covers(8, 0)
         assert not d.covers(10, 0)
         assert not d.covers(1, 1)
+
+    def test_covers_agrees_with_a_linear_scan_of_the_runs(self):
+        # the bisect must answer exactly what scanning every run answers
+        rng = np.random.default_rng(11)
+        clocks = {int(c) for c in rng.integers(1, 400, size=150)}
+        d = SyncDigest.from_uids({(c, 0) for c in clocks}, 1, floors=(40,))
+        assert len(d.intervals[0]) > 20
+        for cl in range(0, 420):
+            scanned = cl <= 40 or any(lo <= cl <= hi for lo, hi in d.intervals[0])
+            assert d.covers(cl, 0) == scanned == (cl <= 40 or cl in clocks)
+
+    def test_covers_bisects_instead_of_scanning(self):
+        d = SyncDigest.from_uids({(c, 0) for c in range(1, 4001, 2)}, 1)
+        assert len(d.intervals[0]) == 2000
+        touched = []
+
+        class Counted(tuple):
+            """A run that records every comparison, unpacking or index."""
+
+            def __lt__(self, other):
+                touched.append(self)
+                return tuple.__lt__(self, other)
+
+            def __iter__(self):
+                touched.append(self)
+                return tuple.__iter__(self)
+
+            def __getitem__(self, i):
+                touched.append(self)
+                return tuple.__getitem__(self, i)
+
+        counted = SyncDigest(
+            floors=d.floors,
+            intervals=(tuple(Counted(run) for run in d.intervals[0]),),
+        )
+        assert counted.covers(3999, 0) and not counted.covers(3998, 0)
+        assert len(touched) <= 2 * 13  # ~log2(2000) runs per lookup, not 2000
 
     def test_coverage_floor_extended_by_adjacent_runs(self):
         d = SyncDigest(floors=(4, 0), intervals=(((5, 6), (8, 9)), ()))
@@ -212,6 +250,66 @@ class TestPagedSync:
         c.replicas[0].sync_request()
         assert c.metrics.total("repro_sync_requests_total") == 1
         assert c.metrics.total("repro_sync_request_bits_total") > 0
+
+
+class TestServeSync:
+    """``_serve_sync`` skips the log prefix the requester's floors cover
+    — a pure speed-up: the pages must be what a full scan ships."""
+
+    def responder(self, n_updates=300):
+        r = GarbageCollectedReplica(0, 3, SPEC, gc_interval=10_000)
+        for i in range(n_updates):
+            if i % 3:
+                r.on_update(S.insert(i))
+            else:
+                r.on_message(1, (r.clock.value + 1, 1, S.insert(i)))
+        return r
+
+    def serve(self, r, digest, monkeypatch=None):
+        calls = []
+        if monkeypatch is not None:
+            real = SyncDigest.covers
+            monkeypatch.setattr(
+                SyncDigest, "covers",
+                lambda self, cl, j: calls.append((cl, j)) or real(self, cl, j),
+            )
+        r._serve_sync(2, digest)
+        shipped = [s for _dst, payload in r.outbox for s in payload[1]]
+        r.outbox.clear()
+        return shipped, calls
+
+    @pytest.mark.parametrize("floors", [
+        (0, 0, 0), (120, 80, 0), (80, 120, 500), (10_000, 10_000, 0),
+    ])
+    def test_pages_equal_the_full_scan(self, floors):
+        r = self.responder()
+        known_above = {(cl, j) for cl, j, _ in r.updates[200:260:2]}
+        digest = SyncDigest.from_uids(known_above, 3, floors=floors)
+        shipped, _ = self.serve(r, digest)
+        assert shipped == [
+            s for s in r.updates if not digest.covers(s[0], s[1])
+        ]
+
+    def test_author_with_nothing_in_the_log_does_not_pin_the_scan(
+        self, monkeypatch
+    ):
+        # mesh-degraded: the dead peer's floor is 0 and it authored
+        # nothing; only what lies above the live authors' floors is looked at
+        r = self.responder()
+        floor = r.updates[-10][0]
+        digest = SyncDigest(floors=(floor, floor, 0), intervals=((), (), ()))
+        shipped, calls = self.serve(r, digest, monkeypatch)
+        assert [s[0] for s in shipped] == [s[0] for s in r.updates[-9:]]
+        assert len(calls) == 9
+
+    def test_collected_authors_stop_counting(self):
+        r = GarbageCollectedReplica(0, 2, SPEC, gc_interval=10_000)
+        r.on_message(1, (1, 1, S.insert("a")))
+        r.on_update(S.insert("b"))
+        assert r._authored == [1, 1]
+        r.on_message(1, ("hb", 1, 1))
+        assert r.collect_garbage() == 1  # (1, 1) folded away
+        assert r._authored == [1, 0]
 
 
 class TestGCDigest:

@@ -203,6 +203,116 @@ def test_stale_compaction_tmp_is_discarded_at_boot(tmp_path):
     asyncio.run(scenario())
 
 
+@pytest.mark.parametrize("fate", ["foreign_pid", "reordered_frames"])
+def test_spliced_journal_raises_typed_error_at_boot(tmp_path, fate):
+    # every frame's CRC is fine; only the digest chain — checked once,
+    # by the journal scan — can tell
+    from repro.storage.journal import FRAME_HEADER, MAGIC
+
+    async def scenario():
+        cluster = make_cluster(tmp_path)
+        await cluster.start()
+        try:
+            await seed_and_flush(cluster, range(6))
+            cluster.kill(1)
+            path = journal_of(tmp_path, 1)
+            if fate == "foreign_pid":
+                with open(journal_of(tmp_path, 0), "rb") as fh:
+                    raw = fh.read()  # node 0's flusher may append meanwhile
+            else:
+                raw = open(path, "rb").read()
+                frames, offset = [], len(MAGIC)
+                while offset < len(raw):
+                    (length, _crc) = FRAME_HEADER.unpack_from(raw, offset)
+                    end = offset + FRAME_HEADER.size + length
+                    frames.append(raw[offset:end])
+                    offset = end
+                frames[-1], frames[-2] = frames[-2], frames[-1]
+                raw = MAGIC + b"".join(frames)
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            with pytest.raises(CorruptImageError, match="digest chain"):
+                await cluster.restart(1)
+            assert cluster.nodes[1].corrupt_image is not None
+            cluster.kill(1)  # discard the half-booted node
+        finally:
+            await cluster.stop()
+
+    asyncio.run(scenario())
+
+
+def test_flush_before_start_still_creates_the_journal(tmp_path):
+    # stop() on a node that never booted: nothing was opened, the flush
+    # creates the journal on demand and writes the whole log
+    from repro.net.node import ReplicaNode
+
+    async def scenario():
+        node = ReplicaNode(
+            0, 1, lambda pid, k: UniversalReplica(pid, k, SPEC),
+            data_dir=str(tmp_path / "fresh"),
+        )
+        for v in range(3):
+            node.submit(insert(v))
+        await node.stop()
+        again = ReplicaNode(
+            0, 1, lambda pid, k: UniversalReplica(pid, k, SPEC),
+            data_dir=str(tmp_path / "fresh"),
+        )
+        await again.start()
+        try:
+            assert again.local_state() == {0, 1, 2}
+            assert again.storage_info()["journal"]["records"] == 5
+        finally:
+            await again.stop()
+
+    asyncio.run(scenario())
+
+
+def test_node_boot_verifies_each_record_once(tmp_path, monkeypatch):
+    # the boot path end to end (journal scan -> engine -> core.recover):
+    # one JSON decode and one chain link per record, no image text
+    import json
+
+    from repro.proto import wire
+    from repro.storage import journal
+
+    async def scenario():
+        cluster = make_cluster(tmp_path, n=1)
+        await cluster.start()
+        for v in range(40):
+            cluster.submit(0, insert(v))
+            if v % 9 == 0:
+                await asyncio.sleep(0.06)  # several flushes, several batches
+        await cluster.stop()
+        reader, records, _torn = journal.Journal.open(journal_of(tmp_path, 0), 0)
+        reader.close()
+
+        calls = {"decoded": 0, "links": 0}
+        real_loads, real_advance = json.loads, wire.advance_digest
+
+        def loads(*a, **kw):
+            calls["decoded"] += 1
+            return real_loads(*a, **kw)
+
+        def advance(*a):
+            calls["links"] += 1
+            return real_advance(*a)
+
+        monkeypatch.setattr(json, "loads", loads)
+        monkeypatch.setattr(wire, "advance_digest", advance)
+        monkeypatch.setattr(journal, "advance_digest", advance)
+        again = make_cluster(tmp_path, n=1)
+        await again.start()  # no peers, no HTTP: nothing else decodes JSON
+        counted = dict(calls)
+        try:
+            assert counted == {"decoded": len(records), "links": len(records)}
+            assert again.states() == {0: set(range(40))}
+        finally:
+            await again.stop()
+
+    asyncio.run(scenario())
+
+
 def test_flushes_append_instead_of_rewriting(tmp_path):
     async def scenario():
         cluster = make_cluster(tmp_path)

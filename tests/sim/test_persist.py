@@ -285,12 +285,7 @@ class TestJournalImage:
         import json
 
         from repro.core.checkpoint import GarbageCollectedReplica
-        from repro.proto.wire import (
-            chain_record,
-            genesis_digest,
-            journal_image,
-            journal_records,
-        )
+        from repro.proto.wire import JournalImage, journal_records
 
         old = GarbageCollectedReplica(0, 1, SPEC, checkpoint_interval=2)
         for i in range(4):
@@ -300,13 +295,8 @@ class TestJournalImage:
         # freshest record must win over the base segment's stale copy
         newer = (old.clock.value,)
         records.append({"r": "heard", "c": 99, "h": encode_value(newer)})
-        digest = genesis_digest(0)
-        stamped = []
-        for rec in records:
-            digest, rec = chain_record(digest, rec)
-            stamped.append(rec)
         fresh = GarbageCollectedReplica(0, 1, SPEC, checkpoint_interval=2)
-        restore_replica(fresh, journal_image(0, stamped, digest.hex()))
+        restore_replica(fresh, JournalImage(0, records, complete=True))
         assert tuple(fresh.heard) == newer
 
     def test_unsupported_version_rejected(self):

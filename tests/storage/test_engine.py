@@ -1,26 +1,33 @@
-"""The storage engine: incremental appends, the k/v map, compaction.
+"""The storage engine: incremental appends, the flush mark, compaction.
 
 The engine's contract is the one the ISSUE's acceptance bench measures:
-a flush writes the *changed* cells (flat in log length), recovery
-replays the journal into the same replica state a one-shot snapshot
-restore produces, and the GC floor drives compaction.
+a flush examines and writes only what *changed* (flat in log length),
+recovery replays the journal into the same replica state a one-shot
+snapshot restore produces — decoding and chain-checking each record
+once — and the GC floor drives compaction.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.core.checkpoint import GarbageCollectedReplica
 from repro.core.universal import UniversalReplica
-from repro.proto.wire import restore_replica
+from repro.proto.wire import restore_replica, verify_chain
 from repro.specs import SetSpec
 from repro.specs import set_spec as S
-from repro.storage import CorruptImageError, JournalStore
-from repro.storage.engine import BASE_KEY, CLOCK_KEY
+from repro.storage import CorruptImageError, Journal, JournalStore
 
 SPEC = SetSpec()
+
+
+def records_on_disk(path, *, pid=0):
+    """The journal's records as a second reader sees them (the writer has
+    committed, so nothing is torn and the scan changes nothing)."""
+    journal, records, torn = Journal.open(str(path), pid)
+    journal.close()
+    assert not torn
+    return records
 
 
 def replica_with(n_updates, *, pid=0, cls=UniversalReplica):
@@ -71,19 +78,166 @@ class TestIncrementalSync:
         assert max(costs) <= min(costs) + 16
         st.close()
 
-    def test_kv_map_references_update_counters(self, tmp_path):
+    def test_cells_carry_increasing_update_counters(self, tmp_path):
         r = replica_with(3)
         st = open_store(tmp_path)
         st.open()
         st.sync(r)
-        counters = [c for c, _ in st.kv.values()]
-        assert len(set(counters)) == len(counters)  # unique references
-        assert st.kv[CLOCK_KEY][1]["value"] == r.clock.value
-        assert set(st.kv) == {CLOCK_KEY, "1.0", "2.0", "3.0"}
+        meta, clock, *entries = records_on_disk(st.path)
+        assert meta["r"] == "meta" and "c" not in meta
+        assert clock["r"] == "clock" and clock["value"] == r.clock.value
+        assert [e["k"] for e in entries] == ["1.0", "2.0", "3.0"]
+        assert [rec["c"] for rec in (clock, *entries)] == [1, 2, 3, 4]
+        assert st.info()["counter"] == 4
+        st.close()
+
+
+class TestFlushMark:
+    """A flush looks at what arrived since the last one — counted in
+    entries examined, never in seconds."""
+
+    def test_in_order_stream_examines_only_the_arrivals(self, tmp_path):
+        r = replica_with(500)
+        st = open_store(tmp_path)
+        st.open()
+        st.sync(r)
+        assert st.examined == 500  # birth takes the whole log
+        for batch in (1, 7, 0, 12):
+            for i in range(batch):
+                r.on_update(S.insert(1000 + i))
+            appended = st.sync(r)["appended"]
+            assert st.examined == batch
+            assert appended == (batch + 1 if batch else 0)  # + the clock cell
+        st.close()
+
+    def test_one_late_message_examines_the_displaced_suffix_only(self, tmp_path):
+        r = replica_with(0)
+        for cl in range(10, 510, 10):
+            r.on_message(1, (cl, 1, S.insert(cl)))
+        st = open_store(tmp_path)
+        st.open()
+        st.sync(r)
+        r.on_message(2, (255, 2, S.insert("late")))
+        pos = r.known_timestamps().index((255, 2))
+        assert r.unflushed_from == pos == 25
+        assert st.sync(r) == {"appended": 1, "compacted": 0}  # clock unmoved
+        assert 1 <= st.examined <= len(r.updates) - pos
+        assert r.unflushed_from == len(r.updates)
+        assert records_on_disk(st.path)[-1]["k"] == "255.2"
+        st.close()
+        st2 = open_store(tmp_path)
+        fresh = UniversalReplica(0, 3, SPEC)
+        assert restore_replica(fresh, st2.open()) == 51
+        assert fresh.updates == r.updates
+        st2.close()
+
+    def test_a_batch_is_written_in_timestamp_order(self, tmp_path):
+        r = replica_with(0)
+        r.on_message(1, (50, 1, S.insert("a")))
+        st = open_store(tmp_path)
+        st.open()
+        st.sync(r)
+        for cl, j in [(70, 1), (20, 2), (60, 2), (10, 1)]:  # arrival order
+            r.on_message(j, (cl, j, S.insert(cl)))
+        st.sync(r)
+        kinds = [(rec["r"], rec.get("k")) for rec in records_on_disk(st.path)[3:]]
+        assert kinds == [
+            ("clock", None), ("entry", "10.1"), ("entry", "20.2"),
+            ("entry", "60.2"), ("entry", "70.1"),
+        ]
+        st.close()
+
+    def test_restored_log_is_already_flushed(self, tmp_path):
+        r = replica_with(40)
+        st = open_store(tmp_path)
+        st.open()
+        st.sync(r)
+        st.close()
+        st2 = open_store(tmp_path)
+        fresh = UniversalReplica(0, 3, SPEC)
+        restore_replica(fresh, st2.open())
+        assert fresh.unflushed_from == 40
+        assert st2.sync(fresh) == {"appended": 0, "compacted": 0}
+        assert st2.examined == 0
+        fresh.on_update(S.insert("x"))
+        assert st2.sync(fresh)["appended"] == 2 and st2.examined == 1
+        st2.close()
+
+    def test_collection_between_flushes_shifts_the_mark(self, tmp_path):
+        r = GarbageCollectedReplica(0, 1, SPEC, checkpoint_interval=2)
+        for i in range(6):
+            r.on_update(S.insert(i))
+        st = open_store(tmp_path)
+        st.open()
+        st.sync(r)
+        r.on_update(S.insert(6))
+        assert r.unflushed_from == 6
+        r.heard[0] = 4  # only clocks 1..4 are stable
+        assert r.collect_garbage() == 4
+        assert r.unflushed_from == 2 and r.updates[2][0] == 7
+        st.close()
+
+    def test_compaction_resets_the_mark(self, tmp_path):
+        r = GarbageCollectedReplica(0, 1, SPEC, checkpoint_interval=2)
+        for i in range(6):
+            r.on_update(S.insert(i))
+        st = open_store(tmp_path)
+        st.open()
+        st.sync(r)
+        r.heard[0] = 4
+        r.collect_garbage()
+        r.heard[0] = r.clock.value
+        r.on_update(S.insert(6))
+        assert r.unflushed_from == 2
+        assert st.sync(r)["compacted"] == 1
+        assert r.unflushed_from == len(r.updates) == 3
+        entries = [rec["k"] for rec in records_on_disk(st.path) if rec["r"] == "entry"]
+        assert entries == ["5.0", "6.0", "7.0"]
+        r.on_update(S.insert(7))
+        assert st.sync(r)["appended"] == 3 and st.examined == 1  # clock, entry, heard
         st.close()
 
 
 class TestRecovery:
+    def test_boot_decodes_and_verifies_each_record_once(self, tmp_path, monkeypatch):
+        import json
+
+        from repro.proto import wire
+        from repro.proto.core import ProtocolCore
+        from repro.storage import journal
+
+        r = replica_with(0)
+        st = open_store(tmp_path)
+        st.open()
+        for i in range(60):
+            r.on_update(S.insert(i))
+            if i % 7 == 0:
+                st.sync(r)
+        st.sync(r)
+        on_disk = st.info()["records"]
+        st.close()
+
+        calls = {"decoded": 0, "links": 0}
+        real_loads, real_advance = json.loads, wire.advance_digest
+
+        def loads(*a, **kw):
+            calls["decoded"] += 1
+            return real_loads(*a, **kw)
+
+        def advance(*a):
+            calls["links"] += 1
+            return real_advance(*a)
+
+        monkeypatch.setattr(json, "loads", loads)
+        monkeypatch.setattr(wire, "advance_digest", advance)
+        monkeypatch.setattr(journal, "advance_digest", advance)
+        st2 = open_store(tmp_path)
+        core = ProtocolCore(0, 3, lambda p, n: UniversalReplica(p, n, SPEC))
+        core.recover(st2.open())
+        assert calls == {"decoded": on_disk, "links": on_disk}
+        assert core.replica.updates == r.updates
+        st2.close()
+
     def test_recovered_image_restores_identical_state(self, tmp_path):
         r = replica_with(5)
         st = open_store(tmp_path)
@@ -108,7 +262,8 @@ class TestRecovery:
         st.close()
         st2 = open_store(tmp_path)
         image = st2.open()
-        assert json.loads(image)["digest"] == digest == st2.digest_hex
+        assert verify_chain(0, image.records) == digest == st2.digest_hex
+        st2.close()
 
     def test_corrupt_journal_raises_through_open(self, tmp_path):
         r = replica_with(5)
@@ -135,8 +290,7 @@ class TestRecovery:
         st2 = open_store(tmp_path)
         image = st2.open()
         assert st2.truncated_tail
-        doc = json.loads(image)
-        assert doc["complete"] is False
+        assert image.complete is False
         fresh = UniversalReplica(0, 3, SPEC)
         assert restore_replica(fresh, image) == 4  # last entry lost
         assert fresh.clock.value == r.clock.value  # the WAL clock cell held
@@ -157,7 +311,8 @@ class TestGcCompaction:
         st = open_store(tmp_path)
         st.open()
         st.sync(r)
-        assert BASE_KEY in st.kv
+        kinds = [rec["r"] for rec in records_on_disk(st.path)]
+        assert kinds == ["meta", "base", "clock", "entry", "entry", "entry"]
         st.close()
 
     def test_floor_advance_triggers_compaction(self, tmp_path):
@@ -209,8 +364,8 @@ def test_journal_file_bytes_are_golden(tmp_path):
     r.on_message(1, (7, 1, S.insert("x")))
     r.on_update(S.delete(0))
     st.sync(r)  # incremental: clock, entries, heard
-    assert {rec["r"] for _, rec in st.kv.values()} == {
-        "base", "clock", "entry", "heard",
+    assert {rec["r"] for rec in records_on_disk(path)} == {
+        "meta", "base", "clock", "entry", "heard",
     }
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "fc381425999a59c2e519efed6ec979468b69202b46c78a0bebb9125e3008cba6"

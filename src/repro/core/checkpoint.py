@@ -162,11 +162,20 @@ class CheckpointedReplica(UniversalReplica):
         interval = self.checkpoint_interval
         spec = self.spec
         record = self._ckpts.record
-        # One stride per checkpoint position.  The few updates a query at
-        # a busy node finds pending are applied one by one; a long suffix
-        # (restored log, caught-up rejoiner) goes a batch fold at a time.
+        # Every stride stops on a checkpoint position.  The few updates a
+        # query at a busy node finds pending are applied one by one.  A
+        # long suffix (restored log, caught-up rejoiner) goes in batch
+        # folds that halve the distance to the tip until two intervals
+        # remain — each fold copies the state once, and the stops are the
+        # O(log n) checkpoints dyadic thinning would have kept of one per
+        # interval.
         while i < end:
-            stop = min(end, i - i % interval + interval)
+            ahead = end - i
+            if ahead > 2 * interval:
+                stop = i + ahead // 2
+                stop -= stop % interval
+            else:
+                stop = min(end, i - i % interval + interval)
             if stop - i < BATCH_FOLD_MIN:
                 for j in range(i, stop):
                     state = spec.apply(state, log[j][2])
@@ -380,10 +389,9 @@ class GarbageCollectedReplica(CheckpointedReplica):
             # The floor is a completeness claim, not a fold marker: every
             # update with clock <= min(heard) is known (FIFO + Lamport
             # monotonicity), so it may advance even when nothing in the
-            # live log falls under it.  _known no longer needs to
-            # enumerate ids at or below it.
+            # live log falls under it.  Ids at or below it leave _known
+            # with their log entries (_drop_prefix).
             self._gc_clock_floor = frontier
-            self._known = {uid for uid in self._known if uid[0] > frontier}
         # (frontier + 1,) sorts before (frontier + 1, 0): the cut is the
         # first entry with clock > frontier.
         cut = bisect_left(self._keys, (frontier + 1,))
@@ -434,10 +442,8 @@ class GarbageCollectedReplica(CheckpointedReplica):
         every j-update with clock <= heard[j]"), exception runs for the
         handful of ids learned above it (paged in by earlier sync
         rounds), and consent to install a state transfer."""
-        return SyncDigest.from_uids(
-            self._known, self.n,
-            floors=tuple(self.heard),
-            accepts_state=True,
+        return SyncDigest.from_runs(
+            self._runs, tuple(self.heard), accepts_state=True
         )
 
     def _covers_uid(self, cl: int, j: int) -> bool:
@@ -513,7 +519,6 @@ class GarbageCollectedReplica(CheckpointedReplica):
             )
         for j in range(self.n):
             self.heard[j] = max(self.heard[j], clock_floor)
-        self._known = {uid for uid in self._known if uid[0] > clock_floor}
         # Cached replay structures predate the new base; rebuild from it.
         self._applied, self._state = 0, base
         self._ckpts.reset(base)

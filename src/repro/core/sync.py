@@ -100,6 +100,15 @@ def coalesce(clocks: Iterable[int]) -> Intervals:
     return tuple(runs)
 
 
+def runs_above(runs: list[tuple[int, int]], floor: int) -> list[tuple[int, int]]:
+    """What sorted, disjoint ``runs`` hold strictly above ``floor``: one
+    bisect, a run straddling the floor clipped to start just above it."""
+    i = bisect_left(runs, (floor + 1,))
+    if i and runs[i - 1][1] > floor:
+        return [(floor + 1, runs[i - 1][1]), *runs[i:]]
+    return runs[i:]
+
+
 @dataclass(frozen=True)
 class SyncDigest:
     """A replica's knowledge summary: per-author floors + exception runs."""
@@ -140,6 +149,22 @@ class SyncDigest:
             floors=tuple(floors),
             intervals=tuple(coalesce(clocks) for clocks in per_pid),
             accepts_state=accepts_state,
+        )
+
+    @classmethod
+    def from_runs(
+        cls,
+        runs: list[list[tuple[int, int]]],
+        floors: tuple[int, ...],
+        *,
+        accepts_state: bool = False,
+    ) -> "SyncDigest":
+        """The digest :meth:`from_uids` builds, from the per-author runs a
+        replica maintains as ids become known — no pass over the ids."""
+        return cls(
+            floors,
+            tuple(tuple(runs_above(r, f)) for r, f in zip(runs, floors)),
+            accepts_state,
         )
 
     # -- queries ------------------------------------------------------------------

@@ -63,6 +63,7 @@ from repro.core.sync import (
     SyncProtocolError,
     pages,
     parse_sync_request,
+    runs_above,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.replica import Replica
@@ -100,9 +101,11 @@ class UniversalReplica(Replica):
         "relay",
         "_keys",
         "_authored",
+        "_runs",
         "unflushed_from",
         "_known",
         "_last_meta",
+        "_visible_pending",
         "_fast_path",
         "_fast_state",
         "_visible_cache",
@@ -150,6 +153,11 @@ class UniversalReplica(Replica):
         #: live log entries per author: lets :meth:`_serve_sync` ignore
         #: the digest floor of an author with nothing here to ship.
         self._authored = [0] * n
+        #: per author, the sorted maximal runs ``(lo, hi)`` of consecutive
+        #: clocks among the live log's ids: the sync digest's exception
+        #: runs, kept as ids become known (:meth:`_insert`) and are folded
+        #: away (:meth:`_drop_prefix`) instead of rebuilt every tick.
+        self._runs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         #: the flush mark: ``updates[:unflushed_from]`` is unchanged since
         #: :meth:`mark_flushed` (or since the log was loaded from its
         #: durable image), so a journal flush looks at the suffix from
@@ -164,8 +172,14 @@ class UniversalReplica(Replica):
         #: reliable broadcast at the cost of O(n) messages per update per
         #: replica.  Needed only under crash-with-message-loss adversaries.
         self.relay = relay
+        #: the ids of the live log as a set: ``_known == set(_keys)``.
         self._known: set[tuple[int, int]] = set()
         self._last_meta: dict[str, Any] = {}
+        #: the last query's witness still lacks its visibility set: it is
+        #: captured when claimed (:meth:`witness_meta`) or just before the
+        #: log next changes, whichever comes first — a query nobody asks
+        #: the witness of builds no O(log) frozenset.
+        self._visible_pending = False
         #: cached witness visibility set (satellite of Section VII-C
         #: witness cost): rebuilt lazily after a log change, so quiescent
         #: queries share one frozenset instead of allocating O(log) each.
@@ -239,7 +253,7 @@ class UniversalReplica(Replica):
         cl = self.clock.tick_value()  # line 5
         pid = self.pid
         stamped: Stamped = (cl, pid, update)
-        self._known.add((cl, pid))
+        self._visible_pending = False  # superseded, claimed or not
         self._insert(stamped)  # instantaneous self-delivery
         if self.track_witness:
             self._last_meta = {"timestamp": (cl, pid)}
@@ -258,10 +272,7 @@ class UniversalReplica(Replica):
         cl, j, update = payload
         if self._covers_uid(cl, j):
             return ()  # relayed / network duplicate
-        self._known.add((cl, j))
-        self.clock.merge(cl)  # line 9
-        self._insert((cl, j, update))  # line 10
-        return (payload,) if self.relay else ()
+        return self._learn((cl, j, update))
 
     # -- anti-entropy (crash-recovery & lossy-channel repair) -----------------------
 
@@ -282,8 +293,10 @@ class UniversalReplica(Replica):
     def _sync_digest(self) -> SyncDigest:
         """This replica's knowledge summary.  Plain Algorithm 1 cannot
         certify completeness (channels may lose or reorder), so it claims
-        floor 0 everywhere and lists its known ids as exception runs."""
-        return SyncDigest.from_uids(self._known, self.n)
+        floor 0 everywhere and lists its known ids as exception runs —
+        the maintained ones, value for value what
+        :meth:`SyncDigest.from_uids` builds from the known set."""
+        return SyncDigest.from_runs(self._runs, (0,) * self.n)
 
     def _covers_uid(self, cl: int, j: int) -> bool:
         """Is update id ``(cl, j)`` already incorporated locally?"""
@@ -348,9 +361,13 @@ class UniversalReplica(Replica):
         if self._covers_uid(cl, j):
             self._sync_redundant.inc()
             return ()
-        self._known.add((cl, j))
-        self.clock.merge(cl)
-        self._insert((cl, j, update))
+        return self._learn((cl, j, update))
+
+    def _learn(self, stamped: Stamped) -> Sequence[Any]:
+        """Lines 9-10 for a remote update not known yet, however it
+        arrived; returns what an epidemic relay re-broadcasts."""
+        self.clock.merge(stamped[0])  # line 9
+        self._insert(stamped)  # line 10
         return (stamped,) if self.relay else ()
 
     def _on_sync_state(self, src: int, payload: tuple) -> Sequence[Any]:
@@ -371,24 +388,20 @@ class UniversalReplica(Replica):
         durable image, so the flush mark moves past it.  Returns the
         number of entries actually loaded.
         """
-        covers = self._covers_uid
-        known = self._known
-        fresh: list[Stamped] = []
-        for cl, j, update in entries:
-            if covers(cl, j):
-                continue
-            known.add((cl, j))
-            fresh.append((cl, j, update))
+        fresh = sorted(((cl, j, u) for cl, j, u in entries), key=itemgetter(0, 1))
         if not fresh:
             return 0
-        fresh.sort(key=itemgetter(0, 1))
         self.clock.merge(fresh[-1][0])
-        restoring = not self.updates
+        covers = self._covers_uid
+        before = len(self.updates)
         for stamped in fresh:
-            self._insert(stamped)
-        if restoring:
+            # known already, under the GC floor, or appended to the
+            # journal a second time around a late insert
+            if not covers(stamped[0], stamped[1]):
+                self._insert(stamped)
+        if not before:
             self.mark_flushed()
-        return len(fresh)
+        return len(self.updates) - before
 
     def on_query(self, name: str, args: tuple[Hashable, ...] = ()) -> Any:
         cl = self.clock.tick_value()  # line 13
@@ -399,10 +412,8 @@ class UniversalReplica(Replica):
         else:
             state = self._replay_state()  # lines 14-17
         if self.track_witness:
-            self._last_meta = {
-                "timestamp": (cl, self.pid),
-                "visible": self._visible_uids(),
-            }
+            self._last_meta = {"timestamp": (cl, self.pid)}
+            self._visible_pending = True
         return self.spec.observe(state, name, args)  # line 18
 
     # -- internals -----------------------------------------------------------------
@@ -415,6 +426,8 @@ class UniversalReplica(Replica):
         common case — a fresh update sorting after everything known —
         appends in O(1); late messages bisect the flat key list.
         """
+        if self._visible_pending:
+            self._capture_visible()
         key = (stamped[0], stamped[1])
         keys = self._keys
         if not keys or key > keys[-1]:
@@ -427,16 +440,38 @@ class UniversalReplica(Replica):
             self.updates.insert(pos, stamped)
             if pos < self.unflushed_from:
                 self.unflushed_from = pos
-        self._authored[key[1]] += 1
+        self._known.add(key)
+        cl, j = key
+        self._authored[j] += 1
+        runs = self._runs[j]
+        if not runs or cl > runs[-1][1] + 1:
+            runs.append((cl, cl))
+        elif cl == runs[-1][1] + 1:
+            runs[-1] = (runs[-1][0], cl)
+        else:
+            # Late: join the run ending just below and the one starting
+            # just above, whichever exist.
+            i = bisect_left(runs, (cl + 1,))
+            lo = runs[i - 1][0] if i and runs[i - 1][1] == cl - 1 else cl
+            hi = runs[i][1] if i < len(runs) and runs[i][0] == cl + 1 else cl
+            runs[i - (lo < cl):i + (hi > cl)] = [(lo, hi)]
         self._visible_cache = None
         self._after_insert(pos, stamped)
 
     def _drop_prefix(self, cut: int) -> None:
-        """Delete the first ``cut`` log entries (folded into a base state
-        by the GC subclass), keeping the per-entry bookkeeping in step."""
+        """Delete the first ``cut`` log entries — every one stamped at or
+        below some clock, which the GC subclass folded into a base state
+        — keeping the per-entry bookkeeping in step."""
+        if cut <= 0:
+            return
+        if self._visible_pending:
+            self._capture_visible()
         authored = self._authored
         for _, j in islice(self._keys, cut):
             authored[j] -= 1
+        self._known.difference_update(islice(self._keys, cut))
+        floor = self._keys[cut - 1][0]
+        self._runs = [runs_above(runs, floor) for runs in self._runs]
         del self.updates[:cut]
         del self._keys[:cut]
         self.unflushed_from = max(0, self.unflushed_from - cut)
@@ -458,14 +493,7 @@ class UniversalReplica(Replica):
         the folded updates to the Section VII-C replay-cost counter; only
         queries may call this (introspection uses :meth:`_peek_state`)."""
         self._replayed.inc(len(self.updates))
-        if self.batch_replay:
-            return self.spec.apply_batch(
-                self.spec.initial_state(), [u for _, _, u in self.updates]
-            )
-        state = self.spec.initial_state()
-        for _, _, update in self.updates:
-            state = self.spec.apply(state, update)
-        return state
+        return self._peek_state()
 
     def _peek_state(self) -> Any:
         """The state a read-all query would observe, *without* charging
@@ -497,12 +525,21 @@ class UniversalReplica(Replica):
             cache = self._visible_cache = frozenset(self._keys)
         return cache
 
+    def _capture_visible(self) -> None:
+        """Complete the last query's witness with the ids visible to it.
+        Runs before the log changes or the witness is claimed, so the set
+        is the one the query saw."""
+        self._visible_pending = False
+        self._last_meta["visible"] = self._visible_uids()
+
     # -- introspection --------------------------------------------------------------
 
     def local_state(self) -> Any:
         return self._peek_state()
 
     def witness_meta(self) -> dict[str, Any]:
+        if self._visible_pending:
+            self._capture_visible()
         meta, self._last_meta = self._last_meta, {}
         return meta
 

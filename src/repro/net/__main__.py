@@ -20,8 +20,7 @@ import argparse
 import asyncio
 import sys
 
-from repro.core.checkpoint import GarbageCollectedReplica
-from repro.core.universal import UniversalReplica
+from repro.core.checkpoint import CheckpointedReplica, GarbageCollectedReplica
 from repro.net.node import ReplicaNode
 from repro.specs import CounterSpec, GSetSpec, MapSpec, SetSpec
 
@@ -34,7 +33,13 @@ OBJECTS = {
 
 
 def make_factory(object_name: str, *, gc: bool = False):
-    """A ``(pid, n) -> replica`` factory for a named UQ-ADT object."""
+    """A ``(pid, n) -> replica`` factory for a named UQ-ADT object.
+
+    Either way the node keeps its replayed prefix (Section VII-C: a query
+    folds what arrived since the last one); ``gc`` adds stable-prefix
+    collection.  Same log, digest and durable image as Algorithm 1
+    verbatim, which the sim and the paper benches build by name.
+    """
     spec_cls = OBJECTS.get(object_name)
     if spec_cls is None:
         raise ValueError(
@@ -43,7 +48,7 @@ def make_factory(object_name: str, *, gc: bool = False):
     spec = spec_cls()
     if gc:
         return lambda pid, n: GarbageCollectedReplica(pid, n, spec)
-    return lambda pid, n: UniversalReplica(pid, n, spec)
+    return lambda pid, n: CheckpointedReplica(pid, n, spec)
 
 
 def _parse_peers(text: str) -> list[tuple[str, int]]:

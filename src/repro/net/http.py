@@ -16,7 +16,9 @@ Routes::
     GET  /state          -> {"state": <encoded local state>}
     GET  /witness        -> {"witness": {...}}   (timestamp, visibility, of the
                             last local op whose witness was not already claimed;
-                            POST /update claims its own in the response)
+                            POST /update claims its own in the response; a
+                            query's visibility set is built by this claim,
+                            not by the query)
     GET  /metrics        -> {"metrics": {...}}   (registry.flat()); with
                             ``Accept: text/plain`` or ``?format=text`` the
                             Prometheus text exposition instead (scrapable)

@@ -624,8 +624,8 @@ class ReplicaNode:
     async def _sync_loop(self) -> None:
         while not self._stopped:
             await asyncio.sleep(self.sync_interval)
-            if self.core.sync_capable:
-                self._apply_effects(self.core.sync_tick())
+            if self.peers and self.core.sync_capable:
+                self._apply_effects(self.core.sync_tick())  # no peer, no one to ask
             self._ping_peers()
             self._outbox_gauge.set(
                 sum(

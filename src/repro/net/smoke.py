@@ -3,8 +3,9 @@
 One self-contained integration check for the asyncio backend, runnable
 locally (``make net-smoke`` / ``python -m repro.net smoke``) and in CI:
 
-1. boot a 3-replica :class:`~repro.net.harness.LocalCluster` of
-   Algorithm 1 set replicas with durable images in a temp directory;
+1. boot a 3-replica :class:`~repro.net.harness.LocalCluster` of the set
+   replicas ``serve`` runs by default, with durable images in a temp
+   directory;
 2. drive a few hundred operations through the *HTTP* front-ends
    (round-robin across replicas, inserts + deletes + reads);
 3. kill one replica mid-run (sockets die, unflushed log tail lost) and
@@ -31,9 +32,8 @@ import tempfile
 import time
 from typing import Any
 
-from repro.core.universal import UniversalReplica
+from repro.net.__main__ import make_factory
 from repro.net.harness import LocalCluster
-from repro.specs import SetSpec
 
 REPORT_FORMAT = "repro-net-smoke-v1"
 
@@ -53,14 +53,13 @@ async def run_smoke(
     Perfetto timeline is written there — crash and recovery included, so
     the file shows one update's spans hopping nodes around the kill.
     """
-    spec = SetSpec()
     tmp = None
     if data_dir is None:
         tmp = tempfile.TemporaryDirectory(prefix="repro-net-smoke-")
         data_dir = tmp.name
     cluster = LocalCluster(
         replicas,
-        lambda pid, n: UniversalReplica(pid, n, spec),
+        make_factory("set"),
         data_dir=data_dir,
         sync_interval=sync_interval,
         trace=trace_out is not None,

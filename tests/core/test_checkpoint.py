@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -183,8 +185,10 @@ class CountingSetSpec(SetSpec):
 
 class TestColdFold:
     """A long pending suffix (a restored log, a caught-up rejoiner) folds
-    in checkpoint-sized batch strides; the short suffix a steady-state
-    query sees stays on per-update ``apply``.  Counted in calls."""
+    in batch strides that halve the distance to the tip — O(log n) state
+    copies, the stops being the checkpoints thinning keeps; the short
+    suffix a steady-state query sees stays on per-update ``apply``.
+    Counted in calls."""
 
     def restored(self, n_entries, *, interval=64):
         spec = CountingSetSpec()
@@ -196,26 +200,49 @@ class TestColdFold:
         assert spec.applies == 0 and spec.batches == []
         return r, spec
 
-    def test_first_query_on_a_restored_log_never_applies_per_entry(self):
-        r, spec = self.restored(8000)
-        answer = r.on_query("read")
-        assert spec.applies == 0
-        assert spec.batches == [64] * 125
-        assert r.replayed_updates == 8000 == len(r.updates)
-        naive = UniversalReplica(0, 3, SetSpec(), batch_replay=False)
-        naive.load_log(r.updates)
-        assert answer == naive.on_query("read")
+    SIZES = (1_000, 8_000, 50_000)
 
-    def test_strides_leave_the_checkpoints_a_stepwise_replay_leaves(self):
-        r, spec = self.restored(1000, interval=16)
+    def test_a_restored_log_folds_in_halving_strides(self):
+        from repro.core.checkpoint import BATCH_FOLD_MIN
+
+        for n_entries in self.SIZES:
+            r, spec = self.restored(n_entries)
+            answer = r.on_query("read")
+            assert len(spec.batches) <= 2 * math.log2(n_entries / 64) + 4
+            assert spec.applies < BATCH_FOLD_MIN
+            assert sum(spec.batches) + spec.applies == n_entries
+            assert r.replayed_updates == n_entries == len(r.updates)
+            naive = UniversalReplica(0, 3, SetSpec(), batch_replay=False)
+            naive.load_log(r.updates)
+            assert answer == naive.on_query("read")
+
+    def test_strides_stop_on_the_checkpoints_thinning_keeps(self):
+        for n_entries in self.SIZES:
+            r, spec = self.restored(n_entries, interval=16)
+            r.on_query("read")
+            idx = r.checkpoint_indices()
+            assert idx[0] == 0 and all(i % 16 == 0 for i in idx)
+            # every full-interval stop survived: no state was copied to
+            # be dropped again
+            stops = [sum(spec.batches[:k + 1]) for k in range(len(spec.batches))]
+            assert idx[1:] == [stop for stop in stops if stop % 16 == 0]
+            # the tree's own invariant: no interior checkpoint is droppable
+            tip = idx[-1]
+            for i in range(1, len(idx) - 1):
+                assert idx[i + 1] - idx[i - 1] > tip - idx[i + 1]
+
+    @pytest.mark.parametrize("lateness", [1, 50, 700, 5_000])
+    def test_late_message_after_a_cold_fold_replays_in_its_lateness(
+        self, lateness
+    ):
+        r, spec = self.restored(8_000)
         r.on_query("read")
-        assert spec.batches[-1] == 1000 % 16
-        stepwise = CheckpointedReplica(0, 3, SetSpec(), checkpoint_interval=16)
-        for stamped in r.updates:
-            stepwise._insert(stamped)
-            stepwise.on_query("read")  # replays one entry at a time
-        assert r.checkpoint_indices() == stepwise.checkpoint_indices()
-        assert r._state == stepwise._state
+        # lands `lateness` entries below the tip (own clocks are 1..8000)
+        r.on_message(2, (8_000 - lateness, 2, S.insert(-1)))
+        assert r.rollbacks == 1
+        assert r.rollback_replayed <= 2 * lateness + 2 * 64
+        r.on_query("read")
+        assert r.replayed_updates == len(r.updates) + r.rollback_replayed
 
     def test_short_suffix_stays_on_apply(self):
         from repro.core.checkpoint import BATCH_FOLD_MIN

@@ -1,0 +1,155 @@
+"""What a query costs on the replicas the node ships — in counts.
+
+``make_factory`` (what ``python -m repro.net serve`` runs) hands out
+replicas that keep their replayed prefix: a query folds the updates that
+arrived since the previous one, and its witness's visibility set is built
+when somebody claims it (or just before the log next changes), not per
+query.  Algorithm 1 verbatim — ``UniversalReplica`` by name — still pays
+the whole log (``tests/core/test_checkpoint.py::
+TestCheckpointedReplica::test_naive_replica_pays_full_replay``).
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core.checkpoint import CheckpointedReplica, GarbageCollectedReplica
+from repro.core.universal import UniversalReplica
+from repro.net import __main__ as net_main
+from repro.specs import SetSpec
+from repro.specs import set_spec as S
+from tests.core.test_checkpoint import CountingSetSpec
+
+SPEC = SetSpec()
+
+
+@pytest.mark.parametrize("gc", [False, True])
+def test_a_query_on_the_shipped_replica_folds_only_what_arrived_since(
+    gc, monkeypatch
+):
+    monkeypatch.setitem(net_main.OBJECTS, "set", CountingSetSpec)
+    r = net_main.make_factory("set", gc=gc)(0, 3)
+    spec = r.spec
+    for i in range(12_000):
+        r.on_update(S.insert(i))
+    r.on_query("contains", (0,))  # the cold fold, paid once
+    assert r.replayed_updates == 12_000 == len(r.updates)
+    for arrived in (0, 1, 3, 4, 7, 64, 200, 0):
+        for k in range(arrived):
+            if k % 2:
+                r.on_message(1, (r.clock.value + 1, 1, S.insert(-r.clock.value)))
+            else:
+                r.on_update(S.delete(k))
+        before = r.replayed_updates
+        spec.applies = 0
+        spec.batches.clear()
+        r.on_query("contains", (5,))
+        assert r.replayed_updates - before == arrived
+        assert spec.applies + sum(spec.batches) == arrived
+    assert r.rollbacks == 0
+
+
+def ids(replica):
+    return frozenset((cl, j) for cl, j, _ in replica.updates)
+
+
+def gc_replica():
+    return GarbageCollectedReplica(
+        0, 3, SPEC, track_witness=True, gc_interval=10_000
+    )
+
+
+@pytest.fixture(params=["universal", "checkpointed", "gc"])
+def r(request):
+    if request.param == "gc":
+        return gc_replica()
+    cls = UniversalReplica if request.param == "universal" else CheckpointedReplica
+    return cls(0, 3, SPEC)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts the visibility frozensets built, over all replicas."""
+    calls = []
+    original = UniversalReplica._visible_uids
+
+    def counting(self):
+        if self._visible_cache is None:
+            calls.append(self.pid)
+        return original(self)
+
+    monkeypatch.setattr(UniversalReplica, "_visible_uids", counting)
+    return calls
+
+
+class TestWitnessCapturedOnClaim:
+    """The visibility half of a query's witness is the log's ids *at the
+    query*, whenever it is materialised."""
+
+    def test_claimed_at_once_is_the_eager_witness(self, r):
+        for i in range(5):
+            r.on_update(S.insert(i))
+        r.on_message(1, (3, 1, S.insert("x")))
+        r.on_query("read")
+        meta = r.witness_meta()
+        assert meta.pop("visible_floor", 0) == 0
+        assert meta == {"timestamp": (r.clock.value, 0), "visible": ids(r)}
+        assert r.witness_meta() == {}  # claimed once
+
+    def test_a_remote_message_between_query_and_claim_is_not_visible(self, r):
+        r.on_update(S.insert(1))
+        r.on_query("read")
+        seen, stamp = ids(r), (r.clock.value, 0)
+        r.on_message(1, (1, 1, S.insert("late")))  # sorts before: late
+        r.on_message(2, (9, 2, S.insert("new")))
+        meta = r.witness_meta()
+        assert meta["timestamp"] == stamp and meta["visible"] == seen
+        assert len(ids(r)) == len(seen) + 2
+
+    def test_a_collection_between_query_and_claim_changes_nothing(self):
+        r = gc_replica()
+        for i in range(6):
+            r.on_update(S.insert(i))
+        r.on_query("read")
+        seen = ids(r)
+        for j in (1, 2):
+            r.on_message(j, ("hb", 4, j))
+        assert r.collect_garbage() == 4
+        meta = r.witness_meta()
+        assert meta["visible"] == seen and meta["visible_floor"] == 0
+        r.on_query("read")
+        assert r.witness_meta() == {
+            "timestamp": (r.clock.value, 0), "visible": ids(r), "visible_floor": 4,
+        }
+
+    def test_a_state_install_between_query_and_claim_changes_nothing(self):
+        r = gc_replica()
+        for i in range(6):
+            r.on_update(S.insert(i))
+        r.on_query("read")
+        seen = ids(r)
+        assert r.install_gc_state(base=frozenset(range(50)), clock_floor=5)
+        assert len(r.updates) == 1
+        meta = r.witness_meta()
+        assert meta["visible"] == seen and meta["visible_floor"] == 0
+
+    def test_unclaimed_witnesses_build_no_visibility_set(self, r, built):
+        for i in range(1_000):
+            r.on_update(S.insert(i))
+            r.on_update(S.delete(i - 1))
+            assert r.on_query("contains", (i,)) is True
+        assert built == []
+        r.on_query("read")
+        assert r.witness_meta()["visible"] == ids(r)
+        assert built == [0]
+
+    def test_the_next_local_op_supersedes_an_unclaimed_witness(self, r, built):
+        r.on_update(S.insert(1))
+        r.on_query("read")
+        r.on_update(S.insert(2))
+        assert r.witness_meta() == {"timestamp": (3, 0)}
+        r.on_query("read")
+        r.on_query("read")
+        meta = r.witness_meta()
+        assert meta["timestamp"] == (5, 0) and meta["visible"] == ids(r)
+        assert built == [0]

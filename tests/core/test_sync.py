@@ -497,3 +497,95 @@ class TestRecoveryRegression:
         restore_replica(fresh, snap)
         assert list(fresh.heard) == list(r2.heard)
         assert fresh._own_suspect_below == 0
+
+
+@pytest.fixture
+def digests_checked(monkeypatch):
+    """After every log mutation at every replica — ``_insert`` and
+    ``_drop_prefix`` are the only two — the maintained digest must be the
+    one ``SyncDigest.from_uids`` rebuilds from the log's ids, value for
+    value.  Returns the number of comparisons made."""
+    count = [0]
+
+    def check(r):
+        assert r._known == set(r._keys)
+        digest = r._sync_digest()
+        assert digest == SyncDigest.from_uids(
+            r._keys, r.n,
+            floors=tuple(getattr(r, "heard", (0,) * r.n)),
+            accepts_state=hasattr(r, "heard"),
+        )
+        count[0] += 1
+
+    for name in ("_insert", "_drop_prefix"):
+        def checking(self, arg, _original=getattr(UniversalReplica, name)):
+            _original(self, arg)
+            check(self)
+
+        monkeypatch.setattr(UniversalReplica, name, checking)
+    return count
+
+
+class TestIncrementalDigest:
+    """The sync digest is maintained where ids become known and are
+    folded away, never rebuilt: differential against ``from_uids``."""
+
+    def test_any_arrival_order_leaves_the_coalesced_runs(self, digests_checked):
+        rng = np.random.default_rng(7)
+        clocks = [int(c) for c in rng.permutation(np.arange(1, 400))]
+        r = UniversalReplica(0, 2, SPEC)
+        for cl in clocks:
+            if cl % 9:  # leave gaps, so runs split and later join
+                r.on_message(1, (cl, cl % 2, S.insert(cl)))
+        assert digests_checked[0] == len(r.updates) > 300
+        assert r._runs == [
+            list(coalesce(cl for cl, j in r._keys if j == author))
+            for author in (0, 1)
+        ]
+
+    def test_chaos_schedules(self, digests_checked):
+        # plain / lossy / duplicating networks, FIFO on and off, relayed
+        # late inserts, crash and recover from truncated logs (load_log)
+        from repro.sim.fuzz import chaos_smoke
+
+        ticks = iter(range(100))
+        out = chaos_smoke(
+            budget_seconds=8.0, procs=3, ops=30, clock=lambda: float(next(ticks))
+        )
+        assert out["runs"] >= 6 and digests_checked[0] > 400
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gc_collection_state_install_and_recovery(self, seed, digests_checked):
+        from repro.sim.fuzz import gc_state_transfer_scenario
+
+        gc_state_transfer_scenario(seed)
+        assert digests_checked[0] > 50
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_the_default_node_replica_under_the_adversary(
+        self, seed, digests_checked
+    ):
+        from repro.net.__main__ import make_factory
+        from repro.sim.fuzz import AdversaryFuzzer
+
+        c = Cluster(4, make_factory("set"), seed=seed)
+        fz = AdversaryFuzzer(c, seed=seed, crash_budget=2, recover_probability=0.15)
+        rng = np.random.default_rng(seed)
+        script = [
+            (int(rng.integers(4)), S.insert(int(rng.integers(6))))
+            for _ in range(40)
+        ]
+        fz.run_workload(script, anti_entropy_rounds=5)
+        states = list(c.states().values())
+        assert all(s == states[0] for s in states)
+        assert digests_checked[0] > 100
+
+    def test_a_gc_digest_clips_the_run_that_straddles_a_floor(self):
+        r = GarbageCollectedReplica(0, 2, SPEC, gc_interval=10_000)
+        for cl in (3, 4, 5, 6, 9):
+            r._ingest_synced(0, (cl, 1, S.insert(cl)))  # paged in: heard stays
+        assert r._sync_digest().intervals == ((), ((3, 6), (9, 9)))
+        r.on_message(1, ("hb", 4, 1))
+        assert r._sync_digest() == SyncDigest(
+            floors=(0, 4), intervals=((), ((5, 6), (9, 9))), accepts_state=True
+        )

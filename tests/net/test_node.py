@@ -153,3 +153,32 @@ def test_cancelled_tasks_are_not_errors():
         assert node.task_errors == []
 
     asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_sync_requests_go_out_once_a_tick_and_only_to_peers(n, monkeypatch):
+    """A node with no peers asks no one (``solo-durable`` used to count ten
+    broadcasts a second to nobody); with peers the cadence is one request
+    per node per tick, and the link upkeep runs either way."""
+    from repro.net.node import ReplicaNode
+
+    rounds = []
+    ping = ReplicaNode._ping_peers
+    monkeypatch.setattr(
+        ReplicaNode, "_ping_peers", lambda self: (rounds.append(self.pid), ping(self))
+    )
+
+    async def scenario():
+        cluster = make_cluster(n=n)
+        await cluster.start()
+        try:
+            cluster.submit(0, insert(1))
+            while rounds.count(0) < 4:
+                await asyncio.sleep(0.01)
+            for pid, node in cluster.nodes.items():
+                asked = node.registry.value("repro_sync_requests_total", pid=pid)
+                assert asked == (rounds.count(pid) if n > 1 else 0)
+        finally:
+            await cluster.stop()
+
+    asyncio.run(scenario())

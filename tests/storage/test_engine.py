@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.checkpoint import GarbageCollectedReplica
+from repro.core.checkpoint import CheckpointedReplica, GarbageCollectedReplica
 from repro.core.universal import UniversalReplica
 from repro.proto.wire import restore_replica, verify_chain
 from repro.specs import SetSpec
@@ -345,6 +345,40 @@ class TestGcCompaction:
         assert fresh.gc_clock_floor == r.gc_clock_floor
         assert fresh.clock.value == r.clock.value
         st2.close()
+
+
+def test_the_replica_class_is_not_part_of_the_image(tmp_path):
+    """The default node went from Algorithm 1 verbatim to the
+    cached-prefix replica: the same schedule writes the same journal
+    bytes under either, and each boots the other's journal to the same
+    log, clock and state — old data dirs need no migration, a roll-back
+    reads what the new node wrote."""
+    classes = (UniversalReplica, CheckpointedReplica)
+    written = {}
+    for cls in classes:
+        r = replica_with(40, cls=cls)
+        st = JournalStore(str(tmp_path / f"{cls.__name__}.journal"), 0)
+        st.open()
+        st.sync(r)
+        r.on_query("read")
+        r.on_message(1, (7, 1, S.delete(3)))  # late: lowers the flush mark
+        r.on_update(S.insert("tail"))
+        st.sync(r)
+        st.close()
+        written[cls] = r
+    old, new = (tmp_path / f"{cls.__name__}.journal" for cls in classes)
+    assert old.read_bytes() == new.read_bytes()
+    for path, reader in ((old, CheckpointedReplica), (new, UniversalReplica)):
+        st = JournalStore(str(path), 0)
+        fresh = reader(0, 3, SPEC)
+        assert restore_replica(fresh, st.open()) == 42
+        st.close()
+        for r in written.values():
+            assert fresh.updates == r.updates
+            assert fresh.clock.value == r.clock.value
+            assert fresh._sync_digest() == r._sync_digest()
+            assert fresh.local_state() == r.local_state()
+        assert fresh.on_query("read") == fresh.local_state()
 
 
 def test_journal_file_bytes_are_golden(tmp_path):

@@ -13,8 +13,9 @@ Layers, bottom up:
 
 * :mod:`repro.net.framing` — 4-byte length-prefixed frames of canonical
   :mod:`repro.proto.wire` JSON;
+* :mod:`repro.net.links` — the peer links, on ``asyncio.Protocol``;
 * :mod:`repro.net.node` — :class:`~repro.net.node.ReplicaNode`, one
-  replica process: peer mesh, effect interpreter, durable images;
+  replica process: effect interpreter, durable images;
 * :mod:`repro.net.http` — the stdlib HTTP/1.1 object front-end (and the
   matching keep-alive client);
 * :mod:`repro.net.harness` — :class:`~repro.net.harness.LocalCluster`,
@@ -25,7 +26,7 @@ Run a replica with ``python -m repro.net serve`` (see
 :mod:`repro.net.__main__` for the flags).
 """
 
-from repro.net.framing import FrameError, decode_frame, encode_frame, read_frame
+from repro.net.framing import FrameError, decode_frame, encode_frame, pop_frames
 from repro.net.harness import LocalCluster
 from repro.net.http import HttpClient, serve_http
 from repro.net.node import NodeStoppedError, ReplicaNode
@@ -34,7 +35,7 @@ __all__ = [
     "FrameError",
     "decode_frame",
     "encode_frame",
-    "read_frame",
+    "pop_frames",
     "LocalCluster",
     "HttpClient",
     "serve_http",

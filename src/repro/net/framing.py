@@ -4,7 +4,8 @@ One frame is a 4-byte big-endian length followed by that many bytes of
 canonical :func:`repro.proto.wire.encode_payload` JSON.  The framing
 layer is deliberately dumb: it moves one encoded value per frame and
 knows nothing about what the value means (hellos, protocol payloads,
-HTTP — those are :mod:`repro.net.node`'s vocabulary).
+HTTP — those are :mod:`repro.net.node`'s vocabulary) and does no I/O: a
+peer link's ``data_received`` hands its buffer to :func:`pop_frames`.
 
 The length cap rejects obviously corrupt or hostile prefixes before
 allocating; 16 MiB comfortably covers the largest legitimate frame (a
@@ -14,7 +15,6 @@ prefix from requesting a multi-gigabyte read.
 
 from __future__ import annotations
 
-import asyncio
 import struct
 from typing import Any
 
@@ -41,9 +41,8 @@ def encode_frame(value: Any) -> bytes:
 def decode_frame(data: bytes) -> tuple[Any, bytes]:
     """Decode one frame from ``data``; returns ``(value, rest)``.
 
-    Synchronous twin of :func:`read_frame` for tests and for parsing
-    recorded byte streams.  Raises :class:`FrameError` when ``data`` does
-    not start with a complete frame.
+    For tests and for parsing recorded byte streams.  Raises
+    :class:`FrameError` when ``data`` does not start with a complete frame.
     """
     if len(data) < _LEN.size:
         raise FrameError("truncated length prefix")
@@ -56,22 +55,26 @@ def decode_frame(data: bytes) -> tuple[Any, bytes]:
     return decode_payload(data[_LEN.size:end]), data[end:]
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Any | None:
-    """Read one frame; ``None`` on clean EOF at a frame boundary."""
-    try:
-        prefix = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean close between frames
-        raise FrameError("connection closed mid-prefix") from exc
-    (length,) = _LEN.unpack(prefix)
-    if length > MAX_FRAME:
-        raise FrameError(f"frame of {length} bytes exceeds cap {MAX_FRAME}")
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise FrameError("connection closed mid-frame") from exc
-    return decode_payload(body)
+def pop_frames(buf: bytearray) -> list[Any]:
+    """Decode and remove every complete frame at the front of ``buf``,
+    leaving a partial one for the next read.  Raises :class:`FrameError`
+    on an over-cap prefix or an undecodable body (the stream is lost)."""
+    frames: list[Any] = []
+    offset, size = 0, len(buf)
+    while size - offset >= _LEN.size:
+        (length,) = _LEN.unpack_from(buf, offset)
+        if length > MAX_FRAME:
+            raise FrameError(f"frame of {length} bytes exceeds cap {MAX_FRAME}")
+        end = offset + _LEN.size + length
+        if end > size:
+            break
+        try:
+            frames.append(decode_payload(buf[offset + _LEN.size:end]))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FrameError(f"undecodable frame body: {exc}") from exc
+        offset = end
+    del buf[:offset]
+    return frames
 
 
 # -- optional MSG-frame headers ------------------------------------------------
@@ -105,13 +108,3 @@ def split_headers(rest: tuple[Any, ...]) -> tuple[Any, dict[str, Any]]:
     payload = rest[0]
     headers = rest[1] if len(rest) > 1 and isinstance(rest[1], dict) else {}
     return payload, headers
-
-
-def write_frame(writer: asyncio.StreamWriter, value: Any) -> None:
-    """Queue one frame on ``writer`` (no await: callers drain separately).
-
-    Submitting without awaiting is what keeps a burst of updates a single
-    synchronous event-loop turn — the property the sim↔net differential
-    test leans on for deterministic Lamport stamps.
-    """
-    writer.write(encode_frame(value))

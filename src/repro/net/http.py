@@ -1,9 +1,11 @@
 """A minimal HTTP/1.1 front-end for a :class:`~repro.net.node.ReplicaNode`.
 
-Hand-rolled on asyncio streams (the toolchain ships no third-party HTTP
-server), supporting exactly what the object API needs: request-line +
-headers, ``Content-Length`` bodies, keep-alive connections (the load
-harness reuses one connection per simulated user).  JSON in, JSON out;
+One hand-rolled :class:`asyncio.Protocol` (the toolchain ships no
+third-party HTTP server) supporting exactly what the object API needs:
+request-line + headers, ``Content-Length`` bodies, keep-alive and
+pipelined requests.  ``data_received`` answers every complete request in
+the buffer with one ``transport.write``; malformed input gets a 400 (or
+413) and a close; ``pause_writing`` pauses reading.  JSON in, JSON out;
 values round-trip through the :mod:`repro.proto.wire` codec so query
 outputs like frozensets survive.
 
@@ -42,7 +44,9 @@ header.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
+import re
 from typing import TYPE_CHECKING, Any
 
 from repro.core.adt import Update
@@ -54,6 +58,9 @@ if TYPE_CHECKING:
 
 #: request bodies beyond this are rejected (absurd for an object op).
 MAX_BODY = 1 * 1024 * 1024
+#: a request head (line + headers) still unterminated past this is junk.
+MAX_HEAD = 64 * 1024
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
 
 #: the Prometheus text-exposition content type (format v0.0.4).
 PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -65,68 +72,80 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 
 async def serve_http(node: "ReplicaNode", host: str, port: int):
     """Start the front-end; returns the asyncio server."""
-
-    async def handler(reader, writer):
-        await _serve_connection(node, reader, writer)
-
-    return await asyncio.start_server(handler, host, port)
+    return await asyncio.get_running_loop().create_server(lambda: HttpProtocol(node), host, port)
 
 
-async def _serve_connection(node: "ReplicaNode", reader, writer) -> None:
-    try:
-        while True:
-            request = await _read_request(reader)
-            if request is None:
-                break
-            method, path, headers, body = request
-            status, payload, content_type, extra = _route(
-                node, method, path, body, headers
-            )
+class HttpProtocol(asyncio.Protocol):
+    """One front-end connection, parsed from one receive buffer."""
+
+    def __init__(self, node: "ReplicaNode") -> None:
+        self.node, self.transport, self._buf = node, None, bytearray()
+
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        self._buf += data
+        self._answer()
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+        self._answer()
+
+    def _answer(self) -> None:
+        """Answer the buffered requests in order while reading is on."""
+        buf = self._buf
+        while self.transport.is_reading():
+            head = _HEAD_END.search(buf)
+            if head is None:
+                if len(buf) > MAX_HEAD:
+                    self._fail(400, "request head too large")
+                return
+            parts, headers = _parse_head(buf[:head.start()])
+            length = headers.get("content-length", "0") or "0"
+            if len(parts) < 2 or not length.isdecimal():
+                return self._fail(400, "malformed request head")
+            if int(length) > MAX_BODY:
+                return self._fail(413, f"body over {MAX_BODY} bytes")
+            end = head.end() + int(length)
+            if len(buf) < end:
+                return
+            body = bytes(buf[head.end():end])
+            del buf[:end]
             keep = headers.get("connection", "keep-alive").lower() != "close"
-            extra_lines = "".join(
-                f"{name}: {value}\r\n" for name, value in extra.items()
-            )
-            writer.write(
-                b"HTTP/1.1 %d %s\r\n"
-                b"Content-Type: %s\r\n"
-                b"Content-Length: %d\r\n"
-                b"%s"
-                b"Connection: %s\r\n\r\n"
-                % (status, _REASONS[status].encode(), content_type.encode(),
-                   len(payload), extra_lines.encode("latin-1"),
-                   b"keep-alive" if keep else b"close")
-            )
-            writer.write(payload)
-            await writer.drain()
-            if not keep:
-                break
-    except (ConnectionError, asyncio.IncompleteReadError):
-        pass
-    finally:
-        writer.close()
+            self._send(_route(self.node, parts[0].upper(), parts[1], body, headers), keep)
+
+    def _fail(self, status: int, message: str) -> None:
+        doc = json.dumps({"error": message}).encode()
+        self._send((status, doc, "application/json", {}), False)
+
+    def _send(self, response: tuple, keep: bool) -> None:
+        """One response — head and body — in one write."""
+        status, payload, content_type, extra = response
+        extra_lines = "".join(f"{name}: {value}\r\n" for name, value in extra.items())
+        self.transport.write(b"%s%d\r\n%sConnection: %s\r\n\r\n%s" % (
+            _status_head(status, content_type), len(payload),
+            extra_lines.encode("latin-1"), b"keep-alive" if keep else b"close", payload,
+        ))
+        if not keep:
+            self.transport.close()
 
 
-async def _read_request(reader):
-    """Parse one request; ``None`` on clean EOF before a request line."""
-    line = await reader.readline()
-    if not line:
-        return None
-    parts = line.decode("latin-1").split()
-    if len(parts) < 2:
-        return None
-    method, path = parts[0].upper(), parts[1]
-    headers: dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = raw.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
-    if length > MAX_BODY:
-        raise ConnectionError("request body too large")
-    body = await reader.readexactly(length) if length else b""
-    return method, path, headers, body
+def _parse_head(head: bytes | bytearray) -> tuple[list[str], dict[str, str]]:
+    """A message head's first line, split, and its headers by lower-cased name."""
+    first, *lines = head.decode("latin-1").rstrip().split("\n")
+    fields = (line.partition(":") for line in lines)
+    return first.split(), {name.strip().lower(): value.strip() for name, _, value in fields}
+
+
+@functools.cache
+def _status_head(status: int, content_type: str) -> bytes:
+    """A response's pre-encoded first bytes, up to the length's value."""
+    return b"HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: " % (
+        status, _REASONS[status].encode(), content_type.encode())
 
 
 def _wants_prometheus_text(headers: dict[str, str], query: str) -> bool:
@@ -272,27 +291,19 @@ class HttpClient:
         )
         self._writer.write(
             b"%s %s HTTP/1.1\r\nHost: %s\r\nContent-Length: %d\r\n"
-            b"Content-Type: application/json\r\n%s\r\n"
+            b"Content-Type: application/json\r\n%s\r\n%s"
             % (method.encode(), path.encode(), self.host.encode(), len(body),
-               extra.encode("latin-1"))
+               extra.encode("latin-1"), body)
         )
-        if body:
-            self._writer.write(body)
         await self._writer.drain()
-        status_line = await self._reader.readline()
-        if not status_line:
-            raise ConnectionError("server closed the connection")
-        status = int(status_line.split()[1])
-        response_headers: dict[str, str] = {}
-        while True:
-            raw = await self._reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            response_headers[name.strip().lower()] = value.strip()
+        try:
+            head = await self._reader.readuntil(b"\r\n\r\n")
+        except asyncio.IncompleteReadError as exc:
+            raise ConnectionError("server closed the connection") from exc
+        first, response_headers = _parse_head(head)
         length = int(response_headers.get("content-length", "0") or "0")
         payload = await self._reader.readexactly(length) if length else b"{}"
-        return status, response_headers, payload
+        return int(first[1]), response_headers, payload
 
     async def request(
         self, method: str, path: str, doc: Any | None = None

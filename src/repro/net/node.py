@@ -6,10 +6,11 @@
 algorithms, and the node's only job is to interpret the returned effects:
 
 * :class:`~repro.proto.effects.Broadcast` / ``Send`` — frame the payload
-  (:mod:`repro.net.framing`) onto persistent TCP links, one outbound
-  connection per peer.  Link loss is tolerated, not hidden: a frame to a
-  dead peer is dropped, exactly the asynchronous-network model the paper
-  assumes, and the periodic anti-entropy tick repairs the divergence.
+  once (:mod:`repro.net.framing`) and write it on the peer links
+  (:mod:`repro.net.links`).  Link loss is tolerated, not hidden: a frame
+  to a dead peer is dropped, exactly the asynchronous-network model the
+  paper assumes, and the periodic anti-entropy tick repairs the
+  divergence and re-dials the peer — one dial per tick, not per frame.
 * :class:`~repro.proto.effects.Persist` — mark the durable image dirty; a
   background task appends the changed cells to the node's journal
   (:class:`~repro.storage.engine.JournalStore` — write-ahead clock cell
@@ -47,13 +48,8 @@ import os
 import time
 from typing import Any, Callable, Hashable
 
-from repro.net.framing import (
-    FrameError,
-    read_frame,
-    split_headers,
-    with_headers,
-    write_frame,
-)
+from repro.net.framing import encode_frame, split_headers, with_headers
+from repro.net.links import HELLO, PeerLinks, PeerProtocol
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, NullTracer
@@ -77,7 +73,6 @@ from repro.storage import CorruptImageError, JournalStore, fsync_dir
 _LOG = get_logger("repro.net.node")
 
 #: frame kinds on the peer wire (the body of every peer frame is a tuple).
-HELLO = "hello"
 MSG = "msg"
 #: RTT probes, piggybacked on the anti-entropy cadence.  A PING travels
 #: on the sender's outbound link; the PONG answers over the *receiver's*
@@ -156,10 +151,8 @@ class ReplicaNode:
         self.sync_interval = sync_interval
         self.flush_interval = flush_interval
         self.tracer = tracer
-        self.peers: dict[int, tuple[str, int]] = {}
         self.peer_port: int | None = None
         self.http_port: int | None = None
-        self._writers: dict[int, asyncio.StreamWriter] = {}
         self._servers: list[asyncio.base_events.Server] = []
         self._tasks: set[asyncio.Task] = set()
         #: exceptions raised by background tasks (sync loop, flusher,
@@ -191,15 +184,9 @@ class ReplicaNode:
         self._ping_pending: dict[int, tuple[int, float]] = {}
         self._trace_seq = 0
         m = self.registry
-        self._sent = m.counter(
-            "repro_net_frames_sent_total", help="peer frames queued on TCP links",
-        ).labels()
+        self.links = PeerLinks(pid, m, self._on_frame, self._spawn)
         self._received = m.counter(
             "repro_net_frames_received_total", help="peer frames delivered",
-        ).labels()
-        self._drops = m.counter(
-            "repro_net_frames_dropped_total",
-            help="frames dropped for lack of a live link (async-network loss)",
         ).labels()
         self._flushes = m.counter(
             "repro_net_snapshot_flushes_total", help="durable images written",
@@ -249,8 +236,8 @@ class ReplicaNode:
 
     async def listen(self, *, peer_port: int = 0, http_port: int | None = 0) -> None:
         """Bind the peer socket (and the HTTP front-end unless disabled)."""
-        server = await asyncio.start_server(
-            self._serve_peer, self.host, peer_port
+        server = await asyncio.get_running_loop().create_server(
+            lambda: PeerProtocol(self.links), self.host, peer_port
         )
         self._servers.append(server)
         self.peer_port = server.sockets[0].getsockname()[1]
@@ -263,12 +250,12 @@ class ReplicaNode:
 
     def set_peers(self, peers: dict[int, tuple[str, int]]) -> None:
         """Install the peer address book (``pid -> (host, peer_port)``)."""
-        self.peers = {p: addr for p, addr in peers.items() if p != self.pid}
+        self.links.set_peers(peers)
 
     async def start(self) -> None:
         """Connect to peers, recover from disk if an image exists, start
         the periodic anti-entropy tick and the journal flusher."""
-        await self.connect()
+        await self.links.connect()
         if self.data_dir is not None:
             # Boot-time one-shot disk work: start() runs before any
             # traffic is served, so nothing else is on the loop to stall.
@@ -328,12 +315,6 @@ class ReplicaNode:
         self._store = JournalStore(self.journal_path, self.pid)
         self._store.open()
 
-    async def connect(self) -> None:
-        """Dial every peer not currently connected (best-effort)."""
-        for dst in self.peers:
-            if dst not in self._writers:
-                await self._dial(dst)
-
     async def stop(self) -> None:
         """Graceful shutdown: flush the durable image, then close."""
         if self.data_dir is not None and not self._stopped:
@@ -357,9 +338,7 @@ class ReplicaNode:
         for server in self._servers:
             server.close()
         self._servers.clear()
-        for writer in self._writers.values():
-            writer.close()
-        self._writers.clear()
+        self.links.close()
 
     # -- application surface (wait-free, synchronous) -------------------------------
 
@@ -441,10 +420,12 @@ class ReplicaNode:
         for eff in effects:
             cls = eff.__class__
             if cls is Broadcast:
-                for dst in self.peers:
-                    self._ship(dst, eff.payload, self._out_traces)
+                if self.links.peers:  # a peerless node encodes nothing
+                    data = self._frame(eff.payload, self._out_traces)
+                    for dst in self.links.peers:
+                        self.links.ship(dst, data)
             elif cls is Send:
-                self._ship(eff.dst, eff.payload, self._send_traces())
+                self.links.ship(eff.dst, self._frame(eff.payload, self._send_traces()))
             elif cls is Timer:
                 self._spawn(self._one_shot_tick(eff.kind))
             elif cls is Persist:
@@ -453,29 +434,10 @@ class ReplicaNode:
                 self._dirty = True  # the flusher owns the disk
             # QueryAnswered: already consumed synchronously by query().
 
-    def _ship(
-        self,
-        dst: int,
-        payload: Any,
-        traces: dict[tuple[int, int], tuple[str, float]] | None = None,
-    ) -> None:
-        writer = self._writers.get(dst)
-        if writer is not None and writer.is_closing():
-            self._writers.pop(dst, None)  # stale link (peer died/moved)
-            writer = None
-        if writer is None:
-            self._drops.inc()
-            self._spawn(self._dial(dst))  # repair the link for next time
-            return
-        frame: tuple[Any, ...] = (MSG, self.pid, payload)
-        if traces:
-            frame = with_headers(frame, encode_trace_headers(traces))
-        try:
-            write_frame(writer, frame)
-            self._sent.inc()
-        except (ConnectionError, RuntimeError):
-            self._drops.inc()
-            self._writers.pop(dst, None)
+    def _frame(self, payload: Any, traces: dict[tuple[int, int], Any] | None) -> bytes:
+        """One MSG frame, encoded once for however many links carry it."""
+        headers = encode_trace_headers(traces) if traces else None
+        return encode_frame(with_headers((MSG, self.pid, payload), headers))
 
     # -- trace propagation -----------------------------------------------------------
 
@@ -510,52 +472,26 @@ class ReplicaNode:
                 out.setdefault(ts, ctx)
         return out or None
 
-    # -- peer links ------------------------------------------------------------------
+    # -- inbound peer frames -----------------------------------------------------------
 
-    async def _dial(self, dst: int) -> None:
-        if self._stopped or dst in self._writers:
-            return
-        addr = self.peers.get(dst)
-        if addr is None:
-            return
-        try:
-            _, writer = await asyncio.open_connection(*addr)
-        except OSError:
-            return  # peer down; anti-entropy retries via _ship
-        if dst in self._writers or self._stopped:  # lost the race
-            writer.close()
-            return
-        write_frame(writer, (HELLO, self.pid))
-        self._writers[dst] = writer
-
-    async def _serve_peer(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while not self._stopped:
-                try:
-                    frame = await read_frame(reader)
-                except FrameError:
-                    break
-                if frame is None or self._stopped:
-                    # A frame that raced a kill() is dropped, same as the
-                    # crash model drops messages to a crashed replica.
-                    break
-                kind = frame[0]
-                if kind == MSG:
-                    src = int(frame[1])
-                    payload, headers = split_headers(frame[2:])
-                    self._received.inc()
-                    self._deliver_traced(src, payload, headers)
-                elif kind == PING:
-                    # Answer over our outbound link to the pinger (this
-                    # inbound stream's writer belongs to *their* dialer).
-                    self._ship_raw(int(frame[1]), (PONG, self.pid, frame[2]))
-                elif kind == PONG:
-                    self._note_pong(int(frame[1]), frame[2])
-                # HELLO (or anything unknown) needs no reply.
-        finally:
-            writer.close()
+    def _on_frame(self, frame: Any) -> bool:
+        """Dispatch one inbound peer frame; False (close the link) if malformed."""
+        if not (isinstance(frame, (list, tuple)) and len(frame) > 1
+                and isinstance(frame[1], int) and 0 <= frame[1] < self.n):
+            return False
+        kind, src, rest = frame[0], frame[1], frame[2:]
+        if kind == HELLO:
+            self.links.dial(src)  # the peer is back: repair our half now
+        elif not rest:
+            return False
+        elif kind == MSG:
+            self._received.inc()
+            self._deliver_traced(src, *split_headers(rest))
+        elif kind == PING:  # answer on our own link: the inbound one is theirs
+            self.links.write(src, encode_frame((PONG, self.pid, rest[0])))
+        elif kind == PONG:
+            self._note_pong(src, rest[0])
+        return True  # anything unknown needs no reply
 
     def _deliver_traced(self, src: int, payload: Any, headers: dict[str, Any]) -> None:
         """Deliver one peer payload, honouring any trace headers it carries.
@@ -594,22 +530,11 @@ class ReplicaNode:
 
     # -- peer-link RTT probes ----------------------------------------------------------
 
-    def _ship_raw(self, dst: int, frame: tuple[Any, ...]) -> None:
-        """Best-effort frame on the outbound link; no drop accounting, no
-        redial — probes must not perturb the link-repair machinery."""
-        writer = self._writers.get(dst)
-        if writer is None or writer.is_closing():
-            return
-        try:
-            write_frame(writer, frame)
-        except (ConnectionError, RuntimeError):
-            self._writers.pop(dst, None)
-
     def _ping_peers(self) -> None:
-        for dst in list(self._writers):
+        for dst in self.links.up():
             self._ping_seq += 1
             self._ping_pending[dst] = (self._ping_seq, time.monotonic())
-            self._ship_raw(dst, (PING, self.pid, self._ping_seq))
+            self.links.write(dst, encode_frame((PING, self.pid, self._ping_seq)))
 
     def _note_pong(self, src: int, seq: Any) -> None:
         pending = self._ping_pending.get(src)
@@ -624,16 +549,11 @@ class ReplicaNode:
     async def _sync_loop(self) -> None:
         while not self._stopped:
             await asyncio.sleep(self.sync_interval)
-            if self.peers and self.core.sync_capable:
+            self._spawn(self.links.connect())  # re-dial missing or down links
+            if self.links.peers and self.core.sync_capable:
                 self._apply_effects(self.core.sync_tick())  # no peer, no one to ask
             self._ping_peers()
-            self._outbox_gauge.set(
-                sum(
-                    w.transport.get_write_buffer_size()
-                    for w in self._writers.values()
-                    if not w.is_closing()
-                )
-            )
+            self._outbox_gauge.set(self.links.outbox_bytes())
 
     async def _one_shot_tick(self, kind: str) -> None:
         await asyncio.sleep(self.sync_interval / 2)

@@ -254,17 +254,19 @@ def advance_digest(digest: bytes, payload: bytes) -> bytes:
     return hashlib.sha256(digest + hashlib.sha256(payload).digest()).digest()
 
 
-def chain_record(digest: bytes, record: dict) -> tuple[bytes, dict]:
+def chain_record(digest: bytes, record: dict) -> tuple[bytes, dict, bytes]:
     """Stamp ``record`` with the current chain link and advance the digest.
 
-    Returns ``(new_digest, stamped_record)``; the stamped record's ``d``
-    field is the hex prefix of ``digest`` (the chain state *before* this
-    record), so a verifier replaying from :func:`genesis_digest` can check
-    every link without trusting any record's own claims.
+    Returns ``(new_digest, stamped_record, payload)``; the stamped
+    record's ``d`` field is the hex prefix of ``digest`` (the chain state
+    *before* this record), so a verifier replaying from
+    :func:`genesis_digest` can check every link without trusting any
+    record's own claims; ``payload``, the bytes hashed, is what a journal frames.
     """
     stamped = dict(record)
     stamped["d"] = digest.hex()[:DIGEST_LINK_HEX]
-    return advance_digest(digest, encode_record(stamped)), stamped
+    payload = encode_record(stamped)
+    return advance_digest(digest, payload), stamped, payload
 
 
 def verify_chain(pid: int, records: Iterable[dict]) -> str:
@@ -380,7 +382,7 @@ def replica_snapshot(replica: Any, *, fsync_point: int | None = None) -> str:
     digest = genesis_digest(replica.pid)
     stamped = []
     for rec in records:
-        digest, s = chain_record(digest, rec)
+        digest, s, _payload = chain_record(digest, rec)
         stamped.append(s)
     return json.dumps({
         "format": REPLICA_FORMAT_V3,

@@ -39,7 +39,6 @@ from repro.proto.wire import (
     DIGEST_LINK_HEX,
     advance_digest,
     chain_record,
-    encode_record,
     genesis_digest,
 )
 
@@ -88,9 +87,9 @@ def fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def frame_record(stamped: dict) -> bytes:
-    """One chained record as its on-disk frame."""
-    payload = encode_record(stamped)
+def frame_record(payload: bytes) -> bytes:
+    """One chained record's :func:`~repro.proto.wire.chain_record` payload
+    as its on-disk frame."""
     return FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
@@ -232,8 +231,8 @@ class Journal:
         """Chain and buffer one record; durable only after :meth:`commit`."""
         if self._fh is None:
             raise RuntimeError("journal is closed")
-        self.digest, stamped = chain_record(self.digest, record)
-        self._fh.write(frame_record(stamped))
+        self.digest, stamped, payload = chain_record(self.digest, record)
+        self._fh.write(frame_record(payload))
         self.records += 1
         return stamped
 
@@ -263,8 +262,8 @@ class Journal:
         with open(tmp, "wb") as fh:
             fh.write(MAGIC)
             for rec in records:
-                digest, s = chain_record(digest, rec)
-                fh.write(frame_record(s))
+                digest, s, payload = chain_record(digest, rec)
+                fh.write(frame_record(payload))
                 stamped.append(s)
             fh.flush()
             os.fsync(fh.fileno())

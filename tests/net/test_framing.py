@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import asyncio
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.adt import Update
 from repro.net.framing import (
@@ -12,7 +12,7 @@ from repro.net.framing import (
     FrameError,
     decode_frame,
     encode_frame,
-    read_frame,
+    pop_frames,
 )
 
 
@@ -48,27 +48,52 @@ def test_oversized_length_rejected_before_allocation():
         decode_frame(bogus)
 
 
-def _feed(data: bytes) -> asyncio.StreamReader:
-    reader = asyncio.StreamReader()
-    reader.feed_data(data)
-    reader.feed_eof()
-    return reader
+def test_pop_frames_from_a_receive_buffer():
+    buf = bytearray(encode_frame({"a": 1}) + encode_frame({"b": 2}))
+    assert pop_frames(buf) == [{"a": 1}, {"b": 2}]
+    assert buf == bytearray()  # clean end: nothing left over
 
 
-def test_read_frame_from_stream():
-    async def scenario():
-        reader = _feed(encode_frame({"a": 1}) + encode_frame({"b": 2}))
-        assert await read_frame(reader) == {"a": 1}
-        assert await read_frame(reader) == {"b": 2}
-        assert await read_frame(reader) is None  # clean EOF
-
-    asyncio.run(scenario())
+def test_pop_frames_keeps_a_partial_frame_for_the_next_read():
+    data = encode_frame("payload")
+    buf = bytearray(data[:-2])
+    assert pop_frames(buf) == []
+    buf += data[-2:]
+    assert pop_frames(buf) == ["payload"] and not buf
 
 
-def test_read_frame_mid_frame_eof_raises():
-    async def scenario():
-        reader = _feed(encode_frame("payload")[:-2])
-        with pytest.raises(FrameError):
-            await read_frame(reader)
+@pytest.mark.parametrize(
+    "body", [b"not json", b"\xff\xfe", b'{"@": "nope"}'],
+    ids=["not-json", "not-utf8", "unknown-tag"],
+)
+def test_pop_frames_rejects_an_undecodable_body(body):
+    with pytest.raises(FrameError):
+        pop_frames(bytearray(len(body).to_bytes(4, "big") + body))
 
-    asyncio.run(scenario())
+
+def test_pop_frames_rejects_an_oversized_prefix():
+    with pytest.raises(FrameError):
+        pop_frames(bytearray((MAX_FRAME + 1).to_bytes(4, "big")))
+
+
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_VALUES, max_size=8), data=st.data())
+def test_any_cut_of_a_frame_stream_yields_the_same_frames(values, data):
+    """However TCP cuts the stream into reads, the receive buffer yields
+    the frames one chunk would, in order, and keeps only a partial tail."""
+    stream = b"".join(encode_frame(v) for v in values)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=10)))
+    whole = bytearray(stream)
+    expected = pop_frames(whole)
+    buf, got = bytearray(), []
+    for lo, hi in zip([0, *cuts], [*cuts, len(stream)]):
+        buf += stream[lo:hi]
+        got += pop_frames(buf)
+    assert got == expected and not buf and not whole

@@ -5,9 +5,14 @@ from __future__ import annotations
 import asyncio
 import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.universal import UniversalReplica
 from repro.net.harness import LocalCluster
-from repro.net.http import PROM_CONTENT_TYPE
+from repro.net.http import MAX_BODY, MAX_HEAD, PROM_CONTENT_TYPE, HttpProtocol
+from repro.net.node import ReplicaNode
 from repro.proto.wire import decode_value
 from repro.specs.map_spec import MapSpec
 from repro.specs.set_spec import SetSpec
@@ -186,5 +191,116 @@ def test_update_returns_trace_id_header():
             "POST", "/update", {"name": "insert", "args": [5]}
         )
         assert headers2["x-trace-id"] != headers["x-trace-id"]
+
+    with_cluster(SetSpec, scenario)
+
+
+# -- malformed input, chunking, one write per message ---------------------------
+
+
+async def _raw_exchange(port: int, data: bytes) -> bytes:
+    """Send ``data`` on a fresh connection; everything read until close."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(data)
+    try:
+        return await asyncio.wait_for(reader.read(), 5.0)
+    finally:
+        writer.close()
+
+
+@pytest.mark.parametrize("head, status", [
+    (b"POST /update HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+    (b"POST /update HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400),
+    (b"GARBAGE\r\n\r\n", 400),
+    (b"POST /update HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (MAX_BODY + 1), 413),
+    (b"GET /" + b"x" * (MAX_HEAD + 1), 400),
+], ids=["length-not-a-number", "negative-length", "no-path", "body-too-large",
+        "head-too-large"])
+def test_malformed_input_gets_an_answer_then_a_close(head, status):
+    async def scenario(cluster, clients):
+        reply = await _raw_exchange(cluster.nodes[0].http_port, head)
+        assert reply.startswith(b"HTTP/1.1 %d " % status)
+        assert b"Connection: close" in reply
+        _, _, body = reply.partition(b"\r\n\r\n")
+        assert "error" in json.loads(body)
+        assert await clients[0].query("read") == frozenset()  # still serving
+
+    with_cluster(SetSpec, scenario)
+
+
+class _Transport:
+    """Just enough of an asyncio transport to drive the protocol by hand."""
+
+    def __init__(self) -> None:
+        self.writes: list[bytes] = []
+        self.closed = False
+
+    def write(self, data: bytes) -> None:
+        self.writes.append(data)
+
+    def close(self) -> None:
+        self.closed = True
+
+    def is_reading(self) -> bool:
+        return not self.closed
+
+
+def _request(method: str, path: str, doc=None, close: bool = False) -> bytes:
+    body = b"" if doc is None else json.dumps(doc).encode()
+    return b"%s %s HTTP/1.1\r\nContent-Length: %d\r\n%s\r\n%s" % (
+        method.encode(), path.encode(), len(body),
+        b"Connection: close\r\n" if close else b"", body,
+    )
+
+
+_REQUESTS = st.one_of(
+    st.integers(0, 5).map(
+        lambda v: _request("POST", "/update", {"name": "insert", "args": [v]})),
+    st.integers(0, 5).map(
+        lambda v: _request("POST", "/query", {"name": "contains", "args": [v]})),
+    st.sampled_from([
+        _request("GET", "/query/read"), _request("GET", "/healthz"),
+        _request("GET", "/witness"), _request("GET", "/nope"),
+        _request("POST", "/update", {"args": []}),
+        _request("GET", "/state", close=True),
+    ]),
+)
+
+
+def _serve(stream: bytes, cuts: list[int]) -> _Transport:
+    node = ReplicaNode(0, 1, lambda pid, n: UniversalReplica(pid, n, SetSpec()))
+    protocol, transport = HttpProtocol(node), _Transport()
+    protocol.connection_made(transport)
+    for lo, hi in zip([0, *cuts], [*cuts, len(stream)]):
+        protocol.data_received(stream[lo:hi])
+    return transport
+
+
+@settings(max_examples=60, deadline=None)
+@given(requests=st.lists(_REQUESTS, min_size=1, max_size=8), data=st.data())
+def test_any_cut_of_a_request_stream_gets_the_same_response_bytes(requests, data):
+    """Pipelined in one read or cut anywhere, the same requests get the
+    same answers, byte for byte, one per request up to a close."""
+    stream = b"".join(requests)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=12)))
+    whole, cut = _serve(stream, []), _serve(stream, cuts)
+    assert whole.writes == cut.writes and whole.closed == cut.closed
+    answered = next(
+        (i + 1 for i, r in enumerate(requests) if b"Connection: close" in r),
+        len(requests),
+    )
+    assert len(whole.writes) == answered  # one write per response
+    assert all(w.startswith(b"HTTP/1.1 ") for w in whole.writes)
+
+
+def test_the_client_sends_a_request_in_one_write():
+    async def scenario(cluster, clients):
+        client = clients[0]
+        await client.request("GET", "/healthz")  # connect
+        writes = []
+        real = client._writer.write
+        client._writer.write = lambda data: (writes.append(data), real(data))[1]
+        await client.update("insert", 1)
+        assert len(writes) == 1 and writes[0].endswith(b'"args": [1]}')
 
     with_cluster(SetSpec, scenario)

@@ -21,7 +21,6 @@ from repro.net.framing import (
     encode_frame,
     split_headers,
     with_headers,
-    write_frame,
 )
 from repro.net.harness import LocalCluster
 from repro.net.node import MSG
@@ -215,7 +214,7 @@ def test_nodes_ignore_unknown_header_fields_on_the_wire():
             reader, writer = await asyncio.open_connection(
                 node1.host, node1.peer_port
             )
-            write_frame(writer, frame)
+            writer.write(encode_frame(frame))
             await writer.drain()
             for _ in range(100):
                 if 11 in node1.local_state():
@@ -237,7 +236,8 @@ def test_ts_key_codec():
 
 def test_sim_differential_unaffected_by_direct_submit():
     """Direct (non-HTTP) submits attach no headers — the property the
-    sim↔net differential test's byte-identical frames rely on."""
+    sim↔net differential test's byte-identical frames rely on.  The seam
+    is the one frame encode every broadcast and send goes through."""
 
     async def body():
         cluster = make_cluster(trace=True)
@@ -245,12 +245,12 @@ def test_sim_differential_unaffected_by_direct_submit():
         try:
             shipped = []
             node = cluster.nodes[0]
-            original = node._ship
-            node._ship = lambda dst, payload, traces=None: shipped.append(
-                (dst, traces)
-            ) or original(dst, payload, traces)
+            original = node._frame
+            node._frame = lambda payload, traces: shipped.append(
+                traces
+            ) or original(payload, traces)
             cluster.submit(0, Update("insert", (5,)))
-            assert shipped and all(traces is None for _, traces in shipped)
+            assert shipped and all(traces is None for traces in shipped)
         finally:
             await cluster.stop()
 

@@ -190,7 +190,7 @@ class TestRejoinUnderLiveTraffic:
     def test_updates_missed_while_down_are_paged_after_the_redial(self):
         n_missed = 50
         responder = make_gc_core(0)
-        # node 2 is dead: the node drops these frames in ReplicaNode._ship
+        # node 2 is dead: the node drops these frames in PeerLinks.ship
         for i in range(n_missed):
             responder.submit(insert(i))
         # the link is back: the next update is the first frame node 2 sees

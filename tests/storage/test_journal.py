@@ -71,6 +71,31 @@ class TestAppendAndReopen:
         assert not torn and len(records) == len(RECORDS)
         j2.close()
 
+    def test_each_record_is_encoded_once(self, tmp_path, monkeypatch):
+        """The bytes the chain step hashes are the bytes framed on disk:
+        one encode per appended or rewritten record, not two."""
+        import repro.proto.wire as wire
+
+        calls = []
+
+        def counting(record, real=wire.encode_record):
+            calls.append(record["r"])
+            return real(record)
+
+        monkeypatch.setattr(wire, "encode_record", counting)
+        monkeypatch.setattr(journal_mod, "encode_record", counting, raising=False)
+        j, _, _ = Journal.open(str(tmp_path / "j"), 0)
+        for rec in RECORDS:
+            j.append(rec)
+        j.commit()
+        assert len(calls) == len(RECORDS)
+        j.rewrite(RECORDS)
+        assert len(calls) == 2 * len(RECORDS)
+        j.close()
+        j, records, torn = Journal.open(str(tmp_path / "j"), 0)
+        j.close()
+        assert not torn and len(records) == len(RECORDS)
+
     def test_uncommitted_appends_are_not_the_journals_problem(self, tmp_path):
         # append without commit, then drop the handle: the tail may or
         # may not reach the disk — the reader must treat whatever it

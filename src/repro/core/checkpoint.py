@@ -47,13 +47,10 @@ from typing import Any, Hashable, Sequence
 
 from repro.core.adt import UQADT
 from repro.core.ckpt_tree import CheckpointTree
-from repro.core.sync import (
-    StateHandoff,
-    StateTransferRequired,
-    SyncDigest,
-)
+from repro.core.sync import StateTransferRequired, SyncDigest
 from repro.core.universal import Stamped, UniversalReplica
 from repro.obs.metrics import MetricsRegistry
+from repro.proto.wire import install_state_transfer, state_transfer
 
 #: Pending updates (within one checkpoint stride) from which a fold goes
 #: through ``spec.apply_batch`` instead of one ``spec.apply`` each.  Every
@@ -466,24 +463,14 @@ class GarbageCollectedReplica(CheckpointedReplica):
                     "state transfer can repair, but its digest does not "
                     "accept one (a replica without a base state)"
                 )
-            # The handoff travels under the same integrity discipline the
-            # base segment has on disk: a digest over its canonical
-            # content, which StateHandoff.parse verifies on the receiver
-            # before install_gc_state ever sees the payload.
-            handoff = StateHandoff(**self.durable_gc_state())
-            self.send_to(requester, handoff.payload(self.pid))
+            # The handoff is our journal's base record on its digest chain.
+            self.send_to(requester, state_transfer(self))
             self._state_transfers.inc()
         super()._serve_sync(requester, digest)
 
     def _on_sync_state(self, src: int, payload: tuple) -> Sequence[Any]:
-        # parse() refuses a handoff whose digest does not verify — a
-        # damaged base segment must not be folded into local state.
-        sender, handoff = StateHandoff.parse(payload)
-        if self.install_gc_state(
-            base=handoff.base,
-            clock_floor=handoff.clock_floor,
-            frontier=handoff.frontier,
-        ):
+        # Verified as src's [meta, base] image before anything installs.
+        if install_state_transfer(self, src, payload):
             self._state_installs.inc()
         return ()
 

@@ -42,20 +42,20 @@ be confused with ``(clock, pid, update)`` triples):
   a repair that used to be one unbounded message is now a sequence of
   independent pages (no reassembly protocol: each page folds through the
   normal dedup/insert path).
-* ``(SYNC_STATE, sender, {"base", "clock_floor", "frontier", "heard"})``
-  — state transfer: the responder's compacted base state and the
-  completeness floor it certifies, sent when the requester is missing
-  updates the responder has already folded away and can no longer
-  enumerate.  The payload also carries a mandatory ``digest`` — the
-  same integrity-tag idea as the journal's rolling digest chain,
-  computed over the canonical handoff content — which the receiver
-  verifies before installing (a truncated or bit-rotted base handoff,
-  or one with no tag at all, is refused, not silently folded in).
+* ``(SYNC_STATE, image_text)`` — state transfer, sent when the requester
+  is missing updates the responder has already folded away and can no
+  longer enumerate.  ``image_text`` is a two-record v3 journal image —
+  the responder's meta record and its base record (compacted state,
+  completeness floor, frontier) on its digest chain — built by
+  :func:`repro.proto.wire.state_transfer`.  The receiver verifies it
+  with :func:`repro.proto.wire.read_image` and installs it through the
+  code a boot runs; a payload that is not such an image of the sender,
+  or whose chain does not verify, is a :class:`SyncProtocolError` and
+  installs nothing.
 """
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -231,95 +231,3 @@ def pages(entries: list, page_size: int) -> Iterator[tuple]:
     for start in range(0, len(entries), page_size):
         yield tuple(entries[start:start + page_size])
 
-
-def _stable_repr(value: object) -> str:
-    """A process-independent textual form of common state shapes.
-
-    ``repr`` alone is not enough: frozenset/dict iteration order depends
-    on the string hash seed, which differs between the two *processes* a
-    networked handoff crosses.  Sets and dict items are therefore sorted
-    by their own stable form; lists and tuples keep order.
-    """
-    if isinstance(value, (set, frozenset)):
-        return "{" + ",".join(sorted(_stable_repr(v) for v in value)) + "}"
-    if isinstance(value, dict):
-        items = sorted(
-            _stable_repr(k) + ":" + _stable_repr(v) for k, v in value.items()
-        )
-        return "{" + ",".join(items) + "}"
-    if isinstance(value, (list, tuple)):
-        return "(" + ",".join(_stable_repr(v) for v in value) + ")"
-    return repr(value)
-
-
-def handoff_digest(
-    base: object,
-    clock_floor: int,
-    frontier: tuple[int, int] | None,
-    heard: Iterable[int],
-) -> str:
-    """Integrity tag of a state-transfer handoff.
-
-    Hashes a canonical, process-independent form of the handoff content
-    (insertion order and container identity must not leak into the tag —
-    the receiver recomputes it from a decoded payload).  This is the
-    anti-entropy twin of the journal's rolling digest: the compacted base
-    travels between replicas with the same tamper evidence it has on
-    disk.
-    """
-    canon = _stable_repr((base, int(clock_floor), frontier, tuple(heard)))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class StateHandoff:
-    """Decoded contents of a ``SYNC_STATE`` payload.
-
-    The wire form always carries the :func:`handoff_digest` of these
-    fields: :meth:`payload` computes it, :meth:`parse` refuses a payload
-    whose tag is missing or does not verify.
-    """
-
-    base: object
-    clock_floor: int
-    frontier: tuple[int, int] | None
-    heard: tuple[int, ...] = ()
-
-    def payload(self, sender: int) -> tuple:
-        return (SYNC_STATE, sender, {
-            "base": self.base,
-            "clock_floor": self.clock_floor,
-            "frontier": self.frontier,
-            "heard": tuple(self.heard),
-            "digest": handoff_digest(
-                self.base, self.clock_floor, self.frontier, self.heard
-            ),
-        })
-
-    @classmethod
-    def parse(cls, payload: tuple) -> tuple[int, "StateHandoff"]:
-        if not (
-            isinstance(payload, tuple)
-            and len(payload) == 3
-            and payload[0] == SYNC_STATE
-            and isinstance(payload[2], dict)
-        ):
-            raise SyncProtocolError(f"malformed state transfer: {payload!r}")
-        state = payload[2]
-        frontier = state.get("frontier")
-        handoff = cls(
-            base=state["base"],
-            clock_floor=int(state["clock_floor"]),
-            frontier=None if frontier is None else
-            (int(frontier[0]), int(frontier[1])),
-            heard=tuple(int(h) for h in state.get("heard", ())),
-        )
-        if state.get("digest") != handoff_digest(
-            handoff.base, handoff.clock_floor, handoff.frontier, handoff.heard
-        ):
-            raise SyncProtocolError(
-                f"state transfer from {payload[1]} failed its integrity "
-                f"digest ({state.get('digest')!r}): refusing to install a "
-                "damaged or untagged base segment"
-            )
-        return int(payload[1]), handoff

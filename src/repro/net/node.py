@@ -48,6 +48,7 @@ import os
 import time
 from typing import Any, Callable, Hashable
 
+from repro.core.sync import SyncProtocolError
 from repro.net.framing import encode_frame, split_headers, with_headers
 from repro.net.links import HELLO, PeerLinks, PeerProtocol
 from repro.obs.log import get_logger
@@ -486,7 +487,10 @@ class ReplicaNode:
             return False
         elif kind == MSG:
             self._received.inc()
-            self._deliver_traced(src, *split_headers(rest))
+            try:
+                self._deliver_traced(src, *split_headers(rest))
+            except SyncProtocolError:
+                return False  # a handshake payload the core refused
         elif kind == PING:  # answer on our own link: the inbound one is theirs
             self.links.write(src, encode_frame((PONG, self.pid, rest[0])))
         elif kind == PONG:

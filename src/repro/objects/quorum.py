@@ -206,11 +206,11 @@ class ABDClient:
 
     def _begin(self, starter) -> int:
         opid = starter()
-        self.cluster._drain_outbox(self.replica)
+        self.cluster.ship_outbox(self.pid)
         return opid
 
     def _drive(self, opid: int) -> tuple[Any, float]:
-        self.cluster._drain_outbox(self.replica)
+        self.cluster.ship_outbox(self.pid)
         start = self.cluster.now
         op = self.replica.poll(opid)
         while not op.done:

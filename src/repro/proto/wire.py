@@ -1,7 +1,7 @@
 """The pure wire/value codec of the protocol layer.
 
 Everything the protocol ships — ``(clock, pid, update)`` triples, sync
-digests, state-transfer dicts, heartbeats — and everything it persists —
+digests, state transfers, heartbeats — and everything it persists —
 the durable replica image read back by crash-recovery — round-trips
 through the functions here.  The codec builds only plain data (no pickle,
 no code execution), so decoding untrusted bytes is safe, and its output is
@@ -28,6 +28,7 @@ import json
 from typing import Any, Iterable, NamedTuple
 
 from repro.core.adt import Query, Update
+from repro.core.sync import SYNC_STATE, SyncProtocolError
 
 #: the durable replica image format (see :func:`replica_snapshot`): a
 #: journal image — an ordered record sequence (meta, compacted base,
@@ -341,7 +342,9 @@ def read_image(text: str) -> JournalImage:
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != REPLICA_FORMAT_V3:
         raise ValueError(f"not a {REPLICA_FORMAT_V3} image")
-    pid = int(doc["pid"])
+    pid = doc.get("pid")
+    if not isinstance(pid, int):
+        raise ValueError("v3 journal image names no process")
     records = doc.get("records")
     if not isinstance(records, list):
         raise ValueError("v3 journal image carries no records")
@@ -379,18 +382,80 @@ def replica_snapshot(replica: Any, *, fsync_point: int | None = None) -> str:
     ``clock``).
     """
     records, complete = journal_records(replica, fsync_point=fsync_point)
-    digest = genesis_digest(replica.pid)
+    return _image_text(replica.pid, records, complete)
+
+
+def _image_text(pid: int, records: list[dict], complete: bool) -> str:
+    """Thread ``records`` on ``pid``'s digest chain; the image text."""
+    digest = genesis_digest(pid)
     stamped = []
     for rec in records:
         digest, s, _payload = chain_record(digest, rec)
         stamped.append(s)
     return json.dumps({
         "format": REPLICA_FORMAT_V3,
-        "pid": int(replica.pid),
+        "pid": int(pid),
         "complete": complete,
         "digest": digest.hex(),
         "records": stamped,
     })
+
+
+def install_base(replica: Any, rec: dict) -> bool:
+    """Install a verified ``base`` record — from the replica's own journal
+    at boot or a peer's state transfer — through ``install_gc_state``;
+    returns whether it was adopted.  Every field is decoded first: a
+    record lacking one, or a replica with no base state, is a
+    :class:`ValueError` and installs nothing."""
+    install = getattr(replica, "install_gc_state", None)
+    if install is None:
+        raise ValueError(
+            "image carries a compacted base state but the target replica "
+            f"({type(replica).__name__}) cannot install one; restore into "
+            "a GarbageCollectedReplica"
+        )
+    try:
+        frontier = decode_value(rec["frontier"])
+        base = decode_value(rec["base"])
+        clock_floor = int(rec["clock_floor"])
+        if frontier is not None:
+            frontier = tuple(frontier)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed base record: {exc!r}") from exc
+    return install(base=base, clock_floor=clock_floor, frontier=frontier)
+
+
+# -- state transfer ------------------------------------------------------------
+
+
+def state_transfer(replica: Any) -> tuple:
+    """The ``(SYNC_STATE, image_text)`` handoff of ``replica``'s compacted
+    base: its journal's meta and base records as a two-record image.  It
+    travels as text, so no value-codec pass touches the bytes the chain
+    covers; the receiver's floor claims come from the base, never from
+    the record's ``heard`` copy."""
+    pid = replica.pid
+    records = [meta_record(pid), base_record(1, replica.durable_gc_state())]
+    return (SYNC_STATE, _image_text(pid, records, True))
+
+
+def install_state_transfer(replica: Any, src: int, payload: Any) -> bool:
+    """Verify a ``SYNC_STATE`` payload from peer ``src`` and install its
+    base record; returns whether it was adopted.  Anything but a
+    ``[meta, base]`` image of process ``src`` whose chain verifies is a
+    :class:`~repro.core.sync.SyncProtocolError`, and installs nothing."""
+    try:
+        if len(payload) != 2 or not isinstance(payload[1], str):
+            raise ValueError("not a (sync-state, image text) pair")
+        pid, records, _complete = read_image(payload[1])
+        if (pid != src or [rec.get("r") for rec in records] != ["meta", "base"]
+                or records[0].get("pid") != src):
+            raise ValueError(f"not a [meta, base] image of process {src}")
+        return install_base(replica, records[1])
+    except ValueError as exc:
+        raise SyncProtocolError(
+            f"state transfer from {src} refused: {exc}"
+        ) from exc
 
 
 def restore_replica(replica: Any, image: str | JournalImage) -> int:
@@ -445,19 +510,7 @@ def restore_replica(replica: Any, image: str | JournalImage) -> int:
         # meta and unknown record kinds: skip (forward compatibility)
     replica.clock.merge(clock)
     if base_rec is not None:
-        install = getattr(replica, "install_gc_state", None)
-        if install is None:
-            raise ValueError(
-                "image carries a compacted base state but the target replica "
-                f"({type(replica).__name__}) cannot install one; restore into "
-                "a GarbageCollectedReplica"
-            )
-        frontier = decode_value(base_rec["frontier"])
-        install(
-            base=decode_value(base_rec["base"]),
-            clock_floor=int(base_rec["clock_floor"]),
-            frontier=None if frontier is None else tuple(frontier),
-        )
+        install_base(replica, base_rec)
     loaded = replica.load_log(decode_value(entries))
     finish = getattr(replica, "finish_restore", None)
     if finish is not None:

@@ -349,8 +349,7 @@ class Cluster:
                 elif p[0] == "sync-state":
                     self.tracer.event(
                         "sync.state_transfer", self.now, pid=msg.dst,
-                        attrs={"src": msg.src,
-                               "clock_floor": p[2].get("clock_floor")},
+                        attrs={"src": msg.src},
                     )
         effects = self.cores[msg.dst].deliver(msg.src, msg.payload)
         if effects is not ONLY_PERSIST_MESSAGE:
@@ -635,22 +634,13 @@ class Cluster:
             elif cls is Send:
                 send(pid, eff.dst, eff.payload, now)
 
-    def _drain_outbox(self, replica: Replica) -> None:
-        """Ship directed sends queued outside the event methods.
-
-        Compatibility shim for callers that drive a replica's hooks
-        directly (the quorum object's client helpers do); cluster-internal
-        paths go through the cores and :meth:`_apply_effects`.
-        """
-        outbox = getattr(replica, "outbox", None)
-        if not outbox:
-            return
-        for dst, payload in outbox:
-            if dst is None:
-                self.network.broadcast(replica.pid, payload, self.now)
-            else:
-                self.network.send(replica.pid, dst, payload, self.now)
-        outbox.clear()
+    def ship_outbox(self, pid: int) -> None:
+        """Ship the sends ``pid``'s replica queued outside an event method
+        (the quorum client starts its operations that way), through the
+        core's drain and :meth:`_apply_effects` like any event's."""
+        effects: list[Effect] = []
+        ProtocolCore._drain(self.cores[pid].replica, effects)
+        self._apply_effects(pid, effects)
 
     def _live_core(self, pid: int) -> ProtocolCore:
         self._check_pid(pid)

@@ -10,13 +10,16 @@ for sub-floor gaps).
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.core import checkpoint
 from repro.core.checkpoint import GarbageCollectedReplica, StabilityViolation
 from repro.core.sync import (
     SYNC_REQ,
-    StateHandoff,
+    SYNC_STATE,
     StateTransferRequired,
     SyncDigest,
     SyncProtocolError,
@@ -25,7 +28,16 @@ from repro.core.sync import (
     parse_sync_request,
 )
 from repro.core.universal import UniversalReplica
-from repro.proto.wire import replica_snapshot, restore_replica
+from repro.proto.wire import (
+    REPLICA_FORMAT_V3,
+    base_record,
+    chain_record,
+    genesis_digest,
+    meta_record,
+    replica_snapshot,
+    restore_replica,
+    state_transfer,
+)
 from repro.sim import Cluster
 from repro.specs import SetSpec
 from repro.specs import set_spec as S
@@ -180,36 +192,96 @@ class TestPages:
             list(pages([1], 0))
 
 
-class TestStateHandoff:
+def _image_payload(pid, records):
+    """A ``SYNC_STATE`` carrying ``records`` on ``pid``'s digest chain."""
+    digest, stamped = genesis_digest(pid), []
+    for rec in records:
+        digest, rec, _ = chain_record(digest, rec)
+        stamped.append(rec)
+    return (SYNC_STATE, json.dumps({
+        "format": REPLICA_FORMAT_V3, "pid": pid, "complete": True,
+        "digest": digest.hex(), "records": stamped,
+    }))
+
+
+def _sender():
+    """Process 2 of 3, holding a compacted base."""
+    r = GarbageCollectedReplica(2, 3, SPEC)
+    r.install_gc_state(base=frozenset({1}), clock_floor=7, frontier=(7, 2))
+    return r
+
+
+def _base_without(field):
+    gc = _sender().durable_gc_state()
+    rec = base_record(1, gc)
+    del rec[field]
+    return _image_payload(2, [meta_record(2), rec])
+
+
+def _relinked(payload):
+    doc = json.loads(payload[1])
+    doc["records"][1]["d"] = "0" * 16
+    return (SYNC_STATE, json.dumps(doc))
+
+
+MALFORMED = {
+    "not-a-string": lambda: (SYNC_STATE, {"base": frozenset({99})}),
+    "not-json": lambda: (SYNC_STATE, "{not json"),
+    "foreign-format": lambda: (SYNC_STATE, json.dumps({"format": "x", "pid": 2})),
+    "broken-link": lambda: _relinked(state_transfer(_sender())),
+    "other-pid": lambda: state_transfer(GarbageCollectedReplica(1, 3, SPEC)),
+    "whole-image": lambda: (SYNC_STATE, replica_snapshot(_sender())),
+    "meta-only": lambda: _image_payload(2, [meta_record(2)]),
+    "no-base": lambda: _base_without("base"),
+    "no-clock-floor": lambda: _base_without("clock_floor"),
+    "no-frontier": lambda: _base_without("frontier"),
+}
+
+
+class TestStateTransferImage:
+    """A ``SYNC_STATE`` is the sender's ``[meta, base]`` journal image."""
+
     def test_round_trip(self):
-        h = StateHandoff(
-            base=frozenset({1}), clock_floor=7, frontier=(7, 2), heard=(7, 8, 7)
-        )
-        sender, parsed = StateHandoff.parse(h.payload(2))
-        assert sender == 2
-        assert parsed == h
+        sender = _sender()
+        payload = state_transfer(sender)
+        assert payload[0] == SYNC_STATE and isinstance(payload[1], str)
+        r = GarbageCollectedReplica(0, 3, SPEC)
+        r.on_message(2, payload)
+        assert (r._base, r.gc_clock_floor, r._gc_frontier) == (
+            frozenset({1}), 7, (7, 2))
+        assert r.local_state() == sender.local_state()
 
-    def test_malformed_rejected(self):
-        with pytest.raises(SyncProtocolError):
-            StateHandoff.parse(("sync-state", 0, "not-a-dict"))
-
-    def test_tampered_handoff_refused(self):
-        h = StateHandoff(base=frozenset({1}), clock_floor=7, frontier=(7, 2))
-        tag, sender, state = h.payload(2)
-        with pytest.raises(SyncProtocolError, match="integrity"):
-            StateHandoff.parse((tag, sender, dict(state, clock_floor=8)))
-
-    def test_untagged_handoff_refused_and_installs_nothing(self):
-        # Regression: a SYNC_STATE with the digest key simply absent used
-        # to install unverified ("older senders still parse").
+    @pytest.mark.parametrize("make", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_rejected(self, make):
         r = GarbageCollectedReplica(0, 3, SPEC)
         r.on_update(S.insert(1))
         before = (r.local_state(), r.gc_clock_floor, r.clock.value)
-        h = StateHandoff(base=frozenset({99}), clock_floor=50, frontier=(50, 1))
-        tag, sender, state = h.payload(1)
-        del state["digest"]
-        with pytest.raises(SyncProtocolError, match="integrity"):
-            r.on_message(1, (tag, sender, state))
+        with pytest.raises(SyncProtocolError, match="refused"):
+            r.on_message(2, make())
+        assert (r.local_state(), r.gc_clock_floor, r.clock.value) == before
+
+    def test_tampered_handoff_refused(self):
+        # a base record edited after chaining: every link still holds,
+        # the final digest does not
+        doc = json.loads(state_transfer(_sender())[1])
+        doc["records"][1]["clock_floor"] = 8
+        r = GarbageCollectedReplica(0, 3, SPEC)
+        with pytest.raises(SyncProtocolError, match="rolling digest"):
+            r.on_message(2, (SYNC_STATE, json.dumps(doc)))
+        assert r.gc_clock_floor == 0
+
+    def test_untagged_handoff_refused_and_installs_nothing(self):
+        # an image without its final digest, and the bare fields a
+        # handoff used to be, are both refused before anything installs
+        r = GarbageCollectedReplica(0, 3, SPEC)
+        r.on_update(S.insert(1))
+        before = (r.local_state(), r.gc_clock_floor, r.clock.value)
+        doc = json.loads(state_transfer(_sender())[1])
+        del doc["digest"]
+        gc = _sender().durable_gc_state()
+        for payload in [(SYNC_STATE, json.dumps(doc)), (SYNC_STATE, 2, gc)]:
+            with pytest.raises(SyncProtocolError, match="refused"):
+                r.on_message(2, payload)
         assert (r.local_state(), r.gc_clock_floor, r.clock.value) == before
 
 
@@ -379,16 +451,60 @@ class TestStateTransfer:
     def test_install_gc_state_adopts_floor(self):
         c = self._collected_cluster()
         r0, r1 = c.replicas[0], c.replicas[1]
-        handoff = StateHandoff(**r0.durable_gc_state())
+        gc = r0.durable_gc_state()
         fresh = GarbageCollectedReplica(1, c.n, SPEC)
         assert fresh.install_gc_state(
-            base=handoff.base, clock_floor=handoff.clock_floor,
-            frontier=handoff.frontier,
+            base=gc["base"], clock_floor=gc["clock_floor"],
+            frontier=gc["frontier"],
         )
         assert fresh.gc_clock_floor == r0.gc_clock_floor
-        assert fresh.clock.value >= handoff.clock_floor
-        assert all(h >= handoff.clock_floor for h in fresh.heard)
+        assert fresh.clock.value >= gc["clock_floor"]
+        assert all(h >= gc["clock_floor"] for h in fresh.heard)
         assert fresh.local_state() == r0._base
+
+    @staticmethod
+    def _handoff_and_boot(pid, n, payload, image):
+        """What a fresh replica installing ``payload`` from ``pid`` holds,
+        and what a fresh one booting ``image`` holds — the sender's image
+        cut before its first entry: only the base record, which no fsync
+        point truncates."""
+        installed = GarbageCollectedReplica((pid + 1) % n, n, SPEC)
+        installed.on_message(pid, payload)
+        booted = GarbageCollectedReplica(pid, n, SPEC)
+        restore_replica(booted, image)
+        return [
+            (r._base, r.gc_clock_floor, r._gc_frontier, r.local_state())
+            for r in (installed, booted)
+        ]
+
+    def test_handoff_installs_what_a_boot_installs(self):
+        r0 = self._collected_cluster().replicas[0]
+        installed, booted = self._handoff_and_boot(
+            0, 3, state_transfer(r0), replica_snapshot(r0, fsync_point=0)
+        )
+        assert installed == booted
+        assert installed[:3] == (r0._base, r0.gc_clock_floor, r0._gc_frontier)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_handoff_of_the_gc_scenario_installs_what_a_boot_installs(
+        self, seed, monkeypatch
+    ):
+        from repro.sim.fuzz import gc_state_transfer_scenario
+
+        sent = []
+
+        def recording(replica):
+            payload = state_transfer(replica)
+            image = replica_snapshot(replica, fsync_point=0)
+            sent.append((replica.pid, replica.n, payload, image))
+            return payload
+
+        monkeypatch.setattr(checkpoint, "state_transfer", recording)
+        gc_state_transfer_scenario(seed)
+        assert sent
+        for pid, n, payload, image in sent:
+            installed, booted = self._handoff_and_boot(pid, n, payload, image)
+            assert installed == booted and installed[1] > 0
 
     def test_install_refuses_lower_floor(self):
         c = self._collected_cluster()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.adt import Update
+from repro.core.checkpoint import GarbageCollectedReplica
 from repro.net.framing import (
     MAX_FRAME,
     FrameError,
@@ -14,6 +15,9 @@ from repro.net.framing import (
     encode_frame,
     pop_frames,
 )
+from repro.net.node import MSG
+from repro.proto.wire import state_transfer
+from repro.specs.set_spec import SetSpec, insert
 
 
 def test_round_trip_with_rest():
@@ -97,3 +101,20 @@ def test_any_cut_of_a_frame_stream_yields_the_same_frames(values, data):
         buf += stream[lo:hi]
         got += pop_frames(buf)
     assert got == expected and not buf and not whole
+
+
+def test_a_state_transfer_crosses_the_framing_byte_for_byte_and_installs():
+    sender = GarbageCollectedReplica(0, 2, SetSpec())
+    for v in range(5):
+        sender.on_update(insert(v))
+    sender.on_message(1, ("hb", 10, 1))
+    assert sender.collect_garbage() == 5
+    payload = state_transfer(sender)
+    buf = bytearray(encode_frame((MSG, 0, payload)))
+    [(kind, src, received)] = pop_frames(buf)
+    assert (kind, src) == (MSG, 0) and not buf
+    assert received == payload and received[1].encode() == payload[1].encode()
+    receiver = GarbageCollectedReplica(1, 2, SetSpec())
+    receiver.on_message(src, received)
+    assert receiver.gc_clock_floor == sender.gc_clock_floor == 5
+    assert receiver.local_state() == sender.local_state() == set(range(5))

@@ -9,10 +9,14 @@ import weakref
 
 import pytest
 
+from repro.core.checkpoint import GarbageCollectedReplica
+from repro.core.sync import SYNC_STATE
 from repro.core.universal import UniversalReplica
+from repro.net.__main__ import make_factory
 from repro.net.framing import encode_frame
 from repro.net.harness import LocalCluster
 from repro.net.node import MSG, ReplicaNode
+from repro.proto.wire import state_transfer
 from repro.specs.set_spec import SetSpec, insert
 
 
@@ -151,6 +155,38 @@ def test_a_malformed_frame_closes_its_link_and_is_counted(frame):
             assert node.registry.value("repro_net_frames_rejected_total") == 1
             assert node.task_errors == []
             cluster.submit(0, insert(3))  # the mesh's own links are unharmed
+            await wait_for(lambda: 3 in node.local_state())
+        finally:
+            await cluster.stop()
+
+    asyncio.run(scenario())
+
+
+def _foreign_image():
+    other = GarbageCollectedReplica(1, 2, SetSpec())
+    other.install_gc_state(base=frozenset({9}), clock_floor=5)
+    return state_transfer(other)  # process 1's image, sent as from 0
+
+
+@pytest.mark.parametrize("payload", [
+    lambda: (SYNC_STATE, 1, {}),  # the pre-image shape, no fields
+    _foreign_image,
+], ids=["bare-dict", "foreign-image"])
+def test_a_refused_state_transfer_closes_its_link_and_is_counted(payload):
+    async def scenario():
+        cluster = LocalCluster(2, make_factory("set", gc=True),
+                               sync_interval=0.05, http=False)
+        await cluster.start()
+        try:
+            node = cluster.nodes[1]
+            reader, writer = await asyncio.open_connection(node.host, node.peer_port)
+            writer.write(encode_frame((MSG, 0, payload())))
+            assert await asyncio.wait_for(reader.read(), 2.0) == b""  # closed
+            writer.close()
+            assert node.registry.value("repro_net_frames_rejected_total") == 1
+            assert node.task_errors == []
+            assert node.core.replica.gc_clock_floor == 0  # nothing installed
+            cluster.submit(0, insert(3))
             await wait_for(lambda: 3 in node.local_state())
         finally:
             await cluster.stop()

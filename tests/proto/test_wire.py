@@ -8,13 +8,22 @@ is itself a tested invariant, not an implementation detail.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
 from repro.core.adt import Query, Update
 from repro.core.checkpoint import GarbageCollectedReplica
 from repro.core.universal import UniversalReplica
-from repro.proto.wire import decode_payload, encode_payload, replica_snapshot
+from repro.proto.wire import (
+    base_record,
+    decode_payload,
+    encode_payload,
+    install_base,
+    read_image,
+    replica_snapshot,
+    restore_replica,
+)
 from repro.specs import SetSpec
 from repro.specs import set_spec as S
 
@@ -99,3 +108,32 @@ def _scripted_collected():
 def test_image_bytes_are_golden(make, golden):
     image = replica_snapshot(make())
     assert hashlib.sha256(image.encode("utf-8")).hexdigest() == golden
+
+
+# -- refusals are ValueErrors, never raw KeyErrors ---------------------------------
+
+
+def test_an_image_without_a_pid_is_refused():
+    doc = json.loads(replica_snapshot(_scripted_universal()))
+    del doc["pid"]
+    with pytest.raises(ValueError, match="names no process"):
+        read_image(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field", ["base", "clock_floor", "frontier"])
+def test_a_base_record_missing_a_field_is_refused(field):
+    rec = base_record(1, _scripted_collected().durable_gc_state())
+    del rec[field]
+    r = GarbageCollectedReplica(0, 2, SetSpec())
+    with pytest.raises(ValueError, match="malformed base record"):
+        install_base(r, rec)
+    assert (r.gc_clock_floor, r.clock.value, r.local_state()) == (0, 0, frozenset())
+
+
+@pytest.mark.parametrize("field", ["base", "clock_floor", "frontier"])
+def test_restoring_a_base_record_missing_a_field_is_refused(field):
+    image = read_image(replica_snapshot(_scripted_collected()))
+    assert image.records[1]["r"] == "base"
+    del image.records[1][field]
+    with pytest.raises(ValueError, match="malformed base record"):
+        restore_replica(GarbageCollectedReplica(0, 2, SetSpec()), image)

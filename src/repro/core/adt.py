@@ -86,7 +86,24 @@ class UQADT:
       necessarily reachable);
     * optionally :meth:`canonical` — hashable canonical form of a state
       (defaults to the state itself), used to compare states for equality
-      across replicas.
+      across replicas;
+    * optionally the three *working-state* hooks the replay-caching
+      replicas fold through (Section VII-C's kept intermediate state):
+      :meth:`thaw` returns a private working copy of a state,
+      :meth:`fold_into` folds updates into a working copy — the one
+      method allowed to mutate its argument — and :meth:`freeze` returns
+      an immutable snapshot that later folds into the working copy cannot
+      change.  The defaults (identity, ``apply_batch``, identity) suit an
+      immutable state with cheap transitions; a spec whose ``apply``
+      copies the whole state (a set, a map) overrides all three so a
+      replica pays one copy per snapshot instead of one per fold.
+      ``freeze(fold_into(thaw(s), us)) == apply_batch(s, us)`` and ``s``
+      is left unchanged (property-tested over every spec).
+
+    :meth:`apply`, :meth:`apply_batch` and :meth:`observe` stay pure.
+    :meth:`observe` must accept a working state as well as a frozen one,
+    answer both alike, and never return an alias of a working state (a
+    ``read`` of a working set returns a snapshot of it, i.e. one copy).
     """
 
     name: str = "uq-adt"
@@ -137,6 +154,27 @@ class UQADT:
         for update in updates:
             state = self.apply(state, update)
         return state
+
+    # -- working states (the replica-owned replay tip) ---------------------------
+
+    def thaw(self, state: Any) -> Any:
+        """A private working copy of ``state`` for :meth:`fold_into`.
+        Must not alias anything :meth:`fold_into` would mutate.  Default:
+        the state itself (states are immutable, folds return new ones)."""
+        return state
+
+    def fold_into(self, work: Any, updates: Sequence[Update]) -> Any:
+        """Fold ``updates`` into the working state ``work`` and return it.
+        May mutate ``work`` (and only ``work``: never a state it was
+        thawed from or a snapshot frozen from it).  Default:
+        :meth:`apply_batch`."""
+        return self.apply_batch(work, updates)
+
+    def freeze(self, work: Any) -> Any:
+        """An immutable snapshot of the working state ``work`` that later
+        :meth:`fold_into` calls cannot change; a state :meth:`apply` and
+        the wire codecs accept.  Default: ``work`` itself."""
+        return work
 
     def probe_updates(self) -> Sequence[Update]:
         """A small generator set of updates exercising the spec's algebra.

@@ -11,7 +11,11 @@ implemented here.
     checkpoints in a dyadically-thinned
     :class:`~repro.core.ckpt_tree.CheckpointTree` (O(log n) retained
     states, densest near the replay tip).  A query only folds in the
-    updates that arrived since the last one (amortized O(new updates)).
+    updates that arrived since the last one (amortized O(new updates)),
+    in place: the replay tip is a working state the replica owns
+    (:meth:`~repro.core.adt.UQADT.thaw`), frozen only where a checkpoint
+    is recorded, so a copying spec pays one state copy per checkpoint
+    interval rather than one per query.
     A *late* message — one whose timestamp sorts before already-replayed
     updates — rolls back to the nearest surviving checkpoint with one
     bisect + slice delete, so the re-replay that follows is proportional
@@ -52,15 +56,6 @@ from repro.core.universal import Stamped, UniversalReplica
 from repro.obs.metrics import MetricsRegistry
 from repro.proto.wire import install_state_transfer, state_transfer
 
-#: Pending updates (within one checkpoint stride) from which a fold goes
-#: through ``spec.apply_batch`` instead of one ``spec.apply`` each.  Every
-#: spec's batch fold costs one copy of the state (two for a set batch
-#: with deletes) plus a step per update, a single apply one copy:
-#: measured on ``SetSpec`` states of 100, 1 000 and 10 000 elements the
-#: batch breaks even between 2 and 3 updates at every size.  Below the
-#: mark — the suffix a query at a busy node sees — ``apply`` stays.
-BATCH_FOLD_MIN = 4
-
 
 class CheckpointedReplica(UniversalReplica):
     """Algorithm 1 with cached replay prefix and a checkpoint tree."""
@@ -68,6 +63,7 @@ class CheckpointedReplica(UniversalReplica):
     __slots__ = (
         "checkpoint_interval",
         "_state",
+        "_owned",
         "_applied",
         "_ckpts",
         "_rollbacks",
@@ -94,8 +90,13 @@ class CheckpointedReplica(UniversalReplica):
         if checkpoint_interval <= 0:
             raise ValueError("checkpoint interval must be positive")
         self.checkpoint_interval = checkpoint_interval
+        #: the replay tip: updates[:applied] folded into _state.  While
+        #: ``_owned`` it is a private working state folded in place;
+        #: otherwise it is shared (a checkpoint, the base) and the next
+        #: fold thaws it first.
         self._state: Any = spec.initial_state()
-        self._applied = 0  # updates[:applied] are folded into _state
+        self._owned = False
+        self._applied = 0
         self._ckpts = CheckpointTree(self._state)
 
     def bind_metrics(self, registry: MetricsRegistry) -> None:
@@ -138,34 +139,46 @@ class CheckpointedReplica(UniversalReplica):
     def _after_insert(self, pos: int, stamped: Stamped) -> None:
         if self._fast_path:
             # Arrival-order fold answers queries; the replay cache idles.
-            self._fast_state = self.spec.apply(self._fast_state, stamped[2])
-            return
-        if pos < self._applied:
+            super()._after_insert(pos, stamped)
+        elif pos < self._applied:
             # Late message: the cached state replayed updates that sort
             # after it.  Roll back to the nearest checkpoint not past pos
             # (a checkpoint *at* pos is still valid: it folds exactly the
-            # entries now sorting before the newcomer).
+            # entries now sorting before the newcomer).  The checkpoint
+            # becomes the shared tip: nothing is copied until a query
+            # folds past it.
             self._rollbacks.inc()
             idx, state = self._ckpts.rollback(pos)
             self._rollback_replayed.inc(self._applied - idx)
-            self._applied, self._state = idx, state
+            self._share_tip(idx, state)
+
+    def _share_tip(self, applied: int, state: Any) -> None:
+        """Point the replay tip at a frozen state it does not own (a
+        checkpoint, the base): it is its own snapshot, and the next fold
+        thaws it."""
+        self._applied, self._state, self._owned = applied, state, False
+        self._snapshot = state
 
     def _replay_state(self) -> Any:
         state = self._state
         i = self._applied
-        start = i
+        end = len(self.updates)
+        if i == end:
+            return state
         log = self.updates
-        end = len(log)
-        interval = self.checkpoint_interval
         spec = self.spec
+        interval = self.checkpoint_interval
         record = self._ckpts.record
-        # Every stride stops on a checkpoint position.  The few updates a
-        # query at a busy node finds pending are applied one by one.  A
-        # long suffix (restored log, caught-up rejoiner) goes in batch
-        # folds that halve the distance to the tip until two intervals
-        # remain — each fold copies the state once, and the stops are the
-        # O(log n) checkpoints dyadic thinning would have kept of one per
-        # interval.
+        if not self._owned:
+            state, self._owned = spec.thaw(state), True
+        # Every stride is one in-place fold and stops on a checkpoint
+        # position; the tip is frozen only where a checkpoint is recorded.
+        # The few updates a query at a busy node finds pending are one
+        # fold and no copy.  A long suffix (restored log, caught-up
+        # rejoiner) goes in strides that halve the distance to the tip
+        # until two intervals remain — the stops are the O(log n)
+        # checkpoints dyadic thinning would have kept of one per interval.
+        start = i
         while i < end:
             ahead = end - i
             if ahead > 2 * interval:
@@ -173,29 +186,31 @@ class CheckpointedReplica(UniversalReplica):
                 stop -= stop % interval
             else:
                 stop = min(end, i - i % interval + interval)
-            if stop - i < BATCH_FOLD_MIN:
-                for j in range(i, stop):
-                    state = spec.apply(state, log[j][2])
-            else:
-                state = spec.apply_batch(state, [s[2] for s in log[i:stop]])
+            state = spec.fold_into(state, [s[2] for s in log[i:stop]])
             i = stop
+            snapshot = None
             if i % interval == 0:
-                record(i, state)
+                snapshot = spec.freeze(state)
+                record(i, snapshot)
         self._replayed.inc(i - start)
-        self._applied, self._state = i, state
+        # A checkpoint frozen at the tip doubles as its snapshot.
+        self._applied, self._state, self._snapshot = i, state, snapshot
         return state
 
     def _peek_state(self) -> Any:
-        """Introspection fold: reuses the cached prefix but mutates
-        nothing and charges nothing (see the base-class docstring).  The
-        pending suffix — the whole log on a restored replica nobody has
-        queried, which ``settle()`` polls — is one batch fold."""
+        """Introspection fold: reuses the cached prefix but moves nothing
+        and charges nothing (see the base-class docstring).  The tip is
+        handed out frozen (one copy per tip position, however often it is
+        polled); the pending suffix — the whole log on a restored replica
+        nobody has queried, which ``settle()`` polls — is one batch fold
+        on top of that snapshot."""
         if self._fast_path:
-            return self._fast_state
+            return super()._peek_state()
+        snapshot = self._snapshot_of(self._state)
         if self._applied == len(self.updates):
-            return self._state
+            return snapshot
         return self.spec.apply_batch(
-            self._state, [s[2] for s in self.updates[self._applied:]]
+            snapshot, [s[2] for s in self.updates[self._applied:]]
         )
 
 
@@ -394,12 +409,11 @@ class GarbageCollectedReplica(CheckpointedReplica):
         cut = bisect_left(self._keys, (frontier + 1,))
         if cut == 0:
             return 0
-        # Fold the prefix into the base state.
-        state = self._base
-        for cl, j, update in self.updates[:cut]:
-            state = self.spec.apply(state, update)
-            self._gc_frontier = (cl, j)
-        self._base = state
+        # Fold the prefix into the base state: one batch fold, one copy.
+        self._base = self.spec.apply_batch(
+            self._base, [s[2] for s in self.updates[:cut]]
+        )
+        self._gc_frontier = self._keys[cut - 1]
         self._drop_prefix(cut)
         if self._fast_path:
             # The arrival-order fold already contains the collected
@@ -416,7 +430,7 @@ class GarbageCollectedReplica(CheckpointedReplica):
             if self._applied >= cut:
                 self._applied -= cut
             else:
-                self._applied, self._state = 0, self._base
+                self._share_tip(0, self._base)
         self._collected.inc(cut)
         return cut
 
@@ -507,15 +521,16 @@ class GarbageCollectedReplica(CheckpointedReplica):
         for j in range(self.n):
             self.heard[j] = max(self.heard[j], clock_floor)
         # Cached replay structures predate the new base; rebuild from it.
-        self._applied, self._state = 0, base
         self._ckpts.reset(base)
+        self._share_tip(0, base)
         if self._fast_path:
             # The handed-off base replaces our arrival-order fold's view
             # of the collected prefix wholesale; refold the surviving
             # live entries on top of it.
-            self._fast_state = self.spec.apply_batch(
-                base, [u for _, _, u in self.updates]
+            self._fast_state = self.spec.fold_into(
+                self.spec.thaw(base), [u for _, _, u in self.updates]
             )
+            self._snapshot = None
         if self._own_suspect_below and clock_floor >= self._own_suspect_below:
             # The floor certifies every update (ours included) at or
             # below it, so the amnesia gap is provably repaired.

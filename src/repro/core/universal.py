@@ -108,6 +108,7 @@ class UniversalReplica(Replica):
         "_visible_pending",
         "_fast_path",
         "_fast_state",
+        "_snapshot",
         "_visible_cache",
         "_replayed",
         "_sync_requests",
@@ -194,8 +195,16 @@ class UniversalReplica(Replica):
             )
         #: Section VII-C commutative fast path: maintain the arrival-order
         #: fold beside the sorted log and answer queries from it in O(1).
+        #: The fold is a working state this replica owns (``spec.thaw``):
+        #: each arrival folds into it in place.
         self._fast_path = fast_path
-        self._fast_state: Any = spec.initial_state() if fast_path else None
+        self._fast_state: Any = (
+            spec.thaw(spec.initial_state()) if fast_path else None
+        )
+        #: frozen snapshot of the folded tip (the fast-path fold here, the
+        #: replay tip in :class:`~repro.core.checkpoint.CheckpointedReplica`)
+        #: for introspection, or None once the tip has moved since.
+        self._snapshot: Any = None
 
     # -- observability ---------------------------------------------------------------
 
@@ -486,7 +495,8 @@ class UniversalReplica(Replica):
         log.  The base class feeds the commutative fast-path fold;
         subclasses add rollback (checkpoint) or undo/redo maintenance."""
         if self._fast_path:
-            self._fast_state = self.spec.apply(self._fast_state, stamped[2])
+            self._fast_state = self.spec.fold_into(self._fast_state, (stamped[2],))
+            self._snapshot = None
 
     def _replay_state(self) -> Any:
         """Full replay — lines 14-17 (optionally batch-folded).  Charges
@@ -503,10 +513,11 @@ class UniversalReplica(Replica):
         anti-entropy agreement test — used to run through
         :meth:`_replay_state` and inflate
         ``repro_replica_replayed_updates_total``, corrupting the
-        per-query replay-cost metric the benches gate on.
+        per-query replay-cost metric the benches gate on.  Never returns
+        a working state: the fast-path fold is handed out frozen.
         """
         if self._fast_path:
-            return self._fast_state
+            return self._snapshot_of(self._fast_state)
         if self.batch_replay:
             return self.spec.apply_batch(
                 self.spec.initial_state(), [u for _, _, u in self.updates]
@@ -515,6 +526,15 @@ class UniversalReplica(Replica):
         for _, _, update in self.updates:
             state = self.spec.apply(state, update)
         return state
+
+    def _snapshot_of(self, work: Any) -> Any:
+        """``spec.freeze(work)`` for the folded tip ``work``, cached until
+        the tip next moves (whoever moves it resets ``_snapshot``), so
+        polling an idle replica copies nothing."""
+        snap = self._snapshot
+        if snap is None:
+            snap = self._snapshot = self.spec.freeze(work)
+        return snap
 
     def _visible_uids(self) -> frozenset[tuple[int, int]]:
         """The witness visibility set: every known update's ``(clock,

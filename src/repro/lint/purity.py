@@ -26,7 +26,17 @@ from repro.lint.engine import ClassInfo, Finding, ModuleInfo, register
 from repro.lint.mutation import find_mutations, function_params
 
 #: UQADT methods whose first non-self parameter is the state and must stay pure.
-PURE_STATE_METHODS = ("apply", "observe", "unapply", "apply_batch", "evaluate")
+#: ``fold_into`` is absent on purpose: it is the one sanctioned mutator, and
+#: only of the private working state ``thaw`` made (``core.adt.UQADT``).
+PURE_STATE_METHODS = (
+    "apply",
+    "observe",
+    "unapply",
+    "apply_batch",
+    "evaluate",
+    "thaw",
+    "freeze",
+)
 
 #: Calls that re-enter the transition function from inside ``observe``.
 TRANSITION_CALLS = frozenset({"apply", "apply_batch", "unapply", "replay"})

@@ -39,11 +39,27 @@ class GSetSpec(UQADT):
             return state | {v}
         raise ValueError(f"unknown g-set update {update.name!r} (g-set has no delete)")
 
+    def thaw(self, state: frozenset) -> set:
+        return set(state)
+
+    def fold_into(self, work: set, updates: Sequence[Update]) -> set:
+        add = work.add
+        for u in updates:
+            if u.name != "insert":
+                raise ValueError(
+                    f"unknown g-set update {u.name!r} (g-set has no delete)"
+                )
+            add(u.args[0])
+        return work
+
+    def freeze(self, work: set) -> frozenset:
+        return frozenset(work)
+
     def probe_updates(self) -> Sequence[Update]:
         # Re-inserting an element is the only interesting interaction.
         return (insert("a"), insert("b"), insert("a"))
 
-    def observe(self, state: frozenset, name: str, args: tuple[Hashable, ...] = ()) -> object:
+    def observe(self, state: frozenset | set, name: str, args: tuple[Hashable, ...] = ()) -> object:
         if name == "read":
             return frozenset(state)
         if name == "contains":

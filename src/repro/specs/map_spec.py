@@ -38,7 +38,11 @@ def snapshot(expected: dict) -> Query:
 
 
 class MapSpec(UQADT):
-    """Dictionary object; state is a plain dict (copied on update)."""
+    """Dictionary object; state is a plain dict (copied on update).
+
+    A replica's working state is a private dict that :meth:`fold_into`
+    updates in place; :meth:`thaw` and :meth:`freeze` are ``dict`` copies.
+    """
 
     name = "map"
     commutative_updates = False
@@ -60,6 +64,24 @@ class MapSpec(UQADT):
             del new[k]
             return new
         raise ValueError(f"unknown map update {update.name!r}")
+
+    def thaw(self, state: dict) -> dict:
+        return dict(state)
+
+    def fold_into(self, work: dict, updates: Sequence[Update]) -> dict:
+        for u in updates:
+            if u.name == "put":
+                k, v = u.args
+                work[k] = v
+            elif u.name == "remove":
+                (k,) = u.args
+                work.pop(k, None)
+            else:
+                raise ValueError(f"unknown map update {u.name!r}")
+        return work
+
+    def freeze(self, work: dict) -> dict:
+        return dict(work)
 
     def probe_updates(self) -> Sequence[Update]:
         # Two puts to the same key, and a put/remove pair: order decides

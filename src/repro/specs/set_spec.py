@@ -5,7 +5,11 @@ whole content, returning a finite subset of the support) plus a
 ``contains(v)`` convenience query (derivable from ``R``; having it lets
 tests and workloads exercise queries that reveal only part of the state).
 
-States are ``frozenset`` values; the transition function is pure.
+States are ``frozenset`` values; the transition function is pure.  A
+replica's replay tip is a working ``set`` (:meth:`SetSpec.thaw`) that
+:meth:`SetSpec.fold_into` updates in place and :meth:`SetSpec.freeze`
+snapshots back to a ``frozenset`` — the only shape that reaches the wire
+or the journal.
 """
 
 from __future__ import annotations
@@ -76,12 +80,30 @@ class SetSpec(UQADT):
             state = state.difference(removed)
         return state.union(v for v, present in decided.items() if present)
 
+    def thaw(self, state: frozenset) -> set:
+        return set(state)
+
+    def fold_into(self, work: set, updates: Sequence[Update]) -> set:
+        add, discard = work.add, work.discard
+        for u in updates:
+            (v,) = u.args
+            if u.name == "insert":
+                add(v)
+            elif u.name == "delete":
+                discard(v)
+            else:
+                raise ValueError(f"unknown set update {u.name!r}")
+        return work
+
+    def freeze(self, work: set) -> frozenset:
+        return frozenset(work)
+
     def probe_updates(self) -> Sequence[Update]:
         # insert("a") / delete("a") is the canonical order-sensitive pair
         # (Example 1): a probe set any commutativity checker must reject.
         return (insert("a"), delete("a"), insert("b"))
 
-    def observe(self, state: frozenset, name: str, args: tuple[Hashable, ...] = ()) -> object:
+    def observe(self, state: frozenset | set, name: str, args: tuple[Hashable, ...] = ()) -> object:
         if name == "read":
             return frozenset(state)
         if name == "contains":

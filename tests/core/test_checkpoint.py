@@ -168,11 +168,18 @@ class TestRollbackAccounting:
 
 
 class CountingSetSpec(SetSpec):
-    """A set spec that counts its per-update and batch folds."""
+    """A set spec that counts its folds (per-update, batch and in-place,
+    by length) and its state copies (thaws and freezes)."""
 
     def __init__(self):
+        self.reset()
+
+    def reset(self):
         self.applies = 0
         self.batches = []
+        self.folds = []
+        self.thaws = 0
+        self.freezes = 0
 
     def apply(self, state, update):
         self.applies += 1
@@ -182,13 +189,25 @@ class CountingSetSpec(SetSpec):
         self.batches.append(len(updates))
         return super().apply_batch(state, updates)
 
+    def thaw(self, state):
+        self.thaws += 1
+        return super().thaw(state)
+
+    def fold_into(self, work, updates):
+        self.folds.append(len(updates))
+        return super().fold_into(work, updates)
+
+    def freeze(self, work):
+        self.freezes += 1
+        return super().freeze(work)
+
 
 class TestColdFold:
     """A long pending suffix (a restored log, a caught-up rejoiner) folds
-    in batch strides that halve the distance to the tip — O(log n) state
-    copies, the stops being the checkpoints thinning keeps; the short
-    suffix a steady-state query sees stays on per-update ``apply``.
-    Counted in calls."""
+    in strides that halve the distance to the tip — O(log n) in-place
+    folds, the stops being the checkpoints thinning keeps and the only
+    places the tip is frozen; the short suffix a steady-state query sees
+    is one fold and no copy.  Counted in calls."""
 
     def restored(self, n_entries, *, interval=64):
         spec = CountingSetSpec()
@@ -197,20 +216,21 @@ class TestColdFold:
             (cl, cl % 2, S.insert(cl) if cl % 7 else S.delete(cl - 1))
             for cl in range(1, n_entries + 1)
         )
-        assert spec.applies == 0 and spec.batches == []
+        assert spec.applies == 0 and spec.batches == [] and spec.folds == []
         return r, spec
 
     SIZES = (1_000, 8_000, 50_000)
 
     def test_a_restored_log_folds_in_halving_strides(self):
-        from repro.core.checkpoint import BATCH_FOLD_MIN
-
         for n_entries in self.SIZES:
             r, spec = self.restored(n_entries)
             answer = r.on_query("read")
-            assert len(spec.batches) <= 2 * math.log2(n_entries / 64) + 4
-            assert spec.applies < BATCH_FOLD_MIN
-            assert sum(spec.batches) + spec.applies == n_entries
+            assert len(spec.folds) <= 2 * math.log2(n_entries / 64) + 4
+            assert spec.applies == 0 and spec.batches == []
+            assert sum(spec.folds) == n_entries
+            # one private copy of the base, one frozen per checkpoint
+            assert spec.thaws == 1
+            assert spec.freezes == len(r.checkpoint_indices()) - 1
             assert r.replayed_updates == n_entries == len(r.updates)
             naive = UniversalReplica(0, 3, SetSpec(), batch_replay=False)
             naive.load_log(r.updates)
@@ -224,7 +244,7 @@ class TestColdFold:
             assert idx[0] == 0 and all(i % 16 == 0 for i in idx)
             # every full-interval stop survived: no state was copied to
             # be dropped again
-            stops = [sum(spec.batches[:k + 1]) for k in range(len(spec.batches))]
+            stops = [sum(spec.folds[:k + 1]) for k in range(len(spec.folds))]
             assert idx[1:] == [stop for stop in stops if stop % 16 == 0]
             # the tree's own invariant: no interior checkpoint is droppable
             tip = idx[-1]
@@ -244,21 +264,21 @@ class TestColdFold:
         r.on_query("read")
         assert r.replayed_updates == len(r.updates) + r.rollback_replayed
 
-    def test_short_suffix_stays_on_apply(self):
-        from repro.core.checkpoint import BATCH_FOLD_MIN
-
+    def test_a_short_suffix_is_one_fold_and_no_copy(self):
         r, spec = self.restored(640)
         r.on_query("read")
-        spec.batches.clear()
-        for i in range(BATCH_FOLD_MIN - 1):
+        spec.reset()
+        for i in range(3):
             r.on_message(1, (10_000 + i, 1, S.insert(-i)))
         r.on_query("read")
-        assert spec.applies == BATCH_FOLD_MIN - 1 and spec.batches == []
-        for i in range(BATCH_FOLD_MIN):
+        assert spec.folds == [3] and spec.thaws == spec.freezes == 0
+        # crossing the next checkpoint position (704) freezes the tip once
+        for i in range(61):
             r.on_message(1, (20_000 + i, 1, S.insert(-100 - i)))
         r.on_query("read")
-        assert spec.applies == BATCH_FOLD_MIN - 1
-        assert spec.batches == [BATCH_FOLD_MIN]
+        assert spec.folds == [3, 61] and spec.thaws == 0 and spec.freezes == 1
+        assert spec.applies == 0 and spec.batches == []
+        assert r.checkpoint_indices()[-1] == 704
 
     def test_peek_folds_a_long_suffix_in_one_batch_and_keeps_nothing(self):
         # LocalCluster.settle() polls local_state() on a rejoiner nobody
@@ -358,6 +378,22 @@ class TestGarbageCollection:
         # If the schedule happened to stay ordered, states must be right.
         states = {frozenset(s) for s in c.states().values()}
         assert len(states) == 1
+
+    def test_collecting_k_entries_is_one_batch_fold(self):
+        spec = CountingSetSpec()
+        r = GarbageCollectedReplica(0, 2, spec, gc_interval=10_000)
+        for i in range(50):
+            r.on_update(S.insert(i) if i % 5 else S.delete(i - 1))
+        r.on_message(1, ("hb", 30, 1))
+        spec.reset()
+        assert r.collect_garbage() == 30
+        assert spec.applies == 0 and spec.batches == [30]
+        # the same base and frontier the per-entry fold produced
+        folded = SPEC.initial_state()
+        for i in range(30):
+            folded = SPEC.apply(folded, S.insert(i) if i % 5 else S.delete(i - 1))
+        assert r.durable_gc_state()["base"] == folded
+        assert r.durable_gc_state()["frontier"] == (30, 0)
 
     def test_gc_interval_validated(self):
         with pytest.raises(ValueError):

@@ -2,10 +2,12 @@
 
 ``make_factory`` (what ``python -m repro.net serve`` runs) hands out
 replicas that keep their replayed prefix: a query folds the updates that
-arrived since the previous one, and its witness's visibility set is built
-when somebody claims it (or just before the log next changes), not per
-query.  Algorithm 1 verbatim — ``UniversalReplica`` by name — still pays
-the whole log (``tests/core/test_checkpoint.py::
+arrived since the previous one into a working state the replica owns —
+no copy of the state unless the tip crosses a checkpoint position — and
+its witness's visibility set is built when somebody claims it (or just
+before the log next changes), not per query.  Algorithm 1 verbatim —
+``UniversalReplica`` by name — still pays the whole log
+(``tests/core/test_checkpoint.py::
 TestCheckpointedReplica::test_naive_replica_pays_full_replay``).
 """
 
@@ -41,12 +43,49 @@ def test_a_query_on_the_shipped_replica_folds_only_what_arrived_since(
             else:
                 r.on_update(S.delete(k))
         before = r.replayed_updates
-        spec.applies = 0
-        spec.batches.clear()
+        spec.reset()
         r.on_query("contains", (5,))
         assert r.replayed_updates - before == arrived
-        assert spec.applies + sum(spec.batches) == arrived
+        assert sum(spec.folds) == arrived and len(spec.folds) <= arrived // 64 + 2
+        assert spec.applies == 0 and spec.batches == [] and spec.thaws == 0
     assert r.rollbacks == 0
+
+
+@pytest.mark.parametrize("gc", [False, True])
+def test_a_busy_replica_copies_its_state_once_per_checkpoint_interval(
+    gc, monkeypatch
+):
+    monkeypatch.setitem(net_main.OBJECTS, "set", CountingSetSpec)
+    r = net_main.make_factory("set", gc=gc)(0, 3)
+    spec = r.spec
+    for i in range(12_000):
+        r.on_update(S.insert(i))
+    r.on_query("contains", (0,))  # the cold fold: one thaw, then in place
+    assert spec.thaws == 1
+    spec.reset()
+    for round_ in range(400):
+        for k in range(4):
+            r.on_update(S.delete(round_) if k == 3 else S.insert(-4 * round_ - k))
+        r.on_query("contains", (round_,))
+    # 13 600 entries: the tip crossed 12 032, 12 096, ..., 13 568
+    crossings = 13_600 // 64 - 12_000 // 64
+    assert spec.thaws == 0 and spec.freezes == crossings == 25
+    assert sum(spec.folds) == 1_600 and spec.applies == 0 and spec.batches == []
+
+    # a late message rolls the tip back to a checkpoint: no copy at
+    # delivery, one thaw when the next query folds past it
+    spec.reset()
+    r.on_message(1, (13_000, 1, S.insert("late")))
+    assert r.rollbacks == 1
+    assert (spec.thaws, spec.freezes, spec.folds) == (0, 0, [])
+    assert r.on_query("contains", ("late",)) is True
+    assert spec.thaws == 1
+
+    # the tip is frozen once per position, however often it is polled
+    spec.reset()
+    first, second = r.local_state(), r.local_state()
+    assert first is second and spec.freezes == 1
+    assert type(first) is frozenset and "late" in first
 
 
 def ids(replica):

@@ -41,10 +41,7 @@ def run_with_log_series(kind: str):
             if ops % 4 == 0:
                 c.run()
         c.run()
-        if kind == "gc":
-            length = max(r.live_log_length for r in c.replicas)
-        else:
-            length = max(len(r.updates) for r in c.replicas)
+        length = max(r.log_length for r in c.replicas)
         series.append((target, length))
     return c, series
 

@@ -20,9 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import format_table
-from repro.core.checkpoint import CheckpointedReplica
 from repro.core.commutative import CommutativeReplica
-from repro.core.undo import UndoReplica
 from repro.core.universal import UniversalReplica
 from repro.sim import Cluster
 from repro.specs import CounterSpec
@@ -31,16 +29,18 @@ from repro.specs import counter as C
 SPEC = CounterSpec()
 SIZES = (100, 400, 1600)
 
-# fast_path=False: the counter commutes, so the universal replicas would
-# otherwise auto-activate the commutative fast path and measure it instead
-# of the replay machinery this bench characterizes (the fast path itself
-# is the `fast` variant of benchmarks/bench_throughput.py).
+# Each replay named explicitly: the counter commutes, so an unnamed replay
+# would be the arrival-order fold (the `fast` variant of
+# benchmarks/bench_throughput.py) instead of the machinery measured here.
+def replaying(replay: str):
+    return lambda p, n: UniversalReplica(
+        p, n, SPEC, replay=replay, track_witness=False)
+
+
 FACTORIES = {
-    "naive": lambda p, n: UniversalReplica(
-        p, n, SPEC, track_witness=False, fast_path=False),
-    "checkpoint": lambda p, n: CheckpointedReplica(
-        p, n, SPEC, track_witness=False, fast_path=False),
-    "undo": lambda p, n: UndoReplica(p, n, SPEC, track_witness=False),
+    "naive": replaying("naive"),
+    "checkpoint": replaying("checkpoint"),
+    "undo": replaying("undo"),
     "commutative": lambda p, n: CommutativeReplica(p, n, SPEC),
 }
 
@@ -66,10 +66,9 @@ def replay_cost(kind: str, n_updates: int) -> int:
     answered queries before (so caches are warm where the strategy has
     them) and the network is quiescent."""
     c = build_quiescent(kind, n_updates)
-    r0 = c.replicas[0]
-    before = getattr(r0, "replayed_updates", 0)
+    before = c.metrics.value("repro_replica_replayed_updates_total", pid=0)
     c.query(0, "read")
-    return getattr(r0, "replayed_updates", 0) - before
+    return c.metrics.value("repro_replica_replayed_updates_total", pid=0) - before
 
 
 @pytest.mark.parametrize("kind", list(FACTORIES))

@@ -59,9 +59,9 @@ def test_alg2_read_cost(benchmark, save_result, kind):
     for size in SIZES:
         cb = build(kind, size)
         r0 = cb.replicas[0]
-        before = getattr(r0, "replayed_updates", 0)
+        before = cb.metrics.value("repro_replica_replayed_updates_total", pid=0)
         cb.query(0, "read", (0,))
-        replayed = getattr(r0, "replayed_updates", 0) - before
+        replayed = cb.metrics.value("repro_replica_replayed_updates_total", pid=0) - before
         resident = (
             r0.register_count if kind == "alg2" else len(r0.updates)
         )

@@ -14,10 +14,10 @@ live system would be).  For each variant it reports
 
 Variants:
 
-* ``legacy``      — ``CheckpointedReplica(fast_path=False)``: the
-                    incremental checkpoint-tree replay on its own;
-* ``fast``        — ``CheckpointedReplica`` with the auto-activated
-                    commutative fast path (the counter commutes);
+* ``legacy``      — the checkpoint replay: incremental checkpoint-tree
+                    replay on its own;
+* ``fast``        — the arrival-order fold replay, the default on the
+                    counter (its updates commute);
 * ``naive``       — Algorithm 1 verbatim (full replay per query);
 * ``commutative`` — the log-free ``CommutativeReplica`` upper bound.
 
@@ -40,7 +40,6 @@ from typing import Any, Callable
 import pytest
 
 from repro.analysis import format_table
-from repro.core.checkpoint import CheckpointedReplica
 from repro.core.commutative import CommutativeReplica
 from repro.core.universal import UniversalReplica
 from repro.sim import Cluster
@@ -59,11 +58,11 @@ BASELINE_PATH = pathlib.Path(__file__).parent / "baselines" / "throughput.json"
 DEFAULT_TIMER = time.perf_counter
 
 VARIANTS: dict[str, Callable[[int, int], Any]] = {
-    "legacy": lambda p, n: CheckpointedReplica(
-        p, n, SPEC, track_witness=False, fast_path=False),
-    "fast": lambda p, n: CheckpointedReplica(p, n, SPEC, track_witness=False),
+    "legacy": lambda p, n: UniversalReplica(
+        p, n, SPEC, replay="checkpoint", track_witness=False),
+    "fast": lambda p, n: UniversalReplica(p, n, SPEC, track_witness=False),
     "naive": lambda p, n: UniversalReplica(
-        p, n, SPEC, track_witness=False, fast_path=False),
+        p, n, SPEC, replay="naive", track_witness=False),
     "commutative": lambda p, n: CommutativeReplica(p, n, SPEC),
 }
 
@@ -117,7 +116,7 @@ def measure(kind: str, timer: Callable[[], float] | None = None) -> dict[str, An
     """One run of ``kind`` reduced to the reported metrics."""
     raw = run_workload(kind, timer)
     c = raw["cluster"]
-    replayed = sum(getattr(r, "replayed_updates", 0) for r in c.replicas)
+    replayed = c.metrics.total("repro_replica_replayed_updates_total")
     lat = sorted(raw["latencies"])
     elapsed = raw["elapsed"]
     ops = N_OPS + raw["queries"]

@@ -164,9 +164,9 @@ def main(timer: Callable[[], float] | None = None) -> None:
         for size in m.SIZES:
             c = m.build(kind, size)
             r0 = c.replicas[0]
-            before = getattr(r0, "replayed_updates", 0)
+            before = c.metrics.value("repro_replica_replayed_updates_total", pid=0)
             c.query(0, "read", (0,))
-            replayed = getattr(r0, "replayed_updates", 0) - before
+            replayed = c.metrics.value("repro_replica_replayed_updates_total", pid=0) - before
             resident = r0.register_count if kind == "alg2" else len(r0.updates)
             rows.append([size, replayed, resident])
         save(f"alg2_memory_{kind}", format_table(

@@ -10,7 +10,8 @@ interleaving of the authors' edits that preserves each author's own order.
 The script contrasts three implementations on the same edit trace:
 
 * Algorithm 1 (update consistent)  — converges to one document;
-* the undo-optimized variant       — same document, cheaper repositioning;
+* the same replica with undo/redo replay — same document, cheaper
+  repositioning;
 * causal apply (causally consistent) — the Proposition 1 failure mode:
   concurrent edits land in different orders and replicas keep different
   documents forever.
@@ -18,7 +19,6 @@ The script contrasts three implementations on the same edit trace:
 Run: ``python examples/collaborative_editing.py``
 """
 
-from repro.core.undo import UndoReplica
 from repro.core.universal import UniversalReplica
 from repro.objects.causal import CausalApplyReplica
 from repro.sim import Cluster
@@ -80,12 +80,14 @@ def main() -> None:
     print(f"intention preservation (each author's own order kept): "
           f"{check_intentions(doc)}\n")
 
-    undo = Cluster(3, lambda p, n: UndoReplica(p, n, spec), seed=7)
+    undo = Cluster(
+        3, lambda p, n: UniversalReplica(p, n, spec, replay="undo"), seed=7
+    )
     edit_session(undo)
     assert show("undo-optimized (Karsenty-Beaudouin-Lafon)", undo)
     assert undo.query(0, "read") == doc, "optimizations must not change semantics"
     print(f"undo/redo steps spent repositioning late edits: "
-          f"{sum(r.undone_redone for r in undo.replicas)}\n")
+          f"{sum(r.replay.undone_redone for r in undo.replicas)}\n")
 
     causal = Cluster(3, lambda p, n: CausalApplyReplica(p, n, spec), seed=7)
     edit_session(causal)

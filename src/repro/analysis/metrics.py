@@ -89,13 +89,16 @@ def collect_message_stats(cluster: Cluster) -> MessageStats:
             bits = max(cl, 1).bit_length() + max(pid, 1).bit_length()
             max_ts_bits = max(max_ts_bits, bits)
     n_updates = len(updates)
-    sent = cluster.network.sent_count
+    registry = cluster.metrics
+    sent = int(registry.total("repro_network_messages_sent_total"))
     return MessageStats(
         processes=cluster.n,
         updates=n_updates,
         queries=len(queries),
         messages_sent=sent,
-        messages_delivered=cluster.network.delivered_count,
+        messages_delivered=int(
+            registry.total("repro_network_messages_delivered_total")
+        ),
         sends_per_update=sent / n_updates if n_updates else 0.0,
         max_timestamp_bits=max_ts_bits,
     )

@@ -10,8 +10,10 @@
   consistent construction.
 * :mod:`repro.core.memory` — Algorithm 2, the update-consistent shared
   memory with O(1) operations.
-* :mod:`repro.core.checkpoint` / :mod:`repro.core.undo` /
-  :mod:`repro.core.commutative` — the Section VII-C optimizations.
+* :mod:`repro.core.replay` / :mod:`repro.core.checkpoint` /
+  :mod:`repro.core.commutative` — the Section VII-C optimizations: four
+  ways to answer a query from the log, stable-prefix GC, and the log-free
+  replica for commuting updates.
 """
 
 from repro.core.adt import Query, UQADT, Update

@@ -108,11 +108,11 @@ class UQADT:
 
     name: str = "uq-adt"
     #: True when every pair of updates commutes (pure CRDT in the sense of
-    #: Section VII-C); enables the commutative fast path.
+    #: Section VII-C); makes the arrival-order fold replica's default replay.
     commutative_updates: bool = False
     #: True when every update ``u`` has an inverse with
     #: ``T(T(s, u), u⁻¹) = s`` for *all* states — the precondition of the
-    #: Karsenty–Beaudouin-Lafon undo optimization (:mod:`repro.core.undo`).
+    #: Karsenty–Beaudouin-Lafon undo replay (:mod:`repro.core.replay`).
     #: Implementations must then provide :meth:`unapply`.
     invertible_updates: bool = False
 

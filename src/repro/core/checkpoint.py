@@ -1,47 +1,25 @@
-"""Section VII-C optimization: cached intermediate states + stable-prefix GC.
+"""Section VII-C optimization: stable-prefix garbage collection.
 
-Algorithm 1 replays the whole update log on every query.  The paper notes
-that "in an effective implementation, a process can keep intermediate
-states [which] are re-computed only if very late messages arrive" and that
-"after some time old messages can be garbage collected".  Both ideas are
-implemented here.
+Algorithm 1 keeps every update forever.  The paper notes that "after some
+time old messages can be garbage collected":
+:class:`GarbageCollectedReplica` tracks, per peer, the highest Lamport
+clock heard from it.  An update stamped below every peer's heard-clock can
+never be preceded by a yet-unknown update (Lamport clocks are monotone
+along messages), so the prefix of such updates is *stable*: it is folded
+into a base state and dropped from the log.  Idle processes keep the
+frontier moving with heartbeats (clock-only messages).
 
-:class:`CheckpointedReplica`
-    Keeps the state of an already-replayed prefix plus periodic
-    checkpoints in a dyadically-thinned
-    :class:`~repro.core.ckpt_tree.CheckpointTree` (O(log n) retained
-    states, densest near the replay tip).  A query only folds in the
-    updates that arrived since the last one (amortized O(new updates)),
-    in place: the replay tip is a working state the replica owns
-    (:meth:`~repro.core.adt.UQADT.thaw`), frozen only where a checkpoint
-    is recorded, so a copying spec pays one state copy per checkpoint
-    interval rather than one per query.
-    A *late* message — one whose timestamp sorts before already-replayed
-    updates — rolls back to the nearest surviving checkpoint with one
-    bisect + slice delete, so the re-replay that follows is proportional
-    to the message's lateness, not the history length.
+Stability relies on per-sender delivery order: run it over FIFO channels
+(``Cluster(..., fifo=True)``).  With arbitrary reordering an in-flight
+message could be stamped below an already-heard clock and sort under the
+collected prefix — the replica detects that and raises
+:class:`StabilityViolation` rather than silently diverging.
 
-:class:`GarbageCollectedReplica`
-    Additionally tracks, per peer, the highest Lamport clock heard from it.
-    An update stamped below every peer's heard-clock can never be preceded
-    by a yet-unknown update (Lamport clocks are monotone along messages),
-    so the prefix of such updates is *stable*: it is folded into a base
-    state and dropped from the log.  Idle processes keep the frontier
-    moving with heartbeats (clock-only messages).
-
-    Stability relies on per-sender delivery order: run it over FIFO
-    channels (``Cluster(..., fifo=True)``).  With arbitrary reordering an
-    in-flight message could be stamped below an already-heard clock and
-    sort under the collected prefix — the replica detects that and raises
-    :class:`StabilityViolation` rather than silently diverging.
-
-Both classes inherit the commutative fast path from
-:class:`~repro.core.universal.UniversalReplica`: on a spec declaring
-``commutative_updates`` queries are answered from the arrival-order fold
-and the checkpoint machinery idles (the sorted log, checkpoint floor
-shifting and state transfers keep working, so GC composes with the fast
-path).  Pass ``fast_path=False`` to exercise the replay machinery on a
-commutative spec.
+Collection is orthogonal to how queries are answered: the replica's
+:class:`~repro.core.replay.Replay` is told when a prefix is collected into
+a new base and when a base is installed wholesale, whichever of the four
+replays it is (the checkpoint tree by default, the arrival-order fold on
+a spec declaring ``commutative_updates``).
 """
 
 from __future__ import annotations
@@ -50,168 +28,10 @@ from bisect import bisect_left
 from typing import Any, Hashable, Sequence
 
 from repro.core.adt import UQADT
-from repro.core.ckpt_tree import CheckpointTree
 from repro.core.sync import StateTransferRequired, SyncDigest
-from repro.core.universal import Stamped, UniversalReplica
+from repro.core.universal import UniversalReplica
 from repro.obs.metrics import MetricsRegistry
 from repro.proto.wire import install_state_transfer, state_transfer
-
-
-class CheckpointedReplica(UniversalReplica):
-    """Algorithm 1 with cached replay prefix and a checkpoint tree."""
-
-    __slots__ = (
-        "checkpoint_interval",
-        "_state",
-        "_owned",
-        "_applied",
-        "_ckpts",
-        "_rollbacks",
-        "_rollback_replayed",
-    )
-
-    def __init__(
-        self,
-        pid: int,
-        n: int,
-        spec: UQADT,
-        *,
-        checkpoint_interval: int = 64,
-        track_witness: bool = True,
-        sync_page_size: int = 64,
-        fast_path: bool | None = None,
-    ) -> None:
-        super().__init__(
-            pid, n, spec,
-            track_witness=track_witness,
-            sync_page_size=sync_page_size,
-            fast_path=fast_path,
-        )
-        if checkpoint_interval <= 0:
-            raise ValueError("checkpoint interval must be positive")
-        self.checkpoint_interval = checkpoint_interval
-        #: the replay tip: updates[:applied] folded into _state.  While
-        #: ``_owned`` it is a private working state folded in place;
-        #: otherwise it is shared (a checkpoint, the base) and the next
-        #: fold thaws it first.
-        self._state: Any = spec.initial_state()
-        self._owned = False
-        self._applied = 0
-        self._ckpts = CheckpointTree(self._state)
-
-    def bind_metrics(self, registry: MetricsRegistry) -> None:
-        super().bind_metrics(registry)
-        #: late-message rollbacks (bench metric).
-        self._rollbacks = registry.counter(
-            "repro_replica_rollbacks_total",
-            help="checkpoint rollbacks forced by late messages (updates "
-            "stamped before an already-replayed prefix)",
-            label_names=("pid",),
-        ).labels(pid=self.pid)
-        #: how much cached work each rollback discarded — the updates
-        #: between the surviving checkpoint and the old replay tip, which
-        #: the next query must fold again.
-        self._rollback_replayed = registry.counter(
-            "repro_replica_rollback_replayed_updates_total",
-            help="already-replayed updates invalidated by rollbacks (and "
-            "hence re-applied by the next query)",
-            label_names=("pid",),
-        ).labels(pid=self.pid)
-
-    @property
-    def rollbacks(self) -> int:
-        """Deprecated: reads ``repro_replica_rollbacks_total``."""
-        return int(self._rollbacks.value)
-
-    @property
-    def rollback_replayed(self) -> int:
-        """Reads ``repro_replica_rollback_replayed_updates_total``."""
-        return int(self._rollback_replayed.value)
-
-    def checkpoint_indices(self) -> list[int]:
-        """Retained checkpoint positions (for tests and benchmarks)."""
-        return self._ckpts.indices()
-
-    # The base state replay starts from (overridden by the GC subclass).
-    def _base_state(self) -> Any:
-        return self.spec.initial_state()
-
-    def _after_insert(self, pos: int, stamped: Stamped) -> None:
-        if self._fast_path:
-            # Arrival-order fold answers queries; the replay cache idles.
-            super()._after_insert(pos, stamped)
-        elif pos < self._applied:
-            # Late message: the cached state replayed updates that sort
-            # after it.  Roll back to the nearest checkpoint not past pos
-            # (a checkpoint *at* pos is still valid: it folds exactly the
-            # entries now sorting before the newcomer).  The checkpoint
-            # becomes the shared tip: nothing is copied until a query
-            # folds past it.
-            self._rollbacks.inc()
-            idx, state = self._ckpts.rollback(pos)
-            self._rollback_replayed.inc(self._applied - idx)
-            self._share_tip(idx, state)
-
-    def _share_tip(self, applied: int, state: Any) -> None:
-        """Point the replay tip at a frozen state it does not own (a
-        checkpoint, the base): it is its own snapshot, and the next fold
-        thaws it."""
-        self._applied, self._state, self._owned = applied, state, False
-        self._snapshot = state
-
-    def _replay_state(self) -> Any:
-        state = self._state
-        i = self._applied
-        end = len(self.updates)
-        if i == end:
-            return state
-        log = self.updates
-        spec = self.spec
-        interval = self.checkpoint_interval
-        record = self._ckpts.record
-        if not self._owned:
-            state, self._owned = spec.thaw(state), True
-        # Every stride is one in-place fold and stops on a checkpoint
-        # position; the tip is frozen only where a checkpoint is recorded.
-        # The few updates a query at a busy node finds pending are one
-        # fold and no copy.  A long suffix (restored log, caught-up
-        # rejoiner) goes in strides that halve the distance to the tip
-        # until two intervals remain — the stops are the O(log n)
-        # checkpoints dyadic thinning would have kept of one per interval.
-        start = i
-        while i < end:
-            ahead = end - i
-            if ahead > 2 * interval:
-                stop = i + ahead // 2
-                stop -= stop % interval
-            else:
-                stop = min(end, i - i % interval + interval)
-            state = spec.fold_into(state, [s[2] for s in log[i:stop]])
-            i = stop
-            snapshot = None
-            if i % interval == 0:
-                snapshot = spec.freeze(state)
-                record(i, snapshot)
-        self._replayed.inc(i - start)
-        # A checkpoint frozen at the tip doubles as its snapshot.
-        self._applied, self._state, self._snapshot = i, state, snapshot
-        return state
-
-    def _peek_state(self) -> Any:
-        """Introspection fold: reuses the cached prefix but moves nothing
-        and charges nothing (see the base-class docstring).  The tip is
-        handed out frozen (one copy per tip position, however often it is
-        polled); the pending suffix — the whole log on a restored replica
-        nobody has queried, which ``settle()`` polls — is one batch fold
-        on top of that snapshot."""
-        if self._fast_path:
-            return super()._peek_state()
-        snapshot = self._snapshot_of(self._state)
-        if self._applied == len(self.updates):
-            return snapshot
-        return self.spec.apply_batch(
-            snapshot, [s[2] for s in self.updates[self._applied:]]
-        )
 
 
 class StabilityViolation(RuntimeError):
@@ -219,13 +39,14 @@ class StabilityViolation(RuntimeError):
     reordered per-sender traffic; stable-prefix GC needs FIFO channels)."""
 
 
-class GarbageCollectedReplica(CheckpointedReplica):
-    """Checkpointing plus stable-prefix garbage collection.
+class GarbageCollectedReplica(UniversalReplica):
+    """Algorithm 1 plus stable-prefix garbage collection.
 
     The wire format grows a heartbeat variant: updates travel as
     ``(clock, pid, update)`` like the base class; heartbeats as
     ``("hb", clock, pid)``.  GC folds the stable prefix into the base
-    state; :attr:`collected` counts discarded log entries.
+    state; ``repro_replica_collected_entries_total`` counts discarded log
+    entries.
     """
 
     __slots__ = (
@@ -243,18 +64,20 @@ class GarbageCollectedReplica(CheckpointedReplica):
 
     HEARTBEAT = "hb"
 
+    DEFAULT_REPLAY = "checkpoint"
+
     def __init__(
         self,
         pid: int,
         n: int,
         spec: UQADT,
         *,
-        checkpoint_interval: int = 64,
+        replay: str | None = None,
+        checkpoint_interval: int | None = None,
         gc_interval: int = 128,
         track_witness: bool = False,
         relay: bool = False,
         sync_page_size: int = 64,
-        fast_path: bool | None = None,
     ) -> None:
         if relay:
             raise ValueError(
@@ -264,10 +87,10 @@ class GarbageCollectedReplica(CheckpointedReplica):
             )
         super().__init__(
             pid, n, spec,
+            replay=replay,
             checkpoint_interval=checkpoint_interval,
             track_witness=track_witness,
             sync_page_size=sync_page_size,
-            fast_path=fast_path,
         )
         if gc_interval <= 0:
             raise ValueError("gc interval must be positive")
@@ -315,14 +138,6 @@ class GarbageCollectedReplica(CheckpointedReplica):
             "of a state transfer)",
             label_names=("pid",),
         ).labels(pid=self.pid)
-
-    @property
-    def collected(self) -> int:
-        """Deprecated: reads ``repro_replica_collected_entries_total``."""
-        return int(self._collected.value)
-
-    def _base_state(self) -> Any:
-        return self._base
 
     def on_update(self, update) -> Sequence[Any]:
         out = super().on_update(update)
@@ -415,22 +230,7 @@ class GarbageCollectedReplica(CheckpointedReplica):
         )
         self._gc_frontier = self._keys[cut - 1]
         self._drop_prefix(cut)
-        if self._fast_path:
-            # The arrival-order fold already contains the collected
-            # prefix; only the log representation changed.
-            pass
-        else:
-            # Shift cached replay structures left by `cut`.  The cached
-            # state (old base + updates[:applied]) equals the new base
-            # plus the surviving applied entries, so when the applied
-            # prefix covers the cut only its index moves; otherwise the
-            # cache is a strict sub-prefix of the new base and restarts
-            # from it.
-            self._ckpts.shift_left(cut, self._base)
-            if self._applied >= cut:
-                self._applied -= cut
-            else:
-                self._share_tip(0, self._base)
+        self.replay.collected(cut, self._base)
         self._collected.inc(cut)
         return cut
 
@@ -520,17 +320,7 @@ class GarbageCollectedReplica(CheckpointedReplica):
             )
         for j in range(self.n):
             self.heard[j] = max(self.heard[j], clock_floor)
-        # Cached replay structures predate the new base; rebuild from it.
-        self._ckpts.reset(base)
-        self._share_tip(0, base)
-        if self._fast_path:
-            # The handed-off base replaces our arrival-order fold's view
-            # of the collected prefix wholesale; refold the surviving
-            # live entries on top of it.
-            self._fast_state = self.spec.fold_into(
-                self.spec.thaw(base), [u for _, _, u in self.updates]
-            )
-            self._snapshot = None
+        self.replay.installed(self.updates, base)
         if self._own_suspect_below and clock_floor >= self._own_suspect_below:
             # The floor certifies every update (ours included) at or
             # below it, so the amnesia gap is provably repaired.
@@ -576,10 +366,6 @@ class GarbageCollectedReplica(CheckpointedReplica):
             self.heard[j] = max(self.heard[j], cl)
         if pre_crash_clock > self.heard[self.pid]:
             self._own_suspect_below = pre_crash_clock
-
-    @property
-    def live_log_length(self) -> int:
-        return len(self.updates)
 
     @property
     def gc_clock_floor(self) -> int:

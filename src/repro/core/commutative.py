@@ -15,7 +15,8 @@ set's insert/delete conflict).
 
 This is the *log-free* end of the fast-path spectrum:
 :class:`~repro.core.universal.UniversalReplica` gets the same O(1) query
-cost automatically on commutative specs but keeps the sorted log for
+cost from its default replay on commutative specs (the arrival-order
+fold, :mod:`repro.core.replay`) but keeps the sorted log for
 anti-entropy, persistence and GC.  Use this class when those services are
 not needed and O(state) memory is the point.
 """

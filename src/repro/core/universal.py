@@ -23,30 +23,20 @@ visibility relation), which is exactly how Proposition 4's proof certifies
 correctness.  Witness tracking is optional (``track_witness=False``) for
 performance benchmarking of the algorithm proper.
 
-Two hot-path refinements live here beside the verbatim algorithm:
-
-* **The commutative fast path** (Section VII-C: "if all the update
-  operations commute ... a naive implementation, that applies the updates
-  on a replica as soon as the notification is received, achieves update
-  consistency").  When the spec declares ``commutative_updates`` — or the
-  caller forces ``fast_path=True`` — the replica *additionally* maintains
-  the arrival-order fold of every known update and answers queries from
-  it in O(1), skipping the sorted-log replay entirely.  The sorted log,
-  the ``(clock, pid)`` keys and the witness metadata are maintained
-  exactly as before: anti-entropy, persistence, GC and SUC witnesses are
-  oblivious to which path answered the query.  Pass ``fast_path=False``
-  to benchmark the replay machinery itself on a commutative spec.
-* **Replay-cost accounting is charged to queries only.**
-  ``repro_replica_replayed_updates_total`` is the Section VII-C query
-  replay cost that benches and the run report consume; introspection
-  (:meth:`local_state`, convergence checks, anti-entropy's agreement
-  test) goes through the side-effect-free :meth:`_peek_state` and leaves
-  the counter untouched.
-
-Subclasses implement the remaining Section VII-C optimizations:
-:class:`repro.core.checkpoint.CheckpointedReplica` (cached intermediate
-states, recomputed only when a late message arrives) and
-:class:`repro.core.undo.UndoReplica` (Karsenty–Beaudouin-Lafon undo/redo).
+How a query reaches its state is the replica's
+:class:`~repro.core.replay.Replay`, chosen at construction (``replay=``):
+Algorithm 1's full replay (the default), the checkpoint tree, undo/redo,
+or the arrival-order fold that is picked by default on a spec declaring
+``commutative_updates`` — the Section VII-C optimizations, see
+:mod:`repro.core.replay`.  Whichever answers, the sorted log, the
+``(clock, pid)`` keys, the witness metadata, anti-entropy, persistence
+and GC are the same.  Replay cost is charged to
+queries only: ``repro_replica_replayed_updates_total`` is the Section
+VII-C query replay cost that benches and the run report consume, and
+introspection (:meth:`local_state`, convergence checks) reads the
+replay's uncharged :meth:`~repro.core.replay.Replay.peek`.
+:class:`repro.core.checkpoint.GarbageCollectedReplica` adds stable-prefix
+garbage collection on top.
 """
 
 from __future__ import annotations
@@ -58,6 +48,7 @@ from typing import Any, Hashable, Iterable, Sequence
 
 from repro.core.adt import UQADT, Update
 from repro.core import sync as sync_protocol
+from repro.core.replay import make_replay
 from repro.core.sync import (
     SyncDigest,
     SyncProtocolError,
@@ -93,8 +84,8 @@ class UniversalReplica(Replica):
 
     __slots__ = (
         "spec",
+        "replay",
         "sync_page_size",
-        "batch_replay",
         "clock",
         "updates",
         "track_witness",
@@ -106,11 +97,7 @@ class UniversalReplica(Replica):
         "_known",
         "_last_meta",
         "_visible_pending",
-        "_fast_path",
-        "_fast_state",
-        "_snapshot",
         "_visible_cache",
-        "_replayed",
         "_sync_requests",
         "_sync_request_bits",
         "_sync_pages",
@@ -123,28 +110,35 @@ class UniversalReplica(Replica):
     SYNC_RESP = sync_protocol.SYNC_RESP
     SYNC_STATE = sync_protocol.SYNC_STATE
 
+    #: the replay ``replay=None`` picks on a spec whose updates do not
+    #: commute (on one that declares ``commutative_updates``: ``"fold"``).
+    DEFAULT_REPLAY = "naive"
+
     def __init__(
         self,
         pid: int,
         n: int,
         spec: UQADT,
         *,
+        replay: str | None = None,
+        checkpoint_interval: int | None = None,
         track_witness: bool = True,
         relay: bool = False,
-        batch_replay: bool = True,
         sync_page_size: int = 64,
-        fast_path: bool | None = None,
     ) -> None:
-        super().__init__(pid, n)
-        self.spec = spec
         if sync_page_size <= 0:
             raise ValueError("sync page size must be positive")
+        #: how queries fold the log (Section VII-C; :mod:`repro.core.replay`).
+        #: Built before the base constructor, which binds its metrics.
+        self.replay = make_replay(
+            spec, replay, default=self.DEFAULT_REPLAY,
+            checkpoint_interval=checkpoint_interval,
+        )
+        super().__init__(pid, n)
+        self.spec = spec
         #: bound on sync-resp batch size: one repair round never ships an
         #: unbounded message, however far behind the requester is.
         self.sync_page_size = sync_page_size
-        #: fold the log with :meth:`UQADT.apply_batch` (vectorized /
-        #: single-pass per spec) instead of one ``apply`` call per update.
-        self.batch_replay = batch_replay
         self.clock = LamportClock(pid)
         self.updates: list[Stamped] = []
         #: parallel ``(clock, pid)`` key list for ``updates``: bisecting a
@@ -185,38 +179,12 @@ class UniversalReplica(Replica):
         #: witness cost): rebuilt lazily after a log change, so quiescent
         #: queries share one frozenset instead of allocating O(log) each.
         self._visible_cache: frozenset[tuple[int, int]] | None = None
-        if fast_path is None:
-            fast_path = bool(spec.commutative_updates)
-        elif fast_path and not spec.commutative_updates:
-            raise ValueError(
-                f"{spec.name!r} does not declare commutative_updates; the "
-                f"arrival-order fast path would diverge on it — run uqlint "
-                f"UQ006 if the spec should be declaring commutativity"
-            )
-        #: Section VII-C commutative fast path: maintain the arrival-order
-        #: fold beside the sorted log and answer queries from it in O(1).
-        #: The fold is a working state this replica owns (``spec.thaw``):
-        #: each arrival folds into it in place.
-        self._fast_path = fast_path
-        self._fast_state: Any = (
-            spec.thaw(spec.initial_state()) if fast_path else None
-        )
-        #: frozen snapshot of the folded tip (the fast-path fold here, the
-        #: replay tip in :class:`~repro.core.checkpoint.CheckpointedReplica`)
-        #: for introspection, or None once the tip has moved since.
-        self._snapshot: Any = None
 
     # -- observability ---------------------------------------------------------------
 
     def bind_metrics(self, registry: MetricsRegistry) -> None:
         super().bind_metrics(registry)
-        #: replay effort accounting (Section VII-C query replay cost).
-        self._replayed = registry.counter(
-            "repro_replica_replayed_updates_total",
-            help="updates folded while answering queries (Section VII-C "
-            "replay cost of Algorithm 1 and its optimizations)",
-            label_names=("pid",),
-        ).labels(pid=self.pid)
+        self.replay.bind_metrics(registry, self.pid)
         #: anti-entropy accounting (digest size, paging, redundancy).
         self._sync_requests = registry.counter(
             "repro_sync_requests_total",
@@ -245,16 +213,6 @@ class UniversalReplica(Replica):
             "folded into the base state) on arrival",
             label_names=("pid",),
         ).labels(pid=self.pid)
-
-    @property
-    def replayed_updates(self) -> int:
-        """Deprecated: reads ``repro_replica_replayed_updates_total``."""
-        return int(self._replayed.value)
-
-    @property
-    def fast_path(self) -> bool:
-        """True when queries are answered from the arrival-order fold."""
-        return self._fast_path
 
     # -- Algorithm 1 ---------------------------------------------------------------
 
@@ -414,12 +372,7 @@ class UniversalReplica(Replica):
 
     def on_query(self, name: str, args: tuple[Hashable, ...] = ()) -> Any:
         cl = self.clock.tick_value()  # line 13
-        if self._fast_path:
-            # Commutative fast path: the arrival-order fold equals the
-            # sorted-log fold (updates commute), zero replay work.
-            state = self._fast_state
-        else:
-            state = self._replay_state()  # lines 14-17
+        state = self.replay.query(self.updates)  # lines 14-17
         if self.track_witness:
             self._last_meta = {"timestamp": (cl, self.pid)}
             self._visible_pending = True
@@ -465,7 +418,7 @@ class UniversalReplica(Replica):
             hi = runs[i][1] if i < len(runs) and runs[i][0] == cl + 1 else cl
             runs[i - (lo < cl):i + (hi > cl)] = [(lo, hi)]
         self._visible_cache = None
-        self._after_insert(pos, stamped)
+        self.replay.inserted(self.updates, pos)
 
     def _drop_prefix(self, cut: int) -> None:
         """Delete the first ``cut`` log entries — every one stamped at or
@@ -490,52 +443,6 @@ class UniversalReplica(Replica):
         """The storage engine made the whole log durable."""
         self.unflushed_from = len(self.updates)
 
-    def _after_insert(self, pos: int, stamped: Stamped) -> None:
-        """Hook running after ``stamped`` landed at ``pos`` in the sorted
-        log.  The base class feeds the commutative fast-path fold;
-        subclasses add rollback (checkpoint) or undo/redo maintenance."""
-        if self._fast_path:
-            self._fast_state = self.spec.fold_into(self._fast_state, (stamped[2],))
-            self._snapshot = None
-
-    def _replay_state(self) -> Any:
-        """Full replay — lines 14-17 (optionally batch-folded).  Charges
-        the folded updates to the Section VII-C replay-cost counter; only
-        queries may call this (introspection uses :meth:`_peek_state`)."""
-        self._replayed.inc(len(self.updates))
-        return self._peek_state()
-
-    def _peek_state(self) -> Any:
-        """The state a read-all query would observe, *without* charging
-        the query replay-cost counter or mutating any replay cache.
-
-        Introspection — :meth:`local_state`, convergence checks, the
-        anti-entropy agreement test — used to run through
-        :meth:`_replay_state` and inflate
-        ``repro_replica_replayed_updates_total``, corrupting the
-        per-query replay-cost metric the benches gate on.  Never returns
-        a working state: the fast-path fold is handed out frozen.
-        """
-        if self._fast_path:
-            return self._snapshot_of(self._fast_state)
-        if self.batch_replay:
-            return self.spec.apply_batch(
-                self.spec.initial_state(), [u for _, _, u in self.updates]
-            )
-        state = self.spec.initial_state()
-        for _, _, update in self.updates:
-            state = self.spec.apply(state, update)
-        return state
-
-    def _snapshot_of(self, work: Any) -> Any:
-        """``spec.freeze(work)`` for the folded tip ``work``, cached until
-        the tip next moves (whoever moves it resets ``_snapshot``), so
-        polling an idle replica copies nothing."""
-        snap = self._snapshot
-        if snap is None:
-            snap = self._snapshot = self.spec.freeze(work)
-        return snap
-
     def _visible_uids(self) -> frozenset[tuple[int, int]]:
         """The witness visibility set: every known update's ``(clock,
         pid)``.  Cached until the log changes, so a run of quiescent
@@ -555,7 +462,7 @@ class UniversalReplica(Replica):
     # -- introspection --------------------------------------------------------------
 
     def local_state(self) -> Any:
-        return self._peek_state()
+        return self.replay.peek(self.updates)
 
     def witness_meta(self) -> dict[str, Any]:
         if self._visible_pending:

@@ -20,7 +20,8 @@ import argparse
 import asyncio
 import sys
 
-from repro.core.checkpoint import CheckpointedReplica, GarbageCollectedReplica
+from repro.core.checkpoint import GarbageCollectedReplica
+from repro.core.universal import UniversalReplica
 from repro.net.node import ReplicaNode
 from repro.specs import CounterSpec, GSetSpec, MapSpec, SetSpec
 
@@ -36,9 +37,11 @@ def make_factory(object_name: str, *, gc: bool = False):
     """A ``(pid, n) -> replica`` factory for a named UQ-ADT object.
 
     Either way the node keeps its replayed prefix (Section VII-C: a query
-    folds what arrived since the last one); ``gc`` adds stable-prefix
-    collection.  Same log, digest and durable image as Algorithm 1
-    verbatim, which the sim and the paper benches build by name.
+    folds what arrived since the last one) — the checkpoint replay, or the
+    arrival-order fold on an object whose updates commute; ``gc`` adds
+    stable-prefix collection.  Same log, digest and durable image as
+    Algorithm 1 verbatim, which the sim and the paper benches build by
+    name.
     """
     spec_cls = OBJECTS.get(object_name)
     if spec_cls is None:
@@ -48,7 +51,8 @@ def make_factory(object_name: str, *, gc: bool = False):
     spec = spec_cls()
     if gc:
         return lambda pid, n: GarbageCollectedReplica(pid, n, spec)
-    return lambda pid, n: CheckpointedReplica(pid, n, spec)
+    replay = "fold" if spec.commutative_updates else "checkpoint"
+    return lambda pid, n: UniversalReplica(pid, n, spec, replay=replay)
 
 
 def _parse_peers(text: str) -> list[tuple[str, int]]:

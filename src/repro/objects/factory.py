@@ -4,17 +4,18 @@
 replicas of ``spec`` and returns it with typed handles.  Strategies map to
 the paper's implementations and optimizations:
 
-==============  ==============================================  =========
-strategy        replica                                          section
-==============  ==============================================  =========
-``universal``   :class:`~repro.core.universal.UniversalReplica`  Alg. 1
-``checkpoint``  :class:`~repro.core.checkpoint.CheckpointedReplica`  VII-C
-``gc``          :class:`~repro.core.checkpoint.GarbageCollectedReplica` VII-C
-``undo``        :class:`~repro.core.undo.UndoReplica`            VII-C
-``commutative`` :class:`~repro.core.commutative.CommutativeReplica` VII-C
-``fifo``        :class:`~repro.objects.pipelined.FifoApplyReplica` Sec. IV
-``causal``      :class:`~repro.objects.causal.CausalApplyReplica`  Sec. IV
-==============  ==============================================  =========
+===============  ==========================================  =======
+strategy         replica                                     section
+===============  ==========================================  =======
+``universal``    ``UniversalReplica`` (naive replay, or the  Alg. 1
+                 arrival-order fold on commuting updates)
+``checkpoint``   ``UniversalReplica(replay="checkpoint")``   VII-C
+``undo``         ``UniversalReplica(replay="undo")``         VII-C
+``gc``           ``GarbageCollectedReplica``                 VII-C
+``commutative``  ``CommutativeReplica`` (log-free)           VII-C
+``fifo``         ``FifoApplyReplica``                        Sec. IV
+``causal``       ``CausalApplyReplica``                      Sec. IV
+===============  ==========================================  =======
 
 (The ``fifo`` and ``causal`` strategies are baselines: pipelined/causally
 consistent but not convergent — see Proposition 1.)
@@ -22,12 +23,12 @@ consistent but not convergent — see Proposition 1.)
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable
 
 from repro.core.adt import UQADT
-from repro.core.checkpoint import CheckpointedReplica, GarbageCollectedReplica
+from repro.core.checkpoint import GarbageCollectedReplica
 from repro.core.commutative import CommutativeReplica
-from repro.core.undo import UndoReplica
 from repro.core.universal import UniversalReplica
 from repro.objects.causal import CausalApplyReplica
 from repro.objects.handles import (
@@ -47,9 +48,9 @@ from repro.sim.network import LatencyModel
 
 STRATEGIES: dict[str, Callable[..., Any]] = {
     "universal": UniversalReplica,
-    "checkpoint": CheckpointedReplica,
+    "checkpoint": partial(UniversalReplica, replay="checkpoint"),
     "gc": GarbageCollectedReplica,
-    "undo": UndoReplica,
+    "undo": partial(UniversalReplica, replay="undo"),
     "commutative": CommutativeReplica,
     "fifo": FifoApplyReplica,
     "causal": CausalApplyReplica,

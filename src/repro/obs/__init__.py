@@ -4,9 +4,8 @@ Three layers, each usable alone:
 
 * :mod:`repro.obs.metrics` — a Prometheus-flavoured metrics registry
   (counters, gauges, histograms with labeled series; text + JSON
-  exposition).  The runtime's ad-hoc counters (``Network.sent_count``,
-  ``UniversalReplica.replayed_updates``, …) are now deprecated properties
-  reading these instruments.
+  exposition).  Every count the runtime keeps — messages sent, updates
+  replayed, entries collected — lives here and nowhere else.
 * :mod:`repro.obs.tracer` — a virtual-time tracer (no-op by default)
   emitting structured records for the message lifecycle, operations,
   crashes/recoveries and anti-entropy; exportable as a Chrome trace-event

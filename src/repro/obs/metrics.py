@@ -1,9 +1,8 @@
 """The metrics registry: counters, gauges and histograms with labeled series.
 
-The runtime used to account for itself through ad-hoc attributes
-(``Cluster.dropped_to_crashed``, ``Network.sent_count``,
-``UniversalReplica.replayed_updates``, ...).  Those quantities are exactly
-the paper's Section VII-C complexity claims — one broadcast per update,
+The runtime accounts for itself here — messages dropped to crashed
+processes, point-to-point sends, updates replayed per query.  Those
+quantities are exactly the paper's Section VII-C complexity claims — one broadcast per update,
 query replay cost, log growth — so they deserve a first-class telemetry
 surface.  This module provides it:
 

@@ -85,13 +85,17 @@ def run_report(
         # be scored for staleness; the section is null rather than absent.
         stale = None
 
+    def counted(name: str, **labels: int) -> int:
+        """A count the cluster's own instruments keep (0 if none does)."""
+        return int(cluster.metrics.value(name, **labels))
+
     stats = collect_message_stats(cluster)
     messages = {
         "sent": stats.messages_sent,
         "delivered": stats.messages_delivered,
-        "lost": int(getattr(cluster.network, "lost_count", 0)),
-        "duplicated": int(getattr(cluster.network, "duplicated_count", 0)),
-        "dropped_to_crashed": cluster.dropped_to_crashed,
+        "lost": counted("repro_network_messages_lost_total"),
+        "duplicated": counted("repro_network_messages_duplicated_total"),
+        "dropped_to_crashed": counted("repro_cluster_dropped_to_crashed_total"),
         "pending": cluster.network.pending_count(),
         "sends_per_update": stats.sends_per_update,
         "broadcast_optimal": stats.broadcast_optimal(),
@@ -100,15 +104,18 @@ def run_report(
 
     replicas = []
     for pid in range(cluster.n):
-        replica = cluster.replicas[pid]
         replicas.append(
             {
                 "pid": pid,
                 "crashed": pid in cluster.crashed,
-                "replayed_updates": int(getattr(replica, "replayed_updates", 0)),
-                "log_length": int(getattr(replica, "log_length", 0)),
-                "rollbacks": int(getattr(replica, "rollbacks", 0)),
-                "collected": int(getattr(replica, "collected", 0)),
+                "replayed_updates": counted(
+                    "repro_replica_replayed_updates_total", pid=pid
+                ),
+                "log_length": int(cluster.replicas[pid].log_length or 0),
+                "rollbacks": counted("repro_replica_rollbacks_total", pid=pid),
+                "collected": counted(
+                    "repro_replica_collected_entries_total", pid=pid
+                ),
             }
         )
 
@@ -151,7 +158,7 @@ def run_report(
             "virtual_time": cluster.now,
             "alive": cluster.alive(),
             "crashed": sorted(cluster.crashed),
-            "recoveries": cluster.recovered_count,
+            "recoveries": counted("repro_cluster_recoveries_total"),
         },
         "convergence": conv,
         "staleness": stale,

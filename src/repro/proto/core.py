@@ -140,8 +140,7 @@ class ProtocolCore:
         """
         replica = self.replica
         output = replica.on_query(name, args)
-        outbox = getattr(replica, "outbox", None)
-        if not outbox:
+        if not replica.outbox:
             return output, ()
         effects: list[Effect] = []
         self._drain(replica, effects)
@@ -151,8 +150,7 @@ class ProtocolCore:
         """One payload delivered by the transport (already decoded)."""
         replica = self.replica
         extra = replica.on_message(src, payload)
-        outbox = getattr(replica, "outbox", None)
-        if not extra and not outbox:
+        if not extra and not replica.outbox:
             return ONLY_PERSIST_MESSAGE
         effects: list[Effect] = [Broadcast(p) for p in extra or ()]
         self._drain(replica, effects)
@@ -169,12 +167,12 @@ class ProtocolCore:
         """
         replica = self.replica
         if kind == "sync":
-            sync = getattr(replica, "sync_request", None)
+            sync = replica.sync_request
             if sync is None:
                 return ()
             effects: list[Effect] = [Broadcast(sync())]
         elif kind == "heartbeat":
-            heartbeat = getattr(replica, "heartbeat", None)
+            heartbeat = replica.heartbeat
             if heartbeat is None:
                 return ()
             effects = [Broadcast(heartbeat())]
@@ -207,7 +205,7 @@ class ProtocolCore:
         wire.restore_replica(fresh, image)
         self.replica = fresh
         effects: list[Effect] = []
-        sync = getattr(fresh, "sync_request", None)
+        sync = fresh.sync_request
         if sync is not None:
             effects.append(Broadcast(sync()))
         self._drain(fresh, effects)
@@ -233,17 +231,11 @@ class ProtocolCore:
     @property
     def sync_capable(self) -> bool:
         """Does the wrapped replica speak the anti-entropy handshake?"""
-        return getattr(self.replica, "sync_request", None) is not None
-
-    @property
-    def replayed_updates(self) -> int:
-        """The replica's Section VII-C query replay counter (0 when the
-        algorithm keeps no such accounting)."""
-        return getattr(self.replica, "replayed_updates", 0)
+        return self.replica.sync_request is not None
 
     @property
     def log_length(self) -> int | None:
-        return getattr(self.replica, "log_length", None)
+        return self.replica.log_length
 
     def local_state(self) -> Any:
         return self.replica.local_state()
@@ -256,7 +248,7 @@ class ProtocolCore:
     @staticmethod
     def _drain(replica: "Replica", effects: list[Effect]) -> None:
         """Translate the replica's queued directed sends into effects."""
-        outbox = getattr(replica, "outbox", None)
+        outbox = replica.outbox
         if not outbox:
             return
         for dst, payload in outbox:

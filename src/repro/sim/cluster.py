@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.adt import Query, Update, _canonical
 from repro.core.history import Event, History
 from repro.core.criteria.witness import SUCWitness
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import CounterSeries, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.proto.core import ProtocolCore
 from repro.proto.effects import (
@@ -249,6 +249,13 @@ class Cluster:
             "repro_cluster_query_replayed_updates",
             help="updates replayed to answer one query (replay amplification)",
         ).labels()
+        # The replicas' own replay counters (bound by now), read around
+        # each query; a replica keeping no replay count reads as zero.
+        replayed = m.get("repro_replica_replayed_updates_total")
+        self._replayed_series = [
+            replayed.labels(pid=p) if replayed is not None else CounterSeries(())
+            for p in range(self.n)
+        ]
         self._time_gauge = m.gauge(
             "repro_cluster_virtual_time",
             help="the cluster's virtual clock (Cluster.now)",
@@ -263,18 +270,6 @@ class Cluster:
         analysis introspect replicas through this; the cluster itself
         speaks only to the cores."""
         return [core.replica for core in self.cores]
-
-    # -- deprecated counter aliases (registry-backed) ---------------------------------
-
-    @property
-    def dropped_to_crashed(self) -> int:
-        """Deprecated: reads ``repro_cluster_dropped_to_crashed_total``."""
-        return int(self._dropped.value)
-
-    @property
-    def recovered_count(self) -> int:
-        """Deprecated: reads ``repro_cluster_recoveries_total``."""
-        return int(self._recovered.value)
 
     # -- application-level operations (wait-free) -----------------------------------
 
@@ -294,12 +289,13 @@ class Cluster:
     def query(self, pid: int, name: str, args: tuple[Hashable, ...] = ()) -> Any:
         """Issue query ``name(*args)`` at ``pid``; returns its output."""
         core = self._live_core(pid)
-        before = core.replayed_updates
+        replayed_series = self._replayed_series[pid]
+        before = replayed_series.value
         output, effects = core.query(name, args)
         if effects:
             self._apply_effects(pid, effects)
         meta = core.witness_meta()
-        replayed = core.replayed_updates - before
+        replayed = replayed_series.value - before
         self._query_series[pid].inc()
         self._replay_hist.observe(replayed)
         if self.tracer.enabled:
@@ -443,7 +439,7 @@ class Cluster:
 
         * A crashed process receives nothing: its inbound in-flight traffic
           (including held messages) is dropped *now* and counted once in
-          :attr:`dropped_to_crashed`; a later ``heal()`` cannot re-deliver
+          ``repro_cluster_dropped_to_crashed_total``; a later ``heal()`` cannot re-deliver
           to it and inflate the counter.
         * It stops being a hold/partition endpoint: every hold involving it
           is dissolved.  Messages it already sent stay subject to channel

@@ -208,16 +208,6 @@ class Network:
             help="messages handed to the cluster for delivery",
         ).labels()
 
-    @property
-    def sent_count(self) -> int:
-        """Deprecated: reads ``repro_network_messages_sent_total``."""
-        return int(self._sent.value)
-
-    @property
-    def delivered_count(self) -> int:
-        """Deprecated: reads ``repro_network_messages_delivered_total``."""
-        return int(self._delivered.value)
-
     # -- sending ---------------------------------------------------------------
 
     def send(self, src: int, dst: int, payload: Any, now: float) -> Message:
@@ -459,11 +449,6 @@ class LossyNetwork(Network):
             help="messages dropped in transit by the lossy-channel adversary",
         ).labels()
 
-    @property
-    def lost_count(self) -> int:
-        """Deprecated: reads ``repro_network_messages_lost_total``."""
-        return int(self._lost.value)
-
     def _commit(self, msg: Message) -> None:
         if msg.src != msg.dst and self.rng.random() < self.drop_probability:
             self._lost.inc()
@@ -510,11 +495,6 @@ class DuplicatingNetwork(Network):
             "repro_network_messages_duplicated_total",
             help="extra deliveries injected by the duplicating adversary",
         ).labels()
-
-    @property
-    def duplicated_count(self) -> int:
-        """Deprecated: reads ``repro_network_messages_duplicated_total``."""
-        return int(self._duplicated.value)
 
     def _commit(self, msg: Message) -> None:
         super()._commit(msg)

@@ -25,7 +25,7 @@ reconstruction — see Proposition 4).
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Sequence
+from typing import Any, Callable, Hashable, Sequence
 
 from repro.core.adt import Update
 from repro.obs.metrics import MetricsRegistry
@@ -43,6 +43,15 @@ class Replica:
     """
 
     __slots__ = ("pid", "n", "outbox", "metrics")
+
+    #: the optional dialects a runtime may drive, None where a replica
+    #: does not speak them: ``sync_request()`` returns the anti-entropy
+    #: pull payload to broadcast, ``heartbeat()`` a clock-only liveness
+    #: payload.  Replicas that speak one define it as a method.
+    sync_request: Callable[[], Any] | None = None
+    heartbeat: Callable[[], Any] | None = None
+    #: entries in the replica's update log, None for log-free replicas.
+    log_length: int | None = None
 
     def __init__(self, pid: int, n: int) -> None:
         if not 0 <= pid < n:

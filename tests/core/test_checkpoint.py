@@ -7,27 +7,34 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.checkpoint import (
-    CheckpointedReplica,
-    GarbageCollectedReplica,
-    StabilityViolation,
-)
+from repro.core.checkpoint import GarbageCollectedReplica, StabilityViolation
 from repro.core.universal import UniversalReplica
 from repro.sim import Cluster
 from repro.sim.network import ExponentialLatency
 from repro.sim.workload import conflict_heavy_set_workload, run_workload
 from repro.specs import SetSpec
 from repro.specs import set_spec as S
+from tests.counts import collected, replayed, rollback_replayed, rollbacks
 
 SPEC = SetSpec()
+
+
+def checkpointed(pid, n, spec=SPEC, **kw):
+    return UniversalReplica(pid, n, spec, replay="checkpoint", **kw)
+
+
+def from_scratch(updates):
+    """Algorithm 1 verbatim: one ``apply`` per update, in log order."""
+    state = SPEC.initial_state()
+    for _, _, update in updates:
+        state = SPEC.apply(state, update)
+    return state
 
 
 def ckpt_cluster(n=3, interval=4, **kw):
     return Cluster(
         n,
-        lambda pid, total: CheckpointedReplica(
-            pid, total, SPEC, checkpoint_interval=interval
-        ),
+        lambda pid, total: checkpointed(pid, total, checkpoint_interval=interval),
         **kw,
     )
 
@@ -44,9 +51,9 @@ class TestCheckpointedReplica:
         for i in range(10):
             c.update(0, S.insert(i))
         c.query(0, "read")
-        first = r.replayed_updates
+        first = replayed(r)
         c.query(0, "read")  # nothing new arrived: zero additional work
-        assert r.replayed_updates == first == 10
+        assert replayed(r) == first == 10
 
     def test_naive_replica_pays_full_replay(self):
         c = Cluster(1, lambda pid, n: UniversalReplica(pid, n, SPEC))
@@ -55,7 +62,7 @@ class TestCheckpointedReplica:
             c.update(0, S.insert(i))
         c.query(0, "read")
         c.query(0, "read")
-        assert r.replayed_updates == 20
+        assert replayed(r) == 20
 
     def test_late_message_triggers_rollback(self):
         c = ckpt_cluster(n=2, interval=2, latency=ExponentialLatency(10.0), seed=21)
@@ -64,7 +71,7 @@ class TestCheckpointedReplica:
             c.update(0, S.insert(i))
         c.query(0, "read")  # replica 0 caches its own 6 updates
         c.run()  # now the (1, pid=1) update lands below the cache
-        assert c.replicas[0].rollbacks >= 1
+        assert rollbacks(c.replicas[0]) >= 1
         assert c.query(0, "read") == frozenset({0, 1, 2, 3, 4, 5, 99})
 
     def test_rollback_uses_nearest_checkpoint(self):
@@ -74,18 +81,18 @@ class TestCheckpointedReplica:
             c.update(0, S.insert(i))
         c.query(0, "read")
         r0 = c.replicas[0]
-        before = r0.replayed_updates
+        before = replayed(r0)
         c.run()
         c.query(0, "read")
         # Rolling back to a checkpoint replays far fewer than everything:
         # the late update has timestamp (1,1), below all 6 local ones, so
         # the replica falls back to the base checkpoint — 7 replays, not
         # 7 + history.
-        assert r0.replayed_updates - before <= 7
+        assert replayed(r0) - before <= 7
 
     def test_validates_interval(self):
         with pytest.raises(ValueError):
-            CheckpointedReplica(0, 1, SPEC, checkpoint_interval=0)
+            checkpointed(0, 1, checkpoint_interval=0)
 
     @given(st.integers(0, 10_000), st.sampled_from([1, 3, 16]))
     @settings(max_examples=20, deadline=None)
@@ -97,7 +104,7 @@ class TestCheckpointedReplica:
                         latency=ExponentialLatency(5.0), seed=seed)
         opt = Cluster(
             3,
-            lambda pid, n: CheckpointedReplica(pid, n, SPEC, checkpoint_interval=interval),
+            lambda pid, n: checkpointed(pid, n, checkpoint_interval=interval),
             latency=ExponentialLatency(5.0), seed=seed,
         )
         run_workload(naive, wl)
@@ -111,9 +118,7 @@ class TestRollbackAccounting:
     repeated rollbacks, and the rollback-replay counter."""
 
     def warm_replica(self, n_updates=8, interval=2):
-        r = CheckpointedReplica(
-            0, 2, SPEC, checkpoint_interval=interval, track_witness=False
-        )
+        r = checkpointed(0, 2, checkpoint_interval=interval, track_witness=False)
         for i in range(n_updates):
             r.on_update(S.insert(i))
         r.on_query("read")  # replay once: checkpoints recorded
@@ -122,23 +127,20 @@ class TestRollbackAccounting:
     @staticmethod
     def from_scratch(r):
         """Algorithm 1 verbatim over the replica's current log."""
-        state = SPEC.initial_state()
-        for _, _, update in r.updates:
-            state = SPEC.apply(state, update)
-        return SPEC.observe(state, "read", ())
+        return SPEC.observe(from_scratch(r.updates), "read", ())
 
     def test_late_message_exactly_on_checkpoint_boundary(self):
         r = self.warm_replica()
-        boundary = r.checkpoint_indices()[-2]  # a retained interior index
+        boundary = r.replay.checkpoint_indices()[-2]  # a retained interior index
         assert 0 < boundary < len(r.updates)
         # Local keys are (1,0)..(n,0); a remote update with clock ==
         # boundary sorts to insert position == boundary — exactly on it.
         r.on_message(1, (boundary, 1, S.insert(99)))
-        assert r.rollbacks == 1
+        assert rollbacks(r) == 1
         # The boundary checkpoint folds positions strictly below the
         # insert, so it survives: only entries past it were invalidated.
-        assert r.rollback_replayed == 8 - boundary
-        assert r.checkpoint_indices()[-1] == boundary
+        assert rollback_replayed(r) == 8 - boundary
+        assert r.replay.checkpoint_indices()[-1] == boundary
         assert r.on_query("read") == self.from_scratch(r)
 
     def test_repeated_rollbacks_match_from_scratch_replay(self):
@@ -146,7 +148,7 @@ class TestRollbackAccounting:
         for clock in (9, 5, 2):  # successively earlier late arrivals
             r.on_message(1, (clock, 1, S.insert(100 + clock)))
             assert r.on_query("read") == self.from_scratch(r)
-        assert r.rollbacks == 3
+        assert rollbacks(r) == 3
 
     def test_rollback_counter_matches_reapplied_updates(self):
         # Every log entry is replayed once when a query first covers it,
@@ -156,15 +158,15 @@ class TestRollbackAccounting:
         for clock in (9, 5, 2):
             r.on_message(1, (clock, 1, S.insert(100 + clock)))
             r.on_query("read")
-        assert r.rollback_replayed > 0
-        assert r.replayed_updates == len(r.updates) + r.rollback_replayed
+        assert rollback_replayed(r) > 0
+        assert replayed(r) == len(r.updates) + rollback_replayed(r)
 
     def test_quiescent_rollback_counter_stays_zero(self):
         r = self.warm_replica()
         r.on_query("read")
         r.on_query("read")
-        assert r.rollback_replayed == 0
-        assert r.rollbacks == 0
+        assert rollback_replayed(r) == 0
+        assert rollbacks(r) == 0
 
 
 class CountingSetSpec(SetSpec):
@@ -230,17 +232,15 @@ class TestColdFold:
             assert sum(spec.folds) == n_entries
             # one private copy of the base, one frozen per checkpoint
             assert spec.thaws == 1
-            assert spec.freezes == len(r.checkpoint_indices()) - 1
-            assert r.replayed_updates == n_entries == len(r.updates)
-            naive = UniversalReplica(0, 3, SetSpec(), batch_replay=False)
-            naive.load_log(r.updates)
-            assert answer == naive.on_query("read")
+            assert spec.freezes == len(r.replay.checkpoint_indices()) - 1
+            assert replayed(r) == n_entries == len(r.updates)
+            assert answer == SPEC.observe(from_scratch(r.updates), "read", ())
 
     def test_strides_stop_on_the_checkpoints_thinning_keeps(self):
         for n_entries in self.SIZES:
             r, spec = self.restored(n_entries, interval=16)
             r.on_query("read")
-            idx = r.checkpoint_indices()
+            idx = r.replay.checkpoint_indices()
             assert idx[0] == 0 and all(i % 16 == 0 for i in idx)
             # every full-interval stop survived: no state was copied to
             # be dropped again
@@ -259,10 +259,10 @@ class TestColdFold:
         r.on_query("read")
         # lands `lateness` entries below the tip (own clocks are 1..8000)
         r.on_message(2, (8_000 - lateness, 2, S.insert(-1)))
-        assert r.rollbacks == 1
-        assert r.rollback_replayed <= 2 * lateness + 2 * 64
+        assert rollbacks(r) == 1
+        assert rollback_replayed(r) <= 2 * lateness + 2 * 64
         r.on_query("read")
-        assert r.replayed_updates == len(r.updates) + r.rollback_replayed
+        assert replayed(r) == len(r.updates) + rollback_replayed(r)
 
     def test_a_short_suffix_is_one_fold_and_no_copy(self):
         r, spec = self.restored(640)
@@ -278,7 +278,7 @@ class TestColdFold:
         r.on_query("read")
         assert spec.folds == [3, 61] and spec.thaws == 0 and spec.freezes == 1
         assert spec.applies == 0 and spec.batches == []
-        assert r.checkpoint_indices()[-1] == 704
+        assert r.replay.checkpoint_indices()[-1] == 704
 
     def test_peek_folds_a_long_suffix_in_one_batch_and_keeps_nothing(self):
         # LocalCluster.settle() polls local_state() on a rejoiner nobody
@@ -286,7 +286,7 @@ class TestColdFold:
         r, spec = self.restored(8000)
         state = r.local_state()
         assert spec.applies == 0 and spec.batches == [8000]
-        assert r.replayed_updates == 0 and r.checkpoint_indices() == [0]
+        assert replayed(r) == 0 and r.replay.checkpoint_indices() == [0]
         assert state == r.on_query("read")
 
     def test_rollback_accounting_survives_the_batch_path(self):
@@ -295,11 +295,9 @@ class TestColdFold:
         for clock in (600, 300, 100):  # late: lands inside the replayed prefix
             r.on_message(2, (clock, 2, S.insert(-clock)))
             r.on_query("read")
-        assert r.rollbacks == 3
-        assert r.replayed_updates == len(r.updates) + r.rollback_replayed
-        naive = UniversalReplica(0, 3, SetSpec(), batch_replay=False)
-        naive.load_log(r.updates)
-        assert r.on_query("read") == naive.on_query("read")
+        assert rollbacks(r) == 3
+        assert replayed(r) == len(r.updates) + rollback_replayed(r)
+        assert r.on_query("read") == SPEC.observe(from_scratch(r.updates), "read", ())
 
 
 class TestGarbageCollection:
@@ -322,7 +320,7 @@ class TestGarbageCollection:
         # stable and reclaimable.
         for r in c.replicas:
             r.collect_garbage()
-        assert any(r.collected > 0 for r in c.replicas)
+        assert any(collected(r) > 0 for r in c.replicas)
 
     def test_states_correct_after_gc(self):
         c = self.gc_cluster()
@@ -353,7 +351,7 @@ class TestGarbageCollection:
             c.update(i % 3, S.insert(i % 7))
             c.run()
         naive_log = 60
-        assert all(r.live_log_length < naive_log // 2 for r in c.replicas)
+        assert all(r.log_length < naive_log // 2 for r in c.replicas)
 
     def test_stability_violation_detected_on_reordering_network(self):
         # Non-FIFO + aggressive GC: an in-flight older message can land

@@ -1,13 +1,14 @@
-"""Differential fuzz for the commutative fast path (Section VII-C).
+"""Differential fuzz for the Section VII-C replays.
 
 "If all the update operations commute ... a naive implementation, that
 applies the updates on a replica as soon as the notification is received,
-achieves update consistency."  The fast path trusts that claim; these
-tests earn it: every scenario runs the *same* seeded schedule twice —
-once with the arrival-order fast path, once with ``fast_path=False``
-(sorted-log replay) — and requires identical observable behaviour, under
-chaos adversaries, crash/recovery through the durable-log codec, and
-stable-prefix GC with anti-entropy state transfer.
+achieves update consistency."  The arrival-order fold trusts that claim;
+these tests earn it: every scenario runs the *same* seeded schedule twice —
+once under the fold, once under naive replay (Algorithm 1's sorted-log
+fold) — and requires identical observable behaviour, under chaos
+adversaries, crash/recovery through the durable-log codec, and
+stable-prefix GC with anti-entropy state transfer.  The same differential
+holds every replay (checkpoint tree, undo/redo) against naive replay.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import update_consistent_convergence
-from repro.core.checkpoint import CheckpointedReplica, GarbageCollectedReplica
+from repro.core.checkpoint import GarbageCollectedReplica
 from repro.core.commutative import CommutativeReplica
-from repro.core.undo import UndoReplica
 from repro.core.universal import UniversalReplica
 from repro.sim import Cluster
 from repro.sim.fuzz import AdversaryFuzzer
@@ -27,11 +27,25 @@ from repro.sim.network import ExponentialLatency, LossyNetwork
 from repro.specs import CounterSpec, GSetSpec, MapSpec, SetSpec
 from repro.specs import counter as C
 from repro.specs import gset as G
+from repro.specs import set_spec as S
 
 N = 3
 SEEDS = st.integers(0, 10_000)
 
 SPECS = {"counter": CounterSpec(), "gset": GSetSpec()}
+#: the order-sensitive spec of the replay matrix (naive and checkpoint only)
+ORDERED = {"set": SetSpec()}
+
+#: every replay each spec takes, on both log-keeping replica classes.
+MATRIX = [
+    pytest.param(cls, kind, replay, id=f"{cls.__name__}-{kind}-{replay}")
+    for cls in (UniversalReplica, GarbageCollectedReplica)
+    for kind, replays in (
+        ("counter", ("naive", "checkpoint", "undo", "fold")),
+        ("set", ("naive", "checkpoint")),
+    )
+    for replay in replays
+]
 
 
 def make_script(kind: str, seed: int, n_ops: int = 25) -> list:
@@ -42,24 +56,24 @@ def make_script(kind: str, seed: int, n_ops: int = 25) -> list:
         if kind == "counter":
             k = int(rng.integers(1, 5))
             op = C.dec(k) if rng.random() < 0.4 else C.inc(k)
+        elif kind == "set":
+            v = int(rng.integers(8))
+            op = S.delete(v) if rng.random() < 0.4 else S.insert(v)
         else:
             op = G.insert(int(rng.integers(8)))
         script.append((pid, op))
     return script
 
 
-def chaos_cluster(kind: str, seed: int, fast: bool, replica_cls=UniversalReplica):
-    spec = SPECS[kind]
-    # Only the base replica exposes epidemic relay; the checkpoint/GC
-    # variants repair loss through anti-entropy alone (stable-prefix GC
-    # even forbids relay — a relayed duplicate under the collected
-    # frontier would look like a stability violation).
-    kwargs = {"relay": True} if replica_cls is UniversalReplica else {}
+def chaos_cluster(
+    kind: str, seed: int, replay=None, replica_cls=UniversalReplica, **kwargs
+):
+    spec = {**SPECS, **ORDERED}[kind]
+    # Loss is repaired by anti-entropy alone: every replica class takes
+    # the same keywords, and stable-prefix GC forbids epidemic relay.
     return Cluster(
         N,
-        lambda p, n: replica_cls(
-            p, n, spec, fast_path=None if fast else False, **kwargs
-        ),
+        lambda p, n: replica_cls(p, n, spec, replay=replay, **kwargs),
         seed=seed,
         fifo=True,
         network_cls=LossyNetwork,
@@ -87,10 +101,9 @@ class TestDifferentialFuzz:
         """Same seed, same adversary, same script: the arrival-order fold
         and the sorted-log replay must agree at every surviving replica
         (crashes recover through the durable-log codec mid-run)."""
-        fast = chaos_cluster(kind, seed, fast=True)
-        assert all(r.fast_path for r in fast.replicas)
-        slow = chaos_cluster(kind, seed, fast=False)
-        assert not any(r.fast_path for r in slow.replicas)
+        fast = chaos_cluster(kind, seed)
+        assert all(r.replay.name == "fold" for r in fast.replicas)
+        slow = chaos_cluster(kind, seed, replay="naive")
         spec = SPECS[kind]
         fast_states = run_chaos(fast, kind, seed)
         slow_states = run_chaos(slow, kind, seed)
@@ -113,7 +126,7 @@ class TestDifferentialFuzz:
             seed=seed,
             latency=ExponentialLatency(5.0),
         )
-        assert all(r.fast_path for r in c.replicas)
+        assert all(r.replay.name == "fold" for r in c.replicas)
         for pid, op in make_script(kind, seed):
             c.update(pid, op)
         c.run()
@@ -126,24 +139,40 @@ class TestDifferentialFuzz:
 
     @given(SEEDS)
     @settings(max_examples=8, deadline=None)
-    @pytest.mark.parametrize(
-        "replica_cls", [CheckpointedReplica, GarbageCollectedReplica]
-    )
-    def test_optimized_variants_differential(self, replica_cls, seed):
-        """The fast path composes with checkpointing and stable-prefix GC
-        (whose recovery path includes anti-entropy v2 state transfer for
-        compacted replicas)."""
-        kind = "counter"
-        spec = SPECS[kind]
-        fast = chaos_cluster(kind, seed, fast=True, replica_cls=replica_cls)
-        slow = chaos_cluster(kind, seed, fast=False, replica_cls=replica_cls)
-        fast_states = run_chaos(fast, kind, seed)
-        slow_states = run_chaos(slow, kind, seed)
-        assert set(fast_states) == set(slow_states)
-        for pid in fast_states:
-            assert spec.canonical(fast_states[pid]) == spec.canonical(
-                slow_states[pid]
-            ), f"{replica_cls.__name__} pid {pid} diverged on seed {seed}"
+    @pytest.mark.parametrize("replica_cls, kind, replay", MATRIX)
+    def test_optimized_variants_differential(self, replica_cls, kind, replay, seed):
+        """Every replay composes with crashes, truncated recovery and
+        stable-prefix GC: same schedule, same canonical state and same
+        sorted ``(clock, pid)`` log per pid as naive replay — and both
+        equal one ``apply`` per log entry on top of the replica's base.
+        GC replicas collect every 4 deliveries, so prefixes are folded
+        and state transfers installed mid-run (loss voids the FIFO
+        completeness GC relies on, so replicas need not agree with each
+        other here; each must agree with naive replay)."""
+        spec = {**SPECS, **ORDERED}[kind]
+        gc = {"gc_interval": 4} if replica_cls is GarbageCollectedReplica else {}
+        runs = {}
+        for name in {"naive", replay}:
+            c = chaos_cluster(kind, seed, name, replica_cls, **gc)
+            assert all(r.replay.name == name for r in c.replicas)
+            run_chaos(c, kind, seed)
+            runs[name] = c
+        naive = {p: runs["naive"].replicas[p] for p in runs["naive"].alive()}
+        assert runs[replay].alive() == list(naive)
+        for pid, r in enumerate(runs[replay].replicas):
+            if pid not in naive:
+                continue
+            where = f"{replay} pid {pid} seed {seed}"
+            assert [s[:2] for s in r.updates] == [s[:2] for s in naive[pid].updates], where
+            state = (
+                r.durable_gc_state()["base"]
+                if isinstance(r, GarbageCollectedReplica) else spec.initial_state()
+            )
+            for _, _, update in r.updates:
+                state = spec.apply(state, update)
+            expected = spec.canonical(naive[pid].local_state())
+            assert spec.canonical(r.local_state()) == expected, where
+            assert spec.canonical(state) == expected, where
 
     @given(SEEDS)
     @settings(max_examples=10, deadline=None)
@@ -155,7 +184,7 @@ class TestDifferentialFuzz:
         finals = []
         for factory in (
             lambda p, n: UniversalReplica(p, n, spec),
-            lambda p, n: UniversalReplica(p, n, spec, fast_path=False),
+            lambda p, n: UniversalReplica(p, n, spec, replay="naive"),
             lambda p, n: CommutativeReplica(p, n, spec),
         ):
             c = Cluster(N, factory, seed=seed, latency=ExponentialLatency(3.0))
@@ -177,7 +206,7 @@ class TestCrashRecovery:
             c = Cluster(
                 N,
                 lambda p, n: UniversalReplica(
-                    p, n, spec, relay=True, fast_path=None if fast else False
+                    p, n, spec, relay=True, replay=None if fast else "naive"
                 ),
                 seed=7,
                 fifo=True,
@@ -206,9 +235,7 @@ class TestCrashRecovery:
         spec = SPECS["counter"]
         c = Cluster(
             N,
-            lambda p, n: GarbageCollectedReplica(
-                p, n, spec, gc_interval=4, checkpoint_interval=2
-            ),
+            lambda p, n: GarbageCollectedReplica(p, n, spec, gc_interval=4),
             seed=11,
             fifo=True,
         )
@@ -227,7 +254,7 @@ class TestCrashRecovery:
         states = {p: spec.canonical(s) for p, s in c.states().items()}
         assert len(set(states.values())) == 1
         assert states[1] == 20
-        assert c.replicas[1].fast_path
+        assert c.replicas[1].replay.name == "fold"
 
 
 class TestActivation:
@@ -239,21 +266,20 @@ class TestActivation:
             (MapSpec(), False),
         ):
             r = UniversalReplica(0, 2, spec)
-            assert r.fast_path is expect, spec.name
+            assert (r.replay.name == "fold") is expect, spec.name
 
     @pytest.mark.parametrize("spec_cls", [SetSpec, MapSpec])
     @pytest.mark.parametrize(
-        "replica_cls",
-        [UniversalReplica, CheckpointedReplica, GarbageCollectedReplica],
+        "replica_cls", [UniversalReplica, GarbageCollectedReplica]
     )
     def test_forcing_fast_path_on_order_sensitive_spec_raises(
         self, spec_cls, replica_cls
     ):
         with pytest.raises(ValueError, match="commutative"):
-            replica_cls(0, 2, spec_cls(), fast_path=True)
+            replica_cls(0, 2, spec_cls(), replay="fold")
 
     def test_undo_replica_opts_out(self):
-        # Undo/redo *is* its own incremental strategy; the arrival-order
-        # fold would be redundant work on top of it.
-        r = UndoReplica(0, 2, CounterSpec())
-        assert r.fast_path is False
+        # Undo/redo *is* its own incremental strategy: choosing it on a
+        # commuting spec wins over the arrival-order fold default.
+        r = UniversalReplica(0, 2, CounterSpec(), replay="undo")
+        assert r.replay.name == "undo"

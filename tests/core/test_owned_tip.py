@@ -1,7 +1,7 @@
 """The replay tip is a working state the replica owns; none of it leaks.
 
-``CheckpointedReplica`` folds queries into a private ``set`` (and the
-commutative fast path folds arrivals into one).  Whatever leaves the
+The checkpoint replay folds queries into a private ``set`` (and the
+arrival-order fold folds arrivals into one).  Whatever leaves the
 replica — a ``read`` answer, ``local_state()``, a checkpoint, the GC base,
 a state-transfer image — is a frozen snapshot: never the working object,
 never changed by what the replica does next, and still a ``frozenset`` on
@@ -12,26 +12,30 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.checkpoint import CheckpointedReplica, GarbageCollectedReplica
+from repro.core.checkpoint import GarbageCollectedReplica
+from repro.core.universal import UniversalReplica
 from repro.proto.wire import encode_value, state_transfer
 from repro.specs import GSetSpec, SetSpec
 from repro.specs import set_spec as S
+from tests.counts import rollbacks
 
 
 def tips(r):
     """The working objects the replica owns right now."""
-    owned = []
-    if r.fast_path:
-        owned.append(r._fast_state)
-    elif r._owned:
-        owned.append(r._state)
-    return owned
+    replay = r.replay
+    if replay.name == "fold" or replay._owned:
+        return [replay._state]
+    return []
+
+
+def checkpoints(r):
+    return list(r.replay._ckpts) if r.replay.name == "checkpoint" else []
 
 
 def outputs(r):
     """Everything a caller, a checkpoint or a peer can get hold of."""
     out = [("read", r.on_query("read")), ("local_state", r.local_state())]
-    out += [(f"checkpoint@{i}", state) for i, state in r._ckpts]
+    out += [(f"checkpoint@{i}", state) for i, state in checkpoints(r)]
     if isinstance(r, GarbageCollectedReplica):
         out.append(("base", r.durable_gc_state()["base"]))
         out.append(("state_transfer", state_transfer(r)))
@@ -63,23 +67,22 @@ def _copy(value):
 
 
 REPLICAS = {
-    "checkpointed": lambda: CheckpointedReplica(
-        0, 2, SetSpec(), checkpoint_interval=4
+    "checkpointed": lambda: UniversalReplica(
+        0, 2, SetSpec(), replay="checkpoint", checkpoint_interval=4
     ),
     "gc": lambda: GarbageCollectedReplica(
         0, 2, SetSpec(), checkpoint_interval=4, gc_interval=10_000
     ),
-    "fast-path": lambda: GarbageCollectedReplica(
-        0, 2, GSetSpec(), checkpoint_interval=4, gc_interval=10_000
-    ),
+    "fast-path": lambda: GarbageCollectedReplica(0, 2, GSetSpec(), gc_interval=10_000),
 }
 
 
 @pytest.mark.parametrize("kind", list(REPLICAS))
 def test_no_output_is_the_tip_or_changes_afterwards(kind):
     r = REPLICAS[kind]()
-    assert r.fast_path == (kind == "fast-path")
-    delete = S.insert if r.fast_path else S.delete
+    fold = r.replay.name == "fold"
+    assert fold == (kind == "fast-path")
+    delete = S.insert if fold else S.delete
     w = Witness()
     for i in range(10):
         r.on_update(S.insert(i))
@@ -91,7 +94,7 @@ def test_no_output_is_the_tip_or_changes_afterwards(kind):
 
     r.on_message(1, (3, 1, S.insert("late")))  # sorts under the tip
     w.check(r)
-    assert r.fast_path or r.rollbacks == 1
+    assert fold or rollbacks(r) == 1
     w.capture(r, "late message")
 
     if isinstance(r, GarbageCollectedReplica):
@@ -119,5 +122,5 @@ def test_the_wire_and_the_journal_see_a_frozenset(kind):
         r.on_update(S.insert(i))
     r.on_query("contains", (0,))
     assert encode_value(r.local_state())["@"] == "frozenset"
-    for _, state in r._ckpts:
+    for _, state in checkpoints(r):
         assert type(state) is frozenset

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.checkpoint import CheckpointedReplica, GarbageCollectedReplica
+from repro.core.checkpoint import GarbageCollectedReplica
 from repro.core.universal import UniversalReplica
 from repro.net import __main__ as net_main
 from repro.specs import SetSpec
 from repro.specs import set_spec as S
+from tests.counts import replayed, rollbacks
 from tests.core.test_checkpoint import CountingSetSpec
 
 SPEC = SetSpec()
@@ -35,20 +36,20 @@ def test_a_query_on_the_shipped_replica_folds_only_what_arrived_since(
     for i in range(12_000):
         r.on_update(S.insert(i))
     r.on_query("contains", (0,))  # the cold fold, paid once
-    assert r.replayed_updates == 12_000 == len(r.updates)
+    assert replayed(r) == 12_000 == len(r.updates)
     for arrived in (0, 1, 3, 4, 7, 64, 200, 0):
         for k in range(arrived):
             if k % 2:
                 r.on_message(1, (r.clock.value + 1, 1, S.insert(-r.clock.value)))
             else:
                 r.on_update(S.delete(k))
-        before = r.replayed_updates
+        before = replayed(r)
         spec.reset()
         r.on_query("contains", (5,))
-        assert r.replayed_updates - before == arrived
+        assert replayed(r) - before == arrived
         assert sum(spec.folds) == arrived and len(spec.folds) <= arrived // 64 + 2
         assert spec.applies == 0 and spec.batches == [] and spec.thaws == 0
-    assert r.rollbacks == 0
+    assert rollbacks(r) == 0
 
 
 @pytest.mark.parametrize("gc", [False, True])
@@ -76,7 +77,7 @@ def test_a_busy_replica_copies_its_state_once_per_checkpoint_interval(
     # delivery, one thaw when the next query folds past it
     spec.reset()
     r.on_message(1, (13_000, 1, S.insert("late")))
-    assert r.rollbacks == 1
+    assert rollbacks(r) == 1
     assert (spec.thaws, spec.freezes, spec.folds) == (0, 0, [])
     assert r.on_query("contains", ("late",)) is True
     assert spec.thaws == 1
@@ -102,8 +103,8 @@ def gc_replica():
 def r(request):
     if request.param == "gc":
         return gc_replica()
-    cls = UniversalReplica if request.param == "universal" else CheckpointedReplica
-    return cls(0, 3, SPEC)
+    replay = "naive" if request.param == "universal" else "checkpoint"
+    return UniversalReplica(0, 3, SPEC, replay=replay)
 
 
 @pytest.fixture

@@ -41,6 +41,7 @@ from repro.proto.wire import (
 from repro.sim import Cluster
 from repro.specs import SetSpec
 from repro.specs import set_spec as S
+from tests.counts import collected
 
 SPEC = SetSpec()
 
@@ -542,7 +543,7 @@ class TestRecoveryRegression:
         for r in c.replicas:
             r.collect_garbage()
         assert c.replicas[2].gc_clock_floor > 0
-        assert c.replicas[2].collected > 0
+        assert collected(c.replicas[2]) > 0
         c.crash(2)
         c.recover(2)  # complete snapshot: pure codec round-trip
         c.run()

@@ -1,11 +1,10 @@
-"""Tests for the Karsenty–Beaudouin-Lafon undo replica (Section VII-C)."""
+"""Tests for the Karsenty–Beaudouin-Lafon undo replay (Section VII-C)."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.undo import UndoReplica
 from repro.core.universal import UniversalReplica
 from repro.sim import Cluster
 from repro.sim.network import ExponentialLatency
@@ -13,21 +12,26 @@ from repro.sim.workload import collab_edit_workload, counter_workload, run_workl
 from repro.specs import CounterSpec, LogSpec, SetSpec
 from repro.specs import counter as C
 from repro.specs import log_spec as L
+from tests.counts import replayed
+
+
+def undo_replica(pid, n, spec):
+    return UniversalReplica(pid, n, spec, replay="undo")
 
 
 class TestConstruction:
     def test_requires_invertible_spec(self):
         with pytest.raises(ValueError, match="not invertible"):
-            UndoReplica(0, 2, SetSpec())
+            undo_replica(0, 2, SetSpec())
 
     def test_accepts_counter_and_log(self):
-        UndoReplica(0, 2, CounterSpec())
-        UndoReplica(0, 2, LogSpec())
+        undo_replica(0, 2, CounterSpec())
+        undo_replica(0, 2, LogSpec())
 
 
 class TestCounterBehaviour:
     def cluster(self, **kw):
-        return Cluster(2, lambda pid, n: UndoReplica(pid, n, CounterSpec()), **kw)
+        return Cluster(2, lambda pid, n: undo_replica(pid, n, CounterSpec()), **kw)
 
     def test_local_ops(self):
         c = self.cluster()
@@ -40,9 +44,9 @@ class TestCounterBehaviour:
         for i in range(50):
             c.update(0, C.inc(1))
         r = c.replicas[0]
-        before = r.replayed_updates
+        before = replayed(r)
         c.query(0, "read")
-        assert r.replayed_updates == before  # no replay at query time
+        assert replayed(r) == before  # no replay at query time
 
     def test_late_update_repositioned_by_undo(self):
         c = self.cluster(latency=ExponentialLatency(5.0), seed=2)
@@ -51,12 +55,12 @@ class TestCounterBehaviour:
             c.update(0, C.inc(1))
         c.run()
         assert c.query(0, "read") == 15
-        assert c.replicas[0].undone_redone > 0
+        assert c.replicas[0].replay.undone_redone > 0
 
 
 class TestLogBehaviour:
     def test_late_append_lands_at_timestamp_position(self):
-        c = Cluster(2, lambda pid, n: UndoReplica(pid, n, LogSpec()),
+        c = Cluster(2, lambda pid, n: undo_replica(pid, n, LogSpec()),
                     latency=ExponentialLatency(100.0), seed=0)
         c.update(1, L.append("early-remote"))  # stamp (1,1), delayed
         c.update(0, L.append("a"))             # stamp (1,0)
@@ -75,7 +79,7 @@ class TestEquivalence:
         spec = CounterSpec()
         naive = Cluster(3, lambda pid, n: UniversalReplica(pid, n, spec),
                         latency=ExponentialLatency(4.0), seed=seed)
-        undo = Cluster(3, lambda pid, n: UndoReplica(pid, n, spec),
+        undo = Cluster(3, lambda pid, n: undo_replica(pid, n, spec),
                        latency=ExponentialLatency(4.0), seed=seed)
         assert run_workload(naive, wl) == run_workload(undo, wl)
 
@@ -86,7 +90,7 @@ class TestEquivalence:
         spec = LogSpec()
         naive = Cluster(3, lambda pid, n: UniversalReplica(pid, n, spec),
                         latency=ExponentialLatency(4.0), seed=seed)
-        undo = Cluster(3, lambda pid, n: UndoReplica(pid, n, spec),
+        undo = Cluster(3, lambda pid, n: undo_replica(pid, n, spec),
                        latency=ExponentialLatency(4.0), seed=seed)
         run_workload(naive, wl)
         run_workload(undo, wl)

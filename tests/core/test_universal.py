@@ -12,6 +12,7 @@ from repro.sim.network import ExponentialLatency, FixedLatency
 from repro.sim.workload import conflict_heavy_set_workload, run_workload
 from repro.specs import SetSpec
 from repro.specs import set_spec as S
+from tests.counts import replayed
 
 SPEC = SetSpec()
 
@@ -38,7 +39,7 @@ class TestLocalBehaviour:
         c.update(0, S.insert(1))
         c.query(0, "read")
         c.query(1, "read")
-        assert c.network.sent_count == 3  # n - 1
+        assert c.metrics.value("repro_network_messages_sent_total") == 3  # n - 1
 
     def test_log_length_counts_all_known_updates(self):
         c = cluster()
@@ -53,7 +54,7 @@ class TestLocalBehaviour:
             c.update(0, S.insert(i))
         c.query(0, "read")
         c.query(0, "read")
-        assert c.replicas[0].replayed_updates == 10
+        assert replayed(c.replicas[0]) == 10
 
     def test_known_timestamps_sorted(self):
         c = cluster()
@@ -75,19 +76,19 @@ class TestReplayAccounting:
             c.update(0, S.insert(i))
         c.run()
         r0 = c.replicas[0]
-        before = r0.replayed_updates
+        before = replayed(r0)
         r0.local_state()
         r0.local_state()
-        assert r0.replayed_updates == before
+        assert replayed(r0) == before
 
     def test_cluster_states_does_not_inflate_replay_counter(self):
         c = cluster()
         for i in range(5):
             c.update(i % 3, S.insert(i))
         c.run()
-        totals = [r.replayed_updates for r in c.replicas]
+        totals = [replayed(r) for r in c.replicas]
         c.states()  # convergence introspection sweeps every replica
-        assert [r.replayed_updates for r in c.replicas] == totals
+        assert [replayed(r) for r in c.replicas] == totals
 
     def test_query_still_charges_full_replay(self):
         c = cluster()
@@ -95,9 +96,9 @@ class TestReplayAccounting:
             c.update(0, S.insert(i))
         c.run()
         r0 = c.replicas[0]
-        before = r0.replayed_updates
+        before = replayed(r0)
         c.query(0, "read")
-        assert r0.replayed_updates == before + len(r0.updates)
+        assert replayed(r0) == before + len(r0.updates)
 
     def test_local_state_agrees_with_query(self):
         c = cluster()
@@ -147,18 +148,19 @@ class TestWitnessCapture:
         assert len(fresh) == len(stale) + 1
 
     def test_witness_identical_with_and_without_fast_path(self):
-        # The commutative fast path answers queries from the arrival-order
-        # fold but must leave witness capture untouched: the same schedule
-        # run on both paths yields byte-identical SUC witnesses.
+        # The arrival-order fold answers queries without replaying the
+        # log but must leave witness capture untouched: the same schedule
+        # run under it and under naive replay yields identical SUC witnesses.
         from repro.specs import CounterSpec
         from repro.specs import counter as C
 
         spec = CounterSpec()
 
         def run(fast: bool):
+            replay = "fold" if fast else "naive"
             c = Cluster(
                 2,
-                lambda pid, n: UniversalReplica(pid, n, spec, fast_path=fast),
+                lambda pid, n: UniversalReplica(pid, n, spec, replay=replay),
             )
             c.update(0, C.inc(1))
             c.query(1, "read")

@@ -113,7 +113,7 @@ class TestCSet:
         c = make(CSetReplica)
         c.update(0, S.delete(1))  # locally absent: suppressed, not sent
         assert c.replicas[0].suppressed == 1
-        assert c.network.sent_count == 0
+        assert c.metrics.value("repro_network_messages_sent_total") == 0
 
     def test_no_negative_counters_locally(self):
         c = make(CSetReplica)

@@ -95,7 +95,7 @@ class TestReplication:
     def test_updates_send_nothing(self):
         c = sb_cluster(GSetLattice)
         c.update(0, S.insert(1))
-        assert c.network.sent_count == 0
+        assert c.metrics.value("repro_network_messages_sent_total") == 0
         assert c.query(0, "read") == frozenset({1})
         assert c.query(1, "read") == frozenset()
 

@@ -7,7 +7,6 @@ from repro.analysis import (
     staleness_report,
     update_consistent_convergence,
 )
-from repro.core.checkpoint import CheckpointedReplica
 from repro.core.universal import UniversalReplica
 from repro.sim import Cluster
 from repro.sim.network import ExponentialLatency
@@ -43,8 +42,9 @@ class TestLongRun:
     def test_two_thousand_operations(self):
         c = Cluster(
             4,
-            lambda p, n: CheckpointedReplica(
-                p, n, SPEC, checkpoint_interval=128, track_witness=True
+            lambda p, n: UniversalReplica(
+                p, n, SPEC, replay="checkpoint", checkpoint_interval=128,
+                track_witness=True,
             ),
             latency=ExponentialLatency(1.5), seed=14,
         )

@@ -12,9 +12,8 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import update_consistent_convergence
-from repro.core.checkpoint import CheckpointedReplica, GarbageCollectedReplica
+from repro.core.checkpoint import GarbageCollectedReplica
 from repro.core.commutative import CommutativeReplica
-from repro.core.undo import UndoReplica
 from repro.core.universal import UniversalReplica
 from repro.sim import Cluster
 from repro.sim.network import ExponentialLatency
@@ -43,7 +42,9 @@ class TestSetStrategies:
         wl = conflict_heavy_set_workload(3, 30, seed=seed)
         base = run(lambda p, n: UniversalReplica(p, n, spec), wl, seed)
         ck = run(
-            lambda p, n: CheckpointedReplica(p, n, spec, checkpoint_interval=3),
+            lambda p, n: UniversalReplica(
+                p, n, spec, replay="checkpoint", checkpoint_interval=3
+            ),
             wl, seed,
         )
         assert base[0] == ck[0]
@@ -70,9 +71,12 @@ class TestInvertibleStrategies:
     def test_counter_all_four_agree(self, seed):
         spec = CounterSpec()
         wl = counter_workload(3, 30, seed=seed)
-        base = run(lambda p, n: UniversalReplica(p, n, spec), wl, seed)
-        ck = run(lambda p, n: CheckpointedReplica(p, n, spec), wl, seed)
-        un = run(lambda p, n: UndoReplica(p, n, spec), wl, seed)
+        def replaying(replay):
+            return lambda p, n: UniversalReplica(p, n, spec, replay=replay)
+
+        base = run(replaying("naive"), wl, seed)
+        ck = run(replaying("checkpoint"), wl, seed)
+        un = run(replaying("undo"), wl, seed)
         fast = run(lambda p, n: CommutativeReplica(p, n, spec), wl, seed)
         assert base[0] == ck[0] == un[0] == fast[0]
         assert base[1] == ck[1] == un[1] == fast[1]
@@ -83,7 +87,7 @@ class TestInvertibleStrategies:
         spec = LogSpec()
         wl = collab_edit_workload(3, 25, seed=seed)
         base = run(lambda p, n: UniversalReplica(p, n, spec), wl, seed)
-        un = run(lambda p, n: UndoReplica(p, n, spec), wl, seed)
+        un = run(lambda p, n: UniversalReplica(p, n, spec, replay="undo"), wl, seed)
         assert base[1] == un[1]
         # The converged document interleaves the authors' edit streams in
         # each author's own order (intention preservation).

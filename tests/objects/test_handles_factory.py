@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.checkpoint import CheckpointedReplica
 from repro.core.commutative import CommutativeReplica
 from repro.core.universal import UniversalReplica
 from repro.objects import make_memory, make_replicated
@@ -28,7 +27,7 @@ class TestFactory:
 
     def test_strategy_selection(self):
         cluster, _ = make_replicated(SetSpec(), 2, strategy="checkpoint")
-        assert all(isinstance(r, CheckpointedReplica) for r in cluster.replicas)
+        assert all(r.replay.name == "checkpoint" for r in cluster.replicas)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown strategy"):
@@ -38,7 +37,31 @@ class TestFactory:
         cluster, _ = make_replicated(
             SetSpec(), 2, strategy="checkpoint", checkpoint_interval=7
         )
-        assert cluster.replicas[0].checkpoint_interval == 7
+        assert cluster.replicas[0].replay.interval == 7
+
+    @pytest.mark.parametrize("spec, strategy, kwargs", [
+        (SetSpec(), "checkpoint", {"relay": True}),
+        (CounterSpec(), "undo", {"relay": True, "sync_page_size": 8}),
+    ])
+    def test_log_strategies_take_the_same_keywords(self, spec, strategy, kwargs):
+        # Relay and paging belong to the replica, whichever replay it runs.
+        cluster, handles = make_replicated(spec, 3, strategy=strategy, seed=4, **kwargs)
+        for i in range(9):
+            if spec.name == "set":
+                handles[i % 3].insert(i)
+            else:
+                handles[i % 3].inc(i)
+        cluster.run()
+        assert all(r.relay for r in cluster.replicas)
+        assert len({spec.canonical(s) for s in cluster.states().values()}) == 1
+
+    def test_a_setting_the_replay_does_not_use_is_refused(self):
+        with pytest.raises(ValueError, match="checkpoint"):
+            make_replicated(SetSpec(), 2, checkpoint_interval=8)
+        with pytest.raises(ValueError, match="checkpoint"):
+            make_replicated(CounterSpec(), 2, strategy="undo", checkpoint_interval=8)
+        with pytest.raises(ValueError, match="relay"):
+            make_replicated(SetSpec(), 2, strategy="gc", relay=True)
 
     def test_commutative_strategy_needs_commutative_spec(self):
         make_replicated(CounterSpec(), 2, strategy="commutative")

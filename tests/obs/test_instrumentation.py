@@ -1,11 +1,10 @@
-"""Runtime instrumentation: shared registry, deprecated aliases, trace
+"""Runtime instrumentation: shared registry, fault counts, trace
 coverage of the message lifecycle and fault events."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.checkpoint import CheckpointedReplica, GarbageCollectedReplica
 from repro.core.universal import UniversalReplica
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import SimTracer
@@ -13,6 +12,7 @@ from repro.sim.cluster import Cluster
 from repro.sim.network import DuplicatingNetwork, LossyNetwork
 from repro.specs import SetSpec
 from repro.specs import set_spec as S
+from tests.counts import replayed
 
 
 def make_cluster(n=3, *, tracer=None, network_cls=None, network_kwargs=None,
@@ -50,20 +50,13 @@ class TestSharedRegistry:
         replica = UniversalReplica(0, 1, spec)
         replica.on_update(S.insert(1))
         replica.on_query("read", ())
-        assert replica.replayed_updates == 1
+        assert replayed(replica) == 1
         assert replica.metrics.total("repro_replica_replayed_updates_total") == 1
 
 
 class TestDeprecatedAliases:
-    def test_network_counts_mirror_registry(self):
-        c = make_cluster()
-        c.update(0, S.insert(1))
-        c.run()
-        reg = c.metrics
-        assert c.network.sent_count == reg.value("repro_network_messages_sent_total")
-        assert c.network.delivered_count == reg.value(
-            "repro_network_messages_delivered_total")
-        assert c.network.sent_count > 0
+    """The fault counts once read through Network/Cluster properties; the
+    registry is now their only home."""
 
     def test_lossy_and_duplicating_counts(self):
         lossy = make_cluster(network_cls=LossyNetwork,
@@ -71,70 +64,25 @@ class TestDeprecatedAliases:
         for i in range(10):
             lossy.update(i % 3, S.insert(i))
         lossy.run()
-        assert lossy.network.lost_count == lossy.metrics.value(
-            "repro_network_messages_lost_total")
-        assert lossy.network.lost_count > 0
+        assert lossy.metrics.value("repro_network_messages_lost_total") > 0
 
         dup = make_cluster(network_cls=DuplicatingNetwork,
                            network_kwargs={"duplicate_probability": 0.5}, seed=7)
         for i in range(10):
             dup.update(i % 3, S.insert(i))
         dup.run()
-        assert dup.network.duplicated_count == dup.metrics.value(
-            "repro_network_messages_duplicated_total")
-        assert dup.network.duplicated_count > 0
+        assert dup.metrics.value("repro_network_messages_duplicated_total") > 0
 
     def test_cluster_fault_counts(self):
         c = make_cluster()
         c.update(0, S.insert(1))
         c.crash(2)
         c.run()
-        assert c.dropped_to_crashed == c.metrics.value(
-            "repro_cluster_dropped_to_crashed_total")
-        assert c.dropped_to_crashed > 0
+        assert c.metrics.value("repro_cluster_dropped_to_crashed_total") > 0
         c.recover(2)
         c.run()
-        assert c.recovered_count == 1
         assert c.metrics.value("repro_cluster_recoveries_total") == 1
         assert c.metrics.value("repro_cluster_crashes_total") == 1
-
-    def test_replayed_updates_alias(self):
-        c = make_cluster(2, factory=lambda p, n: UniversalReplica(p, n, SetSpec()))
-        c.update(0, S.insert(1))
-        c.update(0, S.insert(2))
-        c.query(0, "read")
-        replica = c.replicas[0]
-        assert replica.replayed_updates == 2
-        assert c.metrics.value(
-            "repro_replica_replayed_updates_total", pid=0) == 2
-
-    def test_checkpoint_rollback_alias(self):
-        spec = SetSpec()
-        ck = Cluster(2, lambda p, n: CheckpointedReplica(p, n, spec))
-        ck.network.hold(1, 0)
-        ck.update(1, S.insert(1))     # stamp (1,1), parked on the held channel
-        ck.update(0, S.insert(5))     # (1,0)
-        ck.update(0, S.insert(6))     # (2,0)
-        ck.query(0, "read")           # replica 0 replays through (2,0)
-        ck.network.heal(ck.now)
-        ck.run()                      # (1,1) lands inside the applied prefix
-        ck.query(0, "read")
-        r0 = ck.replicas[0]
-        assert r0.rollbacks == ck.metrics.value(
-            "repro_replica_rollbacks_total", pid=0)
-        assert r0.rollbacks > 0
-
-    def test_gc_collected_alias(self):
-        spec = SetSpec()
-        gc = Cluster(2, lambda p, n: GarbageCollectedReplica(p, n, spec),
-                     fifo=True)
-        for i in range(6):
-            gc.update(i % 2, S.insert(i))
-        gc.run()
-        total = sum(r.collect_garbage() for r in gc.replicas)
-        assert total > 0
-        assert gc.metrics.total("repro_replica_collected_entries_total") == total
-        assert sum(r.collected for r in gc.replicas) == total
 
 
 class TestTraceCoverage:
@@ -153,9 +101,12 @@ class TestTraceCoverage:
             c.update(i % 3, S.insert(i))
         c.run()
         counts = tracer.counts()
-        assert counts["message.send"] == c.network.sent_count
-        assert counts.get("message.lost", 0) == c.network.lost_count
-        assert counts["message.deliver"] == c.network.delivered_count
+        reg = c.metrics
+        assert counts["message.send"] == reg.value("repro_network_messages_sent_total")
+        assert counts.get("message.lost", 0) == reg.value(
+            "repro_network_messages_lost_total")
+        assert counts["message.deliver"] == reg.value(
+            "repro_network_messages_delivered_total")
         assert counts["op.update"] == 12
 
     def test_fault_events_recorded(self):

@@ -22,6 +22,7 @@ from repro.obs.report import (
 )
 from repro.obs.scenario import chaos_scenario
 from repro.obs.tracer import to_chrome_trace
+from tests.counts import replayed
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +33,7 @@ def chaos():
     cluster = chaos_scenario(seed=0)
     doc = run_report(cluster)
     snapshot = {
-        "replayed": [r.replayed_updates for r in cluster.replicas],
+        "replayed": [replayed(r) for r in cluster.replicas],
         "log_lengths": [r.log_length for r in cluster.replicas],
         "metrics_json": cluster.metrics.to_json(),
     }
@@ -56,15 +57,15 @@ class TestReportCrossCheck:
         assert doc["cluster"]["virtual_time"] == cluster.now
         assert doc["cluster"]["alive"] == cluster.alive()
         assert doc["cluster"]["crashed"] == sorted(cluster.crashed)
-        assert doc["cluster"]["recoveries"] == cluster.recovered_count == 1
+        assert doc["cluster"]["recoveries"] == cluster.metrics.value("repro_cluster_recoveries_total") == 1
 
     def test_message_counts_match_network(self, chaos):
         cluster, doc, snap = chaos
         msgs = doc["messages"]
-        assert msgs["sent"] == cluster.network.sent_count
-        assert msgs["delivered"] == cluster.network.delivered_count
-        assert msgs["lost"] == cluster.network.lost_count
-        assert msgs["dropped_to_crashed"] == cluster.dropped_to_crashed
+        assert msgs["sent"] == cluster.metrics.value("repro_network_messages_sent_total")
+        assert msgs["delivered"] == cluster.metrics.value("repro_network_messages_delivered_total")
+        assert msgs["lost"] == cluster.metrics.value("repro_network_messages_lost_total")
+        assert msgs["dropped_to_crashed"] == cluster.metrics.value("repro_cluster_dropped_to_crashed_total")
         assert msgs["pending"] == 0
         stats = collect_message_stats(cluster)
         assert msgs["sends_per_update"] == stats.sends_per_update
@@ -158,7 +159,7 @@ class TestUntracedReport:
         doc = run_report(cluster)
         assert validate_report(doc) == []
         assert doc["trace"] == {"enabled": False, "records": 0, "events": {}}
-        assert doc["messages"]["sent"] == cluster.network.sent_count
+        assert doc["messages"]["sent"] == cluster.metrics.value("repro_network_messages_sent_total")
 
 
 class TestValidator:

@@ -92,7 +92,7 @@ class TestCrashes:
         c.update(0, S.insert(1))
         c.crash(1)
         c.run()
-        assert c.dropped_to_crashed == 1
+        assert c.metrics.value("repro_cluster_dropped_to_crashed_total") == 1
         assert c.query(2, "read") == frozenset({1})
 
     def test_crash_with_drop_outgoing_loses_in_flight(self):

@@ -25,6 +25,7 @@ from repro.sim import Cluster, DuplicatingNetwork, LossyNetwork
 from repro.sim.network import FixedLatency
 from repro.specs import SetSpec
 from repro.specs import set_spec as S
+from tests.counts import collected
 
 SPEC = SetSpec()
 
@@ -58,11 +59,11 @@ class TestCrashSemantics:
         c.partition([[0, 1], [2, 3]])
         c.update(2, S.insert(9))     # 2→0 and 2→1 are parked
         c.crash(0)
-        before = c.dropped_to_crashed
+        before = c.metrics.value("repro_cluster_dropped_to_crashed_total")
         assert before == 1           # the parked 2→0 copy, counted at crash
         c.heal()
         c.run()
-        assert c.dropped_to_crashed == before
+        assert c.metrics.value("repro_cluster_dropped_to_crashed_total") == before
         assert c.query(1, "read") == frozenset({9})
 
     def test_crashed_pid_rejected_as_hold_endpoint(self):
@@ -92,9 +93,9 @@ class TestCrashSemantics:
         c = cluster()
         c.update(0, S.insert(1))
         c.crash(1)
-        first = c.dropped_to_crashed
+        first = c.metrics.value("repro_cluster_dropped_to_crashed_total")
         c.crash(1)
-        assert c.dropped_to_crashed == first
+        assert c.metrics.value("repro_cluster_dropped_to_crashed_total") == first
 
 
 class TestCrashRecovery:
@@ -113,7 +114,7 @@ class TestCrashRecovery:
         c.run()
         c.recover(0)
         c.run()
-        assert c.recovered_count == 1
+        assert c.metrics.value("repro_cluster_recoveries_total") == 1
         # The recovered replica kept its own updates and pulled the missed one.
         assert c.query(0, "read") == frozenset({1, 2, 3})
         assert converged(c)
@@ -210,12 +211,12 @@ class TestLossAndRelay:
 
     def test_relay_converges_under_loss(self):
         c = self.run_lossy(relay=True)
-        assert c.network.lost_count > 0
+        assert c.metrics.value("repro_network_messages_lost_total") > 0
         assert len(states_of(c)) == 1
 
     def test_no_relay_diverges_under_loss(self):
         c = self.run_lossy(relay=False)
-        assert c.network.lost_count > 0
+        assert c.metrics.value("repro_network_messages_lost_total") > 0
         assert len(states_of(c)) > 1
 
     def test_anti_entropy_repairs_even_without_relay(self):
@@ -231,7 +232,7 @@ class TestLossAndRelay:
         for i in range(10):
             c.update(i % 3, S.insert(i))
         c.run()
-        assert c.network.duplicated_count > 0
+        assert c.metrics.value("repro_network_messages_duplicated_total") > 0
         assert len(states_of(c)) == 1
         # Deduplication: no replica applied an update twice.
         assert all(r.log_length == 10 for r in c.replicas)
@@ -325,7 +326,7 @@ class TestGCUnderPartition:
         assert len(states_of(gc)) == 1
         assert states_of(gc) == states_of(plain)
         # The test is only meaningful if GC actually collected entries.
-        assert sum(r.collected for r in gc.replicas) > 0
+        assert sum(collected(r) for r in gc.replicas) > 0
 
     def test_violation_still_detected_on_raw_reorder(self):
         # The detector itself still works: a non-FIFO message under the
@@ -369,7 +370,7 @@ class TestGCUnderHoldsAndCrashes:
         c.run()
         c.anti_entropy()
         assert len(states_of(c)) == 1
-        assert sum(r.collected for r in c.replicas) > 0
+        assert sum(collected(r) for r in c.replicas) > 0
 
     def test_held_heartbeats_cannot_outrun_their_updates(self):
         # A held channel parks updates and heartbeats alike; releasing
@@ -412,9 +413,9 @@ class TestGCUnderHoldsAndCrashes:
         c = self.gc_cluster(seed=9)
         c.crash(2)
         c.network.broadcast(0, c.replicas[0].heartbeat(), c.now)
-        before = c.dropped_to_crashed
+        before = c.metrics.value("repro_cluster_dropped_to_crashed_total")
         c.run()
-        assert c.dropped_to_crashed > before
+        assert c.metrics.value("repro_cluster_dropped_to_crashed_total") > before
 
 
 class TestGCStateTransferScenario:

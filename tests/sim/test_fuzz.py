@@ -64,7 +64,7 @@ class TestFuzzerMechanics:
                                  recover_probability=0.5)
             report = fz.run_workload(script(80, 4, seed))
             if report.recoveries > 0:
-                assert c.recovered_count == report.recoveries
+                assert c.metrics.value("repro_cluster_recoveries_total") == report.recoveries
                 assert any(m.startswith("recover p") for m in report.moves)
                 break
         else:  # pragma: no cover - would indicate a probability bug
@@ -207,7 +207,7 @@ class TestRelay:
         c.update(0, S.insert(1))
         c.run()
         # Flooding: the original n-1 sends plus each receiver's relay.
-        assert c.network.sent_count == 3 + 3 * 3
+        assert c.metrics.value("repro_network_messages_sent_total") == 3 + 3 * 3
 
     def test_gc_refuses_relay(self):
         import pytest

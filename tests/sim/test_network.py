@@ -83,9 +83,9 @@ class TestSendAndDeliver:
     def test_counters(self):
         net = Network(3)
         net.broadcast(0, "p", now=0.0)
-        assert net.sent_count == 2
+        assert net.metrics.value("repro_network_messages_sent_total") == 2
         drain(net)
-        assert net.delivered_count == 2
+        assert net.metrics.value("repro_network_messages_delivered_total") == 2
 
     def test_tie_break_is_deterministic(self):
         net = Network(2, latency=FixedLatency(1.0))
@@ -293,9 +293,9 @@ class TestFaultInjectionNetworks:
                            drop_probability=0.5)
         for i in range(100):
             net.send(0, 1, i, now=float(i))
-        assert 0 < net.lost_count < 100
-        assert net.sent_count == 100
-        assert len(drain(net)) == 100 - net.lost_count
+        assert 0 < net.metrics.value("repro_network_messages_lost_total") < 100
+        assert net.metrics.value("repro_network_messages_sent_total") == 100
+        assert len(drain(net)) == 100 - net.metrics.value("repro_network_messages_lost_total")
 
     def test_lossy_never_drops_self_sends(self):
         net = LossyNetwork(2, rng=np.random.default_rng(0),
@@ -315,7 +315,7 @@ class TestFaultInjectionNetworks:
             net.send(0, 1, i, now=float(i) * 0.1)
         payloads = [m.payload for m in drain(net)]
         assert payloads == sorted(payloads)  # gaps allowed, reorders not
-        assert net.lost_count > 0
+        assert net.metrics.value("repro_network_messages_lost_total") > 0
 
     def test_duplicating_redelivers(self):
         net = DuplicatingNetwork(2, rng=np.random.default_rng(1),
@@ -323,8 +323,8 @@ class TestFaultInjectionNetworks:
         for i in range(50):
             net.send(0, 1, i, now=float(i))
         msgs = drain(net)
-        assert net.duplicated_count > 0
-        assert len(msgs) == 50 + net.duplicated_count
+        assert net.metrics.value("repro_network_messages_duplicated_total") > 0
+        assert len(msgs) == 50 + net.metrics.value("repro_network_messages_duplicated_total")
 
     def test_duplicating_validates_probability(self):
         with pytest.raises(ValueError, match="probability"):
@@ -341,4 +341,4 @@ class TestFaultInjectionNetworks:
             if m.payload not in seen:
                 seen.append(m.payload)
         assert seen == sorted(seen)
-        assert net.duplicated_count > 0
+        assert net.metrics.value("repro_network_messages_duplicated_total") > 0

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.checkpoint import CheckpointedReplica, GarbageCollectedReplica
+from repro.core.checkpoint import GarbageCollectedReplica
 from repro.core.universal import UniversalReplica
 from repro.proto.wire import restore_replica, verify_chain
-from repro.specs import SetSpec
+from repro.specs import CounterSpec, SetSpec
+from repro.specs import counter as C
 from repro.specs import set_spec as S
 from repro.storage import CorruptImageError, Journal, JournalStore
 
@@ -30,8 +31,8 @@ def records_on_disk(path, *, pid=0):
     return records
 
 
-def replica_with(n_updates, *, pid=0, cls=UniversalReplica):
-    r = cls(pid, 3, SPEC)
+def replica_with(n_updates, *, pid=0):
+    r = UniversalReplica(pid, 3, SPEC)
     for i in range(n_updates):
         r.on_update(S.insert(i))
     return r
@@ -348,29 +349,32 @@ class TestGcCompaction:
 
 
 def test_the_replica_class_is_not_part_of_the_image(tmp_path):
-    """The default node went from Algorithm 1 verbatim to the
-    cached-prefix replica: the same schedule writes the same journal
-    bytes under either, and each boots the other's journal to the same
-    log, clock and state — old data dirs need no migration, a roll-back
-    reads what the new node wrote."""
-    classes = (UniversalReplica, CheckpointedReplica)
+    """How a replica answers queries — its replay — is not written down: the same
+    schedule writes the same journal bytes under every replay, and each
+    boots every other's journal to the same log, clock and state — a node
+    switching replay needs no migration, a roll-back reads what the new
+    node wrote.  (The counter takes all four replays.)"""
+    spec = CounterSpec()
+    replays = ("naive", "checkpoint", "undo", "fold")
     written = {}
-    for cls in classes:
-        r = replica_with(40, cls=cls)
-        st = JournalStore(str(tmp_path / f"{cls.__name__}.journal"), 0)
+    for replay in replays:
+        r = UniversalReplica(0, 3, spec, replay=replay)
+        for i in range(40):
+            r.on_update(C.inc(i))
+        st = JournalStore(str(tmp_path / f"{replay}.journal"), 0)
         st.open()
         st.sync(r)
         r.on_query("read")
-        r.on_message(1, (7, 1, S.delete(3)))  # late: lowers the flush mark
-        r.on_update(S.insert("tail"))
+        r.on_message(1, (7, 1, C.dec(3)))  # late: lowers the flush mark
+        r.on_update(C.inc(100))
         st.sync(r)
         st.close()
-        written[cls] = r
-    old, new = (tmp_path / f"{cls.__name__}.journal" for cls in classes)
-    assert old.read_bytes() == new.read_bytes()
-    for path, reader in ((old, CheckpointedReplica), (new, UniversalReplica)):
-        st = JournalStore(str(path), 0)
-        fresh = reader(0, 3, SPEC)
+        written[replay] = r
+    images = {(tmp_path / f"{replay}.journal").read_bytes() for replay in replays}
+    assert len(images) == 1
+    for replay in replays:
+        st = JournalStore(str(tmp_path / f"{replays[0]}.journal"), 0)
+        fresh = UniversalReplica(0, 3, spec, replay=replay)
         assert restore_replica(fresh, st.open()) == 42
         st.close()
         for r in written.values():

@@ -31,6 +31,16 @@ def payload_size_bits(payload: object) -> int:
     here for simplicity); strings cost 8 bits per UTF-8 byte; containers
     cost the sum of their items.  ``None`` and booleans cost one bit.
     """
+    if type(payload) is tuple:
+        # Sync digests are tuples of many small ints: price those inline
+        # rather than one call each.
+        bits = 0
+        for x in payload:
+            if type(x) is int:
+                bits += max(x.bit_length(), 1) + (x < 0)
+            else:
+                bits += payload_size_bits(x)
+        return bits
     if payload is None or isinstance(payload, bool):
         return 1
     if isinstance(payload, int):

@@ -262,6 +262,9 @@ class GarbageCollectedReplica(UniversalReplica):
         folded into the base state and pruned from ``_known``."""
         return cl <= self._gc_clock_floor or (cl, j) in self._known
 
+    def _folded_floor(self) -> int:
+        return self._gc_clock_floor
+
     def _serve_sync(self, requester: int, digest: SyncDigest) -> None:
         floor = self._gc_clock_floor
         if floor > 0 and any(

@@ -24,7 +24,9 @@ A :class:`SyncDigest` describes a replica's knowledge per author process
 * an **exception set** above the floor — maximal runs ``(lo, hi)`` of
   *consecutive integer clocks* the replica knows from ``j``.  Every
   integer inside a run is a real update id (runs are built from the known
-  set), so a responder may enumerate them.
+  set).  A responder keeps its own live ids as the same runs, so serving
+  a request compares two run lists (:func:`first_gap`) and probes ids
+  only from the first clock the requester lacks.
 
 Lamport clocks stride under merges, so interval runs alone are not a
 compact encoding of a long history — the floors are what keep a
@@ -58,15 +60,18 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from operator import index
+from typing import Any, Iterable, Iterator, Sequence
 
 #: control-payload tags of the anti-entropy handshake.
 SYNC_REQ = "sync-req"
 SYNC_RESP = "sync-resp"
 SYNC_STATE = "sync-state"
 
+#: A run of consecutive integer clocks ``(lo, hi)``, both ends included.
+Run = tuple[int, int]
 #: Coalesced runs of consecutive integer clocks: ``((lo, hi), ...)``.
-Intervals = tuple[tuple[int, int], ...]
+Intervals = tuple[Run, ...]
 
 
 class SyncProtocolError(RuntimeError):
@@ -100,13 +105,32 @@ def coalesce(clocks: Iterable[int]) -> Intervals:
     return tuple(runs)
 
 
-def runs_above(runs: list[tuple[int, int]], floor: int) -> list[tuple[int, int]]:
+def runs_above(runs: Sequence[Run], floor: int) -> Sequence[Run]:
     """What sorted, disjoint ``runs`` hold strictly above ``floor``: one
     bisect, a run straddling the floor clipped to start just above it."""
     i = bisect_left(runs, (floor + 1,))
     if i and runs[i - 1][1] > floor:
         return [(floor + 1, runs[i - 1][1]), *runs[i:]]
     return runs[i:]
+
+
+def first_gap(runs: Sequence[Run], minus: Sequence[Run]) -> int | None:
+    """The lowest clock that ``runs`` hold and ``minus`` does not, or
+    ``None`` — both sorted and disjoint.  Equal lists answer with one
+    comparison; otherwise the walk stops at the first gap, so it costs
+    the runs below it, never the clocks."""
+    if len(runs) == len(minus) and tuple(runs) == tuple(minus):
+        return None
+    i, m = 0, len(minus)
+    for lo, hi in runs:
+        while lo <= hi:
+            while i < m and minus[i][1] < lo:
+                i += 1
+            # minus[i] is the first run ending at or above lo
+            if i == m or minus[i][0] > lo:
+                return lo
+            lo = minus[i][1] + 1
+    return None
 
 
 @dataclass(frozen=True)
@@ -191,14 +215,6 @@ class SyncDigest:
             floor = max(floor, hi)
         return floor
 
-    def exceptions(self) -> Iterator[tuple[int, int]]:
-        """Every above-floor id the digest claims, as ``(clock, pid)``.
-        Each one is a real update id (runs are built from a known set)."""
-        for j, runs in enumerate(self.intervals):
-            for lo, hi in runs:
-                for cl in range(lo, hi + 1):
-                    yield (cl, j)
-
     # -- wire codec ---------------------------------------------------------------
 
     def request_payload(self, requester: int) -> tuple:
@@ -208,20 +224,46 @@ class SyncDigest:
 
 
 def parse_sync_request(payload: tuple) -> tuple[int, SyncDigest]:
-    """``(requester, digest)`` from a sync-request payload."""
+    """``(requester, digest)`` from a sync-request payload.
+
+    Every value must be a non-negative int, and each author's runs sorted
+    and disjoint with ``lo <= hi``: :meth:`SyncDigest.covers` and
+    :func:`first_gap` bisect and walk them on that promise, so a digest
+    that breaks it would silently change what gets paged."""
     if not (
         isinstance(payload, tuple) and len(payload) == 5 and payload[0] == SYNC_REQ
     ):
         raise SyncProtocolError(f"malformed sync request: {payload!r}")
     _, requester, floors, intervals, accepts_state = payload
-    return int(requester), SyncDigest(
-        floors=tuple(int(f) for f in floors),
-        intervals=tuple(
-            tuple((int(lo), int(hi)) for lo, hi in runs)
-            for runs in intervals
-        ),
-        accepts_state=bool(accepts_state),
-    )
+    try:
+        return _natural(requester), SyncDigest(
+            floors=tuple(_natural(f) for f in floors),
+            intervals=tuple(_runs(runs) for runs in intervals),
+            accepts_state=bool(accepts_state),
+        )
+    except (TypeError, ValueError) as exc:
+        raise SyncProtocolError(f"malformed sync request: {exc}") from None
+
+
+def _natural(value: Any) -> int:
+    """``value`` as a non-negative int; a bool or anything else is refused."""
+    if isinstance(value, bool) or index(value) < 0:
+        raise ValueError(f"{value!r} is not a non-negative int")
+    return index(value)
+
+
+def _runs(runs: Iterable[Run]) -> Intervals:
+    """One author's runs, checked sorted and disjoint as they convert."""
+    out: list[Run] = []
+    above = -1  # each run starts past the previous one's end, so >= 0
+    for lo, hi in runs:
+        if type(lo) is not int or type(hi) is not int:
+            lo, hi = _natural(lo), _natural(hi)
+        if lo <= above or hi < lo:
+            raise ValueError(f"run {(lo, hi)} is empty or not above {above}")
+        out.append((lo, hi))
+        above = hi
+    return tuple(out)
 
 
 def pages(entries: list, page_size: int) -> Iterator[tuple]:

@@ -52,6 +52,7 @@ from repro.core.replay import make_replay
 from repro.core.sync import (
     SyncDigest,
     SyncProtocolError,
+    first_gap,
     pages,
     parse_sync_request,
     runs_above,
@@ -91,7 +92,6 @@ class UniversalReplica(Replica):
         "track_witness",
         "relay",
         "_keys",
-        "_authored",
         "_runs",
         "unflushed_from",
         "_known",
@@ -145,9 +145,6 @@ class UniversalReplica(Replica):
         #: flat tuple list needs no per-comparison key callable, and the
         #: witness/visibility machinery reads it without rebuilding pairs.
         self._keys: list[tuple[int, int]] = []
-        #: live log entries per author: lets :meth:`_serve_sync` ignore
-        #: the digest floor of an author with nothing here to ship.
-        self._authored = [0] * n
         #: per author, the sorted maximal runs ``(lo, hi)`` of consecutive
         #: clocks among the live log's ids: the sync digest's exception
         #: runs, kept as ids become known (:meth:`_insert`) and are folded
@@ -269,9 +266,14 @@ class UniversalReplica(Replica):
         """Is update id ``(cl, j)`` already incorporated locally?"""
         return (cl, j) in self._known
 
+    def _folded_floor(self) -> int:
+        """Every id at or below this clock is known without being in the
+        live log (folded into a base state); none on Algorithm 1."""
+        return 0
+
     def _on_sync_request(self, payload: tuple) -> Sequence[Any]:
         requester, digest = parse_sync_request(payload)
-        if digest.n != self.n:
+        if digest.n != self.n or requester >= self.n:
             raise SyncProtocolError(
                 f"sync request from {requester} digests {digest.n} "
                 f"processes, replica {self.pid} runs {self.n}"
@@ -286,15 +288,23 @@ class UniversalReplica(Replica):
     def _serve_sync(self, requester: int, digest: SyncDigest) -> None:
         """Page the live updates the digest does not cover back to the
         requester (the GC subclass prepends a state transfer when the
-        requester's coverage ends below the collected floor).  The log is
-        sorted by clock, so the scan starts above the lowest floor among
-        the authors that have entries here: O(log n + what is left)."""
-        floors = digest.floors
-        low = min(
-            (floors[j] for j, count in enumerate(self._authored) if count),
-            default=0,
-        )
-        start = bisect_left(self._keys, (low + 1,)) if low > 0 else 0
+        requester's coverage ends below the collected floor).
+
+        Per author, this replica's runs above the requester's floor are
+        compared with the digest's runs: equal lists cost one comparison,
+        and the lowest clock the digest lacks is where the log — sorted by
+        clock — starts to be scanned.  Replicas that agree scan nothing;
+        otherwise the scan ships from the first gap on, in log order."""
+        gaps = [
+            gap
+            for runs, floor, claimed in zip(
+                self._runs, digest.floors, digest.intervals
+            )
+            if (gap := first_gap(runs_above(runs, floor), claimed)) is not None
+        ]
+        if not gaps:
+            return
+        start = bisect_left(self._keys, (min(gaps),))
         covers = digest.covers
         missing = [
             s for s in self.updates[start:] if not covers(s[0], s[1])
@@ -306,17 +316,23 @@ class UniversalReplica(Replica):
 
     def _digest_claims_unknown(self, digest: SyncDigest) -> bool:
         """Does the requester's digest *enumerate* an id this replica
-        lacks?  Deliberately ignores the requester's floors: a floor
-        claims ids without naming them, so "your floor is above mine"
-        cannot be answered with a targeted pull — and since ingesting
-        pages never moves a floor, floor-triggered counter-requests
-        between two replicas with incomparable floors would ping-pong
-        forever.  Floor asymmetry is repaired by the all-to-all rounds of
+        lacks?  The serve's run comparison the other way round: per
+        author, the digest's runs above this replica's folded floor
+        against the live log's runs — one comparison when they are equal.
+
+        Deliberately ignores the requester's floors: a floor claims ids
+        without naming them, so "your floor is above mine" cannot be
+        answered with a targeted pull — and since ingesting pages never
+        moves a floor, floor-triggered counter-requests between two
+        replicas with incomparable floors would ping-pong forever.  Floor
+        asymmetry is repaired by the all-to-all rounds of
         :meth:`repro.sim.cluster.Cluster.anti_entropy`, where the
         lower-floored replica issues its own request and receives pages
         or a state transfer."""
+        floor = self._folded_floor()
         return any(
-            not self._covers_uid(cl, j) for cl, j in digest.exceptions()
+            first_gap(runs_above(claimed, floor), runs) is not None
+            for claimed, runs in zip(digest.intervals, self._runs)
         )
 
     def _ingest_synced(self, src: int, stamped: Stamped) -> Sequence[Any]:
@@ -404,7 +420,6 @@ class UniversalReplica(Replica):
                 self.unflushed_from = pos
         self._known.add(key)
         cl, j = key
-        self._authored[j] += 1
         runs = self._runs[j]
         if not runs or cl > runs[-1][1] + 1:
             runs.append((cl, cl))
@@ -428,9 +443,6 @@ class UniversalReplica(Replica):
             return
         if self._visible_pending:
             self._capture_visible()
-        authored = self._authored
-        for _, j in islice(self._keys, cut):
-            authored[j] -= 1
         self._known.difference_update(islice(self._keys, cut))
         floor = self._keys[cut - 1][0]
         self._runs = [runs_above(runs, floor) for runs in self._runs]

@@ -14,16 +14,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.analysis.metrics import payload_size_bits
 from repro.core import checkpoint
+from repro.core.adt import Update
 from repro.core.checkpoint import GarbageCollectedReplica, StabilityViolation
 from repro.core.sync import (
     SYNC_REQ,
+    SYNC_RESP,
     SYNC_STATE,
     StateTransferRequired,
     SyncDigest,
     SyncProtocolError,
     coalesce,
+    first_gap,
     pages,
     parse_sync_request,
 )
@@ -80,6 +85,24 @@ class TestCoalesce:
 
     def test_duplicates_collapse(self):
         assert coalesce([4, 4, 5]) == ((4, 5),)
+
+
+MALFORMED_REQUESTS = {
+    "unsorted-runs": (SYNC_REQ, 1, (0, 0), ((), ((5, 5), (1, 2))), False),
+    "overlapping-runs": (SYNC_REQ, 1, (0, 0), ((), ((1, 3), (3, 4))), False),
+    "empty-run": (SYNC_REQ, 1, (0, 0), ((), ((4, 2),)), False),
+    "negative-clock": (SYNC_REQ, 1, (0, 0), ((), ((-1, 2),)), False),
+    "negative-floor": (SYNC_REQ, 1, (0, -3), ((), ()), False),
+    "float-floor": (SYNC_REQ, 1, (0, 1.5), ((), ()), False),
+    "string-clock": (SYNC_REQ, 1, (0, 0), ((), (("1", 2),)), False),
+    "bool-clock": (SYNC_REQ, 1, (0, 0), ((), ((True, 2),)), False),
+    "three-ended-run": (SYNC_REQ, 1, (0, 0), ((), ((1, 2, 3),)), False),
+    "run-not-a-pair": (SYNC_REQ, 1, (0, 0), ((), (7,)), False),
+    "runs-not-a-list": (SYNC_REQ, 1, (0, 0), ((), None), False),
+    "requester-not-an-int": (SYNC_REQ, "1", (0, 0), ((), ()), False),
+    "requester-out-of-range": (SYNC_REQ, 2, (0, 0), ((), ()), False),
+    "requester-negative": (SYNC_REQ, -1, (0, 0), ((), ()), False),
+}
 
 
 class TestSyncDigest:
@@ -140,10 +163,6 @@ class TestSyncDigest:
         assert d.coverage_floor(0) == 6
         assert d.coverage_floor(1) == 0
 
-    def test_exceptions_enumerate_every_run_point(self):
-        d = SyncDigest(floors=(0, 0), intervals=(((2, 4),), ((9, 9),)))
-        assert set(d.exceptions()) == {(2, 0), (3, 0), (4, 0), (9, 1)}
-
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(SyncProtocolError):
             SyncDigest(floors=(0,), intervals=((), ()))
@@ -180,6 +199,26 @@ class TestSyncDigest:
             parse_sync_request(("something-else", 0, frozenset()))
         with pytest.raises(SyncProtocolError):
             parse_sync_request((SYNC_REQ, 0))
+
+    @pytest.mark.parametrize("make", [
+        lambda: UniversalReplica(0, 2, SPEC),
+        lambda: GarbageCollectedReplica(0, 2, SPEC),
+    ], ids=["universal", "gc"])
+    @pytest.mark.parametrize("request_", list(MALFORMED_REQUESTS.values()),
+                             ids=list(MALFORMED_REQUESTS))
+    def test_a_misshapen_digest_is_refused_and_changes_nothing(
+        self, make, request_
+    ):
+        # covers() bisects and the serve compares runs on the promise that
+        # they are sorted and disjoint: a digest breaking it would page
+        # whatever its order made covers() answer.
+        r = make()
+        for cl in (1, 2, 5):
+            r.on_message(1, (cl, 1, S.insert(cl)))
+        log = list(r.updates)
+        with pytest.raises(SyncProtocolError):
+            r.on_message(1, request_)
+        assert r.updates == log and not r.outbox
 
 
 class TestPages:
@@ -373,16 +412,46 @@ class TestServeSync:
         digest = SyncDigest(floors=(floor, floor, 0), intervals=((), (), ()))
         shipped, calls = self.serve(r, digest, monkeypatch)
         assert [s[0] for s in shipped] == [s[0] for s in r.updates[-9:]]
-        assert len(calls) == 9
+        assert len(calls) <= 9
+
+    @pytest.mark.parametrize("n_updates", [300, 3000])
+    @pytest.mark.parametrize("whose", ["gc", "plain"])
+    def test_a_digest_equal_to_the_responders_own_scans_nothing(
+        self, n_updates, whose, monkeypatch
+    ):
+        # sim-protocol: replicas that agree ship nothing, so the serve may
+        # not probe covers() once per logged id to find that out
+        r = self.responder(n_updates)
+        digest = (
+            r._sync_digest() if whose == "gc"
+            else SyncDigest.from_runs(r._runs, (0, 0, 0))  # Algorithm 1's
+        )
+        shipped, calls = self.serve(r, digest, monkeypatch)
+        assert shipped == [] and calls == []
+        assert not r._digest_claims_unknown(digest)
+
+    def test_the_scan_starts_at_the_lowest_gap(self, monkeypatch):
+        r = self.responder()
+        lost = r.updates[250]
+        digest = SyncDigest.from_uids(
+            (k for k in r._keys if k != (lost[0], lost[1])), 3
+        )
+        shipped, calls = self.serve(r, digest, monkeypatch)
+        assert shipped == [lost]
+        assert len(calls) == len(r.updates) - 250
 
     def test_collected_authors_stop_counting(self):
         r = GarbageCollectedReplica(0, 2, SPEC, gc_interval=10_000)
         r.on_message(1, (1, 1, S.insert("a")))
         r.on_update(S.insert("b"))
-        assert r._authored == [1, 1]
+        assert r._runs == [[(2, 2)], [(1, 1)]]
         r.on_message(1, ("hb", 1, 1))
         assert r.collect_garbage() == 1  # (1, 1) folded away
-        assert r._authored == [1, 0]
+        assert r._runs == [[(2, 2)], []]
+        # author 1's floor of 0 no longer pins the serve: the state
+        # transfer repairs it, and no page follows
+        r._serve_sync(1, SyncDigest((2, 0), ((), ()), accepts_state=True))
+        assert [payload[0] for _dst, payload in r.outbox] == [SYNC_STATE]
 
 
 class TestGCDigest:
@@ -706,3 +775,146 @@ class TestIncrementalDigest:
         assert r._sync_digest() == SyncDigest(
             floors=(0, 4), intervals=((), ((5, 6), (9, 9))), accepts_state=True
         )
+
+
+# -- the run comparison, against per-id definitions ------------------------------
+
+
+@st.composite
+def run_lists(draw, max_runs=8):
+    """Sorted, disjoint runs; a gap of 0 makes two runs abut, which a
+    peer's digest may do (only the maintained runs are maximal)."""
+    runs, lo = [], draw(st.integers(0, 3))
+    for gap, length in draw(st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 4)), max_size=max_runs
+    )):
+        lo += gap
+        runs.append((lo, lo + length))
+        lo += length + 1
+    return runs
+
+
+def clocks_of(runs):
+    return {cl for lo, hi in runs for cl in range(lo, hi + 1)}
+
+
+@st.composite
+def split_runs(draw, clocks):
+    """``clocks`` as sorted runs, some maximal ones cut where they abut."""
+    out = []
+    for lo, hi in coalesce(clocks):
+        cut = draw(st.integers(lo, hi + 1))
+        out += [r for r in ((lo, cut - 1), (cut, hi)) if r[0] <= r[1]]
+    return tuple(out)
+
+
+@st.composite
+def served_replicas(draw, n=3):
+    """A replica whose log took late inserts (and, on GC, a collected
+    prefix under a floor that may straddle a run), and a digest that is
+    partly its log, partly not, with floors anywhere."""
+    ids = sorted(draw(st.sets(
+        st.tuples(st.integers(1, 40), st.integers(0, n - 1)), max_size=60
+    )))
+    order = draw(st.permutations(ids))
+    if draw(st.booleans()):
+        r = GarbageCollectedReplica(0, n, SPEC, gc_interval=10_000)
+        cut = draw(st.integers(0, len(order)))
+        for cl, j in order[:cut]:
+            r._ingest_synced(j, (cl, j, S.insert(cl)))
+        r.install_gc_state(base=frozenset(), clock_floor=draw(st.integers(0, 30)))
+        order = order[cut:]  # entries under the floor arrive as duplicates
+    else:
+        r = UniversalReplica(0, n, SPEC)
+    for cl, j in order:
+        r._ingest_synced(j, (cl, j, S.insert(cl)))
+    dropped = draw(st.sets(st.sampled_from(ids))) if ids else set()
+    extra = draw(st.sets(st.tuples(st.integers(1, 45), st.integers(0, n - 1))))
+    claimed = (set(ids) - dropped) | extra
+    digest = SyncDigest(
+        floors=tuple(draw(st.integers(0, 45)) for _ in range(n)),
+        intervals=tuple(
+            draw(split_runs([cl for cl, k in claimed if k == j]))
+            for j in range(n)
+        ),
+        accepts_state=True,
+    )
+    # the shape a digest has once it passed the wire's checks
+    assert parse_sync_request(digest.request_payload(1))[1] == digest
+    return r, digest
+
+
+def reference_bits(payload):
+    """``payload_size_bits`` as one recursive definition."""
+    if payload is None or isinstance(payload, bool):
+        return 1
+    if isinstance(payload, int):
+        return max(payload.bit_length(), 1) + (1 if payload < 0 else 0)
+    if isinstance(payload, float):
+        return 64
+    if isinstance(payload, str):
+        return 8 * len(payload.encode("utf-8"))
+    if isinstance(payload, Update):
+        return reference_bits(payload.name) + reference_bits(payload.args)
+    if isinstance(payload, (tuple, list)):
+        return sum(reference_bits(x) for x in payload)
+    return sum(reference_bits(k) + reference_bits(v) for k, v in payload.items())
+
+
+SCALARS = (
+    st.none() | st.booleans() | st.integers(-(2 ** 70), 2 ** 70)
+    | st.floats(allow_nan=False) | st.text(max_size=4)
+)
+PAYLOADS = st.recursive(
+    SCALARS | st.builds(Update, st.text(max_size=4), st.tuples(SCALARS, SCALARS)),
+    lambda inner: (
+        st.lists(inner, max_size=4).map(tuple)
+        | st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=3) | st.integers(), inner, max_size=3)
+    ),
+    max_leaves=24,
+)
+
+
+class TestRunComparison:
+    """The serve and the counter-request check compare run lists instead
+    of probing each id: they must answer what the per-id definitions
+    (``SyncDigest.covers``, ``_covers_uid``) answer."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(run_lists(), run_lists(), st.sampled_from(["other", "same", "tuple"]))
+    def test_first_gap_is_the_lowest_clock_missing(self, runs, minus, shape):
+        if shape == "same":
+            minus = list(runs)
+        elif shape == "tuple":
+            minus = tuple(minus)
+        missing = clocks_of(runs) - clocks_of(minus)
+        assert first_gap(runs, minus) == (min(missing) if missing else None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(served_replicas())
+    def test_the_serve_ships_exactly_what_covers_misses(self, case):
+        r, digest = case
+        assert r._runs == [
+            list(coalesce(cl for cl, k in r._keys if k == j)) for j in range(r.n)
+        ]
+        expected = [s for s in r.updates if not digest.covers(s[0], s[1])]
+        r._serve_sync(1, digest)
+        pages_sent = [p[1] for _dst, p in r.outbox if p[0] == SYNC_RESP]
+        assert [s for page in pages_sent for s in page] == expected
+        assert all(len(page) <= r.sync_page_size for page in pages_sent)
+
+    @settings(max_examples=200, deadline=None)
+    @given(served_replicas())
+    def test_the_claims_check_equals_the_per_id_probe(self, case):
+        r, digest = case
+        assert r._digest_claims_unknown(digest) == any(
+            not r._covers_uid(cl, j)
+            for j, runs in enumerate(digest.intervals)
+            for cl in clocks_of(runs)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(PAYLOADS)
+    def test_payload_size_bits_equals_the_recursive_definition(self, payload):
+        assert payload_size_bits(payload) == reference_bits(payload)

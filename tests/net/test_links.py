@@ -10,7 +10,7 @@ import weakref
 import pytest
 
 from repro.core.checkpoint import GarbageCollectedReplica
-from repro.core.sync import SYNC_STATE
+from repro.core.sync import SYNC_REQ, SYNC_STATE
 from repro.core.universal import UniversalReplica
 from repro.net.__main__ import make_factory
 from repro.net.framing import encode_frame
@@ -141,7 +141,14 @@ def test_a_restarted_peer_is_dialled_back_on_its_hello():
     (7).to_bytes(4, "big") + b"garbage",     # not JSON
     encode_frame((MSG, 99, {"k": 1})),       # no such process
     encode_frame("hello"),                   # not a frame tuple
-], ids=["no-src", "not-json", "unknown-src", "not-a-tuple"])
+    # sync requests whose digest breaks the sorted, disjoint runs or
+    # names no process of the mesh
+    encode_frame((MSG, 0, (SYNC_REQ, 0, (0, 0), ((), ((5, 5), (1, 2))), False))),
+    encode_frame((MSG, 0, (SYNC_REQ, 0, (0, -1), ((), ()), False))),
+    encode_frame((MSG, 0, (SYNC_REQ, 7, (0, 0), ((), ()), False))),
+], ids=["no-src", "not-json", "unknown-src", "not-a-tuple",
+        "sync-req-unsorted-runs", "sync-req-negative-floor",
+        "sync-req-unknown-requester"])
 def test_a_malformed_frame_closes_its_link_and_is_counted(frame):
     async def scenario():
         cluster = LocalCluster(2, factory, sync_interval=0.05, http=False)

@@ -1,12 +1,15 @@
 """Section VII-C optimization: stable-prefix garbage collection.
 
 Algorithm 1 keeps every update forever.  The paper notes that "after some
-time old messages can be garbage collected":
-:class:`GarbageCollectedReplica` tracks, per peer, the highest Lamport
-clock heard from it.  An update stamped below every peer's heard-clock can
-never be preceded by a yet-unknown update (Lamport clocks are monotone
-along messages), so the prefix of such updates is *stable*: it is folded
-into a base state and dropped from the log.  Idle processes keep the
+time old messages can be garbage collected".  Every replica has the
+state shape that allows it (:class:`~repro.core.universal.UniversalReplica`:
+a base folded to a floor, ``heard``, the live log); this module is only
+the *policy* that moves the floor.  :class:`GarbageCollectedReplica`
+tracks, per peer, the highest Lamport clock heard from it.  An update
+stamped below every peer's heard-clock can never be preceded by a
+yet-unknown update (Lamport clocks are monotone along messages), so the
+prefix of such updates is *stable*: it is folded into a base state and
+dropped from the log.  Idle processes keep the
 frontier moving with heartbeats (clock-only messages).
 
 Stability relies on per-sender delivery order: run it over FIFO channels
@@ -28,10 +31,8 @@ from bisect import bisect_left
 from typing import Any, Hashable, Sequence
 
 from repro.core.adt import UQADT
-from repro.core.sync import StateTransferRequired, SyncDigest
 from repro.core.universal import UniversalReplica
 from repro.obs.metrics import MetricsRegistry
-from repro.proto.wire import install_state_transfer, state_transfer
 
 
 class StabilityViolation(RuntimeError):
@@ -46,25 +47,22 @@ class GarbageCollectedReplica(UniversalReplica):
     ``(clock, pid, update)`` like the base class; heartbeats as
     ``("hb", clock, pid)``.  GC folds the stable prefix into the base
     state; ``repro_replica_collected_entries_total`` counts discarded log
-    entries.
+    entries.  The digest, state transfer and base record that read the
+    floor are the base class's, switched on by :attr:`accepts_state`.
     """
 
     __slots__ = (
         "gc_interval",
-        "heard",
-        "_base",
         "_since_gc",
-        "_gc_frontier",
-        "_gc_clock_floor",
         "_own_suspect_below",
         "_collected",
-        "_state_transfers",
-        "_state_installs",
     )
 
     HEARTBEAT = "hb"
 
     DEFAULT_REPLAY = "checkpoint"
+
+    accepts_state = True
 
     def __init__(
         self,
@@ -95,25 +93,11 @@ class GarbageCollectedReplica(UniversalReplica):
         if gc_interval <= 0:
             raise ValueError("gc interval must be positive")
         self.gc_interval = gc_interval
-        #: highest clock heard from each peer (own entry tracks own clock).
-        self.heard: list[int] = [0] * n
-        self._base: Any = spec.initial_state()
         self._since_gc = 0
-        #: largest (clock, pid) folded into the base state.
-        self._gc_frontier: tuple[int, int] | None = None
-        #: completeness floor of the base state: every update (from any
-        #: author) with clock <= this is folded into ``_base``.  Unlike
-        #: the frontier it advances even when a collection folds nothing
-        #: (min(heard) grew past an empty stretch), and it is what lets
-        #: ``_known`` stay pruned: ids at or below the floor are known
-        #: implicitly.
-        self._gc_clock_floor = 0
         #: crash-recovery honesty guard: after a truncated restore this
         #: replica may have *lost its own updates* with clocks at or below
-        #: the recorded value, so its own ``heard`` column (a completeness
-        #: claim about its own authorship) must not advance past the
-        #: restored log until a state transfer certifies a floor covering
-        #: the gap.  0 = no suspicion.
+        #: the recorded value, so its own ``heard`` column must not advance
+        #: until a state transfer certifies a floor covering the gap.
         self._own_suspect_below = 0
 
     def bind_metrics(self, registry: MetricsRegistry) -> None:
@@ -123,19 +107,6 @@ class GarbageCollectedReplica(UniversalReplica):
             "repro_replica_collected_entries_total",
             help="update-log entries garbage-collected into the base state "
             "(the stable prefix of Section VII-C)",
-            label_names=("pid",),
-        ).labels(pid=self.pid)
-        #: anti-entropy v2 state transfer accounting.
-        self._state_transfers = registry.counter(
-            "repro_sync_state_transfers_total",
-            help="base-state handoffs sent to requesters whose coverage "
-            "ended below this replica's GC floor",
-            label_names=("pid",),
-        ).labels(pid=self.pid)
-        self._state_installs = registry.counter(
-            "repro_sync_state_installs_total",
-            help="transferred base states installed (the requester side "
-            "of a state transfer)",
             label_names=("pid",),
         ).labels(pid=self.pid)
 
@@ -245,103 +216,20 @@ class GarbageCollectedReplica(UniversalReplica):
             self._last_meta["visible_floor"] = self._gc_clock_floor
         return out
 
-    # -- anti-entropy v2: digests, state transfer, durable state --------------------
-
-    def _sync_digest(self) -> SyncDigest:
-        """Floors from the ``heard`` vector (the same reliable-FIFO
-        argument that makes the stable prefix stable certifies "I know
-        every j-update with clock <= heard[j]"), exception runs for the
-        handful of ids learned above it (paged in by earlier sync
-        rounds), and consent to install a state transfer."""
-        return SyncDigest.from_runs(
-            self._runs, tuple(self.heard), accepts_state=True
-        )
-
-    def _covers_uid(self, cl: int, j: int) -> bool:
-        """Ids at or below the GC floor are known implicitly: they are
-        folded into the base state and pruned from ``_known``."""
-        return cl <= self._gc_clock_floor or (cl, j) in self._known
-
-    def _folded_floor(self) -> int:
-        return self._gc_clock_floor
-
-    def _serve_sync(self, requester: int, digest: SyncDigest) -> None:
-        floor = self._gc_clock_floor
-        if floor > 0 and any(
-            digest.coverage_floor(j) < floor for j in range(self.n)
-        ):
-            # The requester is missing updates at or below our floor.
-            # Those are folded into the base state and cannot be
-            # enumerated, let alone paged — hand the compacted state off.
-            if not digest.accepts_state:
-                raise StateTransferRequired(
-                    f"replica {requester} is missing updates at or below "
-                    f"replica {self.pid}'s GC floor {floor}, which only a "
-                    "state transfer can repair, but its digest does not "
-                    "accept one (a replica without a base state)"
-                )
-            # The handoff is our journal's base record on its digest chain.
-            self.send_to(requester, state_transfer(self))
-            self._state_transfers.inc()
-        super()._serve_sync(requester, digest)
-
-    def _on_sync_state(self, src: int, payload: tuple) -> Sequence[Any]:
-        # Verified as src's [meta, base] image before anything installs.
-        if install_state_transfer(self, src, payload):
-            self._state_installs.inc()
-        return ()
+    # -- crash recovery: the own-authorship guard ---------------------------------
 
     def install_gc_state(
-        self,
-        *,
-        base: Any,
-        clock_floor: int,
+        self, *, base: Any, clock_floor: int,
         frontier: tuple[int, int] | None = None,
     ) -> bool:
-        """Adopt a compacted base state certified complete to
-        ``clock_floor`` (from a state transfer or a durable snapshot).
-
-        Safe because the sender's floor is a completeness claim over
-        *every* author: the handed-off base contains every update with
-        clock <= floor, so our live entries at or below it are duplicates
-        of folded content and our own base (complete to a lower floor) is
-        subsumed.  The clock is merged up to the floor first — a replica
-        that adopted a floor and then stamped an update at or below it
-        would violate its own peers' stability check.  Returns False (and
-        installs nothing) when our floor is already at least as high.
-        """
-        self.clock.merge(clock_floor)
-        if clock_floor <= self._gc_clock_floor:
-            return False
-        self._drop_prefix(bisect_left(self._keys, (clock_floor + 1,)))
-        self._base = base
-        self._gc_clock_floor = clock_floor
-        if frontier is not None:
-            previous = self._gc_frontier
-            self._gc_frontier = (
-                frontier if previous is None else max(previous, frontier)
-            )
-        for j in range(self.n):
-            self.heard[j] = max(self.heard[j], clock_floor)
-        self.replay.installed(self.updates, base)
-        if self._own_suspect_below and clock_floor >= self._own_suspect_below:
+        installed = super().install_gc_state(
+            base=base, clock_floor=clock_floor, frontier=frontier
+        )
+        if installed and clock_floor >= self._own_suspect_below:
             # The floor certifies every update (ours included) at or
-            # below it, so the amnesia gap is provably repaired.
+            # below it, so any amnesia gap is provably repaired.
             self._own_suspect_below = 0
-        return True
-
-    def durable_gc_state(self) -> dict[str, Any]:
-        """The GC-specific durable state for a snapshot: the compacted
-        base, its completeness floor, the fold frontier and the ``heard``
-        vector.  The base is an atomically-rewritten compacted segment in
-        the on-disk model — unlike live log entries it is never truncated
-        by a missed fsync (see :func:`repro.proto.wire.replica_snapshot`)."""
-        return {
-            "base": self._base,
-            "clock_floor": self._gc_clock_floor,
-            "frontier": self._gc_frontier,
-            "heard": tuple(self.heard),
-        }
+        return installed
 
     def finish_restore(
         self, pre_crash_clock: int, heard: Sequence[int] | None = None
@@ -369,15 +257,3 @@ class GarbageCollectedReplica(UniversalReplica):
             self.heard[j] = max(self.heard[j], cl)
         if pre_crash_clock > self.heard[self.pid]:
             self._own_suspect_below = pre_crash_clock
-
-    @property
-    def gc_clock_floor(self) -> int:
-        """Completeness floor of the base state: every update with clock
-        at or below it (from any author) has been folded into ``_base``."""
-        return self._gc_clock_floor
-
-    @property
-    def known_ids_tracked(self) -> int:
-        """Ids enumerated in ``_known`` (the floor covers the rest) —
-        the quantity satellite benchmarks assert stays bounded."""
-        return len(self._known)

@@ -5,11 +5,8 @@ O(total updates) bits.  Section VII-C's complexity stance ("each message
 only contains the information to identify the update and a timestamp")
 and the ROADMAP's heavy-traffic north star both demand a summary whose
 size tracks the *live* window, not the history.  This module defines that
-summary and the wire tags of the handshake; the replica-side behaviour
-lives in
-:class:`repro.core.universal.UniversalReplica` (digest construction,
-paging) and :class:`repro.core.checkpoint.GarbageCollectedReplica`
-(completeness floors, state transfer).
+summary and the wire tags of the handshake; the replica side (digest,
+paging, state transfer) is :class:`repro.core.universal.UniversalReplica`'s.
 
 A :class:`SyncDigest` describes a replica's knowledge per author process
 ``j`` as

@@ -35,8 +35,12 @@ queries only: ``repro_replica_replayed_updates_total`` is the Section
 VII-C query replay cost that benches and the run report consume, and
 introspection (:meth:`local_state`, convergence checks) reads the
 replay's uncharged :meth:`~repro.core.replay.Replay.peek`.
-:class:`repro.core.checkpoint.GarbageCollectedReplica` adds stable-prefix
-garbage collection on top.
+Every replica has one state shape — a base folded to a completeness
+floor, ``heard`` claims, the live log above the floor — and this class
+owns it with the digest, state transfer and base record that read it.
+On Algorithm 1 nothing moves it (floor 0, initial base, ``heard`` all 0);
+:class:`repro.core.checkpoint.GarbageCollectedReplica` is the policy that
+moves the floor (stable-prefix garbage collection).
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from repro.core.adt import UQADT, Update
 from repro.core import sync as sync_protocol
 from repro.core.replay import make_replay
 from repro.core.sync import (
+    StateTransferRequired,
     SyncDigest,
     SyncProtocolError,
     first_gap,
@@ -58,6 +63,7 @@ from repro.core.sync import (
     runs_above,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.proto.wire import install_state_transfer, state_transfer
 from repro.sim.replica import Replica
 from repro.util.clocks import LamportClock
 
@@ -95,6 +101,10 @@ class UniversalReplica(Replica):
         "_runs",
         "unflushed_from",
         "_known",
+        "heard",
+        "_base",
+        "_gc_frontier",
+        "_gc_clock_floor",
         "_last_meta",
         "_visible_pending",
         "_visible_cache",
@@ -103,6 +113,8 @@ class UniversalReplica(Replica):
         "_sync_pages",
         "_sync_shipped",
         "_sync_redundant",
+        "_state_transfers",
+        "_state_installs",
     )
 
     #: control-payload tags (anti-entropy handshake; see repro.core.sync).
@@ -113,6 +125,11 @@ class UniversalReplica(Replica):
     #: the replay ``replay=None`` picks on a spec whose updates do not
     #: commute (on one that declares ``commutative_updates``: ``"fold"``).
     DEFAULT_REPLAY = "naive"
+
+    #: whether the base is kept, so a state transfer or a journal's base
+    #: record may replace it: the digest's ``accepts_state``, the refusal
+    #: of :meth:`install_gc_state` and ``wire.journal_records`` read it.
+    accepts_state = False
 
     def __init__(
         self,
@@ -166,6 +183,14 @@ class UniversalReplica(Replica):
         self.relay = relay
         #: the ids of the live log as a set: ``_known == set(_keys)``.
         self._known: set[tuple[int, int]] = set()
+        #: per author, the clock up to which every update is known (the
+        #: digest's floors); ``_base`` folds every update of any author at
+        #: or below ``_gc_clock_floor``, the largest of them (clock, pid)
+        #: is ``_gc_frontier``, and their ids are not kept in ``_known``.
+        self.heard: list[int] = [0] * n
+        self._base: Any = spec.initial_state()
+        self._gc_frontier: tuple[int, int] | None = None
+        self._gc_clock_floor = 0
         self._last_meta: dict[str, Any] = {}
         #: the last query's witness still lacks its visibility set: it is
         #: captured when claimed (:meth:`witness_meta`) or just before the
@@ -210,6 +235,18 @@ class UniversalReplica(Replica):
             "folded into the base state) on arrival",
             label_names=("pid",),
         ).labels(pid=self.pid)
+        self._state_transfers = registry.counter(
+            "repro_sync_state_transfers_total",
+            help="base-state handoffs sent to requesters whose coverage "
+            "ended below this replica's GC floor",
+            label_names=("pid",),
+        ).labels(pid=self.pid)
+        self._state_installs = registry.counter(
+            "repro_sync_state_installs_total",
+            help="transferred base states installed (the requester side "
+            "of a state transfer)",
+            label_names=("pid",),
+        ).labels(pid=self.pid)
 
     # -- Algorithm 1 ---------------------------------------------------------------
 
@@ -232,7 +269,10 @@ class UniversalReplica(Replica):
                 extra.extend(self._ingest_synced(src, stamped))
             return extra
         if isinstance(payload, tuple) and payload and payload[0] == self.SYNC_STATE:
-            return self._on_sync_state(src, payload)
+            # verified as src's [meta, base] image before anything installs
+            if install_state_transfer(self, src, payload):
+                self._state_installs.inc()
+            return ()
         cl, j, update = payload
         if self._covers_uid(cl, j):
             return ()  # relayed / network duplicate
@@ -255,21 +295,17 @@ class UniversalReplica(Replica):
         return payload
 
     def _sync_digest(self) -> SyncDigest:
-        """This replica's knowledge summary.  Plain Algorithm 1 cannot
-        certify completeness (channels may lose or reorder), so it claims
-        floor 0 everywhere and lists its known ids as exception runs —
-        the maintained ones, value for value what
+        """This replica's knowledge summary: ``heard`` as the floors (all
+        0 on Algorithm 1, which cannot certify completeness) and the
+        maintained runs — value for value what
         :meth:`SyncDigest.from_uids` builds from the known set."""
-        return SyncDigest.from_runs(self._runs, (0,) * self.n)
+        return SyncDigest.from_runs(
+            self._runs, tuple(self.heard), accepts_state=self.accepts_state
+        )
 
     def _covers_uid(self, cl: int, j: int) -> bool:
-        """Is update id ``(cl, j)`` already incorporated locally?"""
-        return (cl, j) in self._known
-
-    def _folded_floor(self) -> int:
-        """Every id at or below this clock is known without being in the
-        live log (folded into a base state); none on Algorithm 1."""
-        return 0
+        """Is update id ``(cl, j)`` in the live log or folded into the base?"""
+        return cl <= self._gc_clock_floor or (cl, j) in self._known
 
     def _on_sync_request(self, payload: tuple) -> Sequence[Any]:
         requester, digest = parse_sync_request(payload)
@@ -287,14 +323,31 @@ class UniversalReplica(Replica):
 
     def _serve_sync(self, requester: int, digest: SyncDigest) -> None:
         """Page the live updates the digest does not cover back to the
-        requester (the GC subclass prepends a state transfer when the
-        requester's coverage ends below the collected floor).
+        requester, after a state transfer when its coverage ends below
+        this replica's floor (never on Algorithm 1, whose floor is 0).
 
         Per author, this replica's runs above the requester's floor are
         compared with the digest's runs: equal lists cost one comparison,
         and the lowest clock the digest lacks is where the log — sorted by
         clock — starts to be scanned.  Replicas that agree scan nothing;
         otherwise the scan ships from the first gap on, in log order."""
+        floor = self._gc_clock_floor
+        if floor > 0 and any(
+            digest.coverage_floor(j) < floor for j in range(self.n)
+        ):
+            # The requester is missing updates at or below our floor.
+            # Those are folded into the base state and cannot be
+            # enumerated, let alone paged — hand the compacted state off.
+            if not digest.accepts_state:
+                raise StateTransferRequired(
+                    f"replica {requester} is missing updates at or below "
+                    f"replica {self.pid}'s GC floor {floor}, which only a "
+                    "state transfer can repair, but its digest does not "
+                    "accept one (a replica without a base state)"
+                )
+            # The handoff is our journal's base record on its digest chain.
+            self.send_to(requester, state_transfer(self))
+            self._state_transfers.inc()
         gaps = [
             gap
             for runs, floor, claimed in zip(
@@ -317,7 +370,7 @@ class UniversalReplica(Replica):
     def _digest_claims_unknown(self, digest: SyncDigest) -> bool:
         """Does the requester's digest *enumerate* an id this replica
         lacks?  The serve's run comparison the other way round: per
-        author, the digest's runs above this replica's folded floor
+        author, the digest's runs above this replica's floor
         against the live log's runs — one comparison when they are equal.
 
         Deliberately ignores the requester's floors: a floor claims ids
@@ -329,7 +382,7 @@ class UniversalReplica(Replica):
         :meth:`repro.sim.cluster.Cluster.anti_entropy`, where the
         lower-floored replica issues its own request and receives pages
         or a state transfer."""
-        floor = self._folded_floor()
+        floor = self._gc_clock_floor
         return any(
             first_gap(runs_above(claimed, floor), runs) is not None
             for claimed, runs in zip(digest.intervals, self._runs)
@@ -353,15 +406,78 @@ class UniversalReplica(Replica):
         self._insert(stamped)  # line 10
         return (stamped,) if self.relay else ()
 
-    def _on_sync_state(self, src: int, payload: tuple) -> Sequence[Any]:
-        raise SyncProtocolError(
-            f"replica {self.pid} received a state transfer from {src} but "
-            "keeps no base state to install; only garbage-collected "
-            "replicas advertise accepts_state in their digests"
-        )
+    # -- the folded state: base, floor, frontier, heard ----------------------------
+
+    def install_gc_state(
+        self,
+        *,
+        base: Any,
+        clock_floor: int,
+        frontier: tuple[int, int] | None = None,
+    ) -> bool:
+        """Adopt a compacted base state certified complete to
+        ``clock_floor`` (from a state transfer or a durable snapshot).
+
+        Safe because the floor is a completeness claim over *every*
+        author: our live entries at or below it are duplicates of folded
+        content, and our own base (complete to a lower floor) is subsumed.
+        The clock is merged up to the floor first, so this replica never
+        stamps an update under a floor its peers have adopted.  Returns
+        False (installing nothing) when our floor is already as high;
+        raises :class:`ValueError` on a replica that keeps no base.
+        """
+        if not self.accepts_state:
+            raise ValueError(
+                f"replica {self.pid} ({type(self).__name__}) keeps no "
+                "compacted base state; restore into a GarbageCollectedReplica"
+            )
+        self.clock.merge(clock_floor)
+        if clock_floor <= self._gc_clock_floor:
+            return False
+        self._drop_prefix(bisect_left(self._keys, (clock_floor + 1,)))
+        self._base = base
+        self._gc_clock_floor = clock_floor
+        if frontier is not None:
+            previous = self._gc_frontier
+            self._gc_frontier = (
+                frontier if previous is None else max(previous, frontier)
+            )
+        for j in range(self.n):
+            self.heard[j] = max(self.heard[j], clock_floor)
+        self.replay.installed(self.updates, base)
+        return True
+
+    def durable_gc_state(self) -> dict[str, Any]:
+        """The folded state a journal's base record holds: base, floor,
+        fold frontier and ``heard`` (see :func:`repro.proto.wire.base_record`)."""
+        return {
+            "base": self._base,
+            "clock_floor": self._gc_clock_floor,
+            "frontier": self._gc_frontier,
+            "heard": tuple(self.heard),
+        }
+
+    def finish_restore(
+        self, pre_crash_clock: int, heard: Sequence[int] | None = None
+    ) -> None:
+        """Re-derive ``heard`` claims after a durable restore: nothing to
+        re-derive on a replica that certifies none."""
+
+    @property
+    def gc_clock_floor(self) -> int:
+        """Completeness floor of the base state: every update with clock
+        at or below it (from any author) has been folded into ``_base``."""
+        return self._gc_clock_floor
+
+    @property
+    def known_ids_tracked(self) -> int:
+        """Ids enumerated in ``_known`` (the floor covers the rest) —
+        the quantity satellite benchmarks assert stays bounded."""
+        return len(self._known)
 
     def load_log(self, entries: Iterable[Stamped]) -> int:
-        """Rebuild from a durable update log (crash-recovery).
+        """Rebuild from a durable update log of ``(clock, pid, update)``
+        tuples (crash-recovery).
 
         Entries are deduplicated and the clock merged, so a truncated log
         — an fsync that missed the tail — is safe: the anti-entropy
@@ -371,7 +487,7 @@ class UniversalReplica(Replica):
         durable image, so the flush mark moves past it.  Returns the
         number of entries actually loaded.
         """
-        fresh = sorted(((cl, j, u) for cl, j, u in entries), key=itemgetter(0, 1))
+        fresh = sorted(entries, key=itemgetter(0, 1))
         if not fresh:
             return 0
         self.clock.merge(fresh[-1][0])
@@ -437,8 +553,8 @@ class UniversalReplica(Replica):
 
     def _drop_prefix(self, cut: int) -> None:
         """Delete the first ``cut`` log entries — every one stamped at or
-        below some clock, which the GC subclass folded into a base state
-        — keeping the per-entry bookkeeping in step."""
+        below some clock, folded into a base state — keeping the
+        per-entry bookkeeping in step."""
         if cut <= 0:
             return
         if self._visible_pending:

@@ -298,7 +298,8 @@ def journal_records(
     ``fsync_point`` truncated the entry tail.  The write-ahead rule is
     encoded in the order: the clock cell precedes every entry, and the
     compacted base — an atomically-rewritten segment the fsync point
-    never truncates — precedes both.
+    never truncates — precedes both.  The base record is written for a
+    replica that keeps a base (``accepts_state``), and only for one.
     """
     entries = list(replica.updates)
     complete = True
@@ -309,10 +310,9 @@ def journal_records(
         complete = len(entries) == len(replica.updates)
     records: list[dict] = [meta_record(replica.pid)]
     counter = 0
-    durable_gc = getattr(replica, "durable_gc_state", None)
-    if durable_gc is not None:
+    if replica.accepts_state:
         counter += 1
-        records.append(base_record(counter, durable_gc()))
+        records.append(base_record(counter, replica.durable_gc_state()))
     counter += 1
     records.append(clock_record(counter, replica.clock.value))
     for stamped in entries:
@@ -373,10 +373,10 @@ def replica_snapshot(replica: Any, *, fsync_point: int | None = None) -> str:
     survives in full (a write-ahead cell, fsynced at every tick): a
     recovering process must never reuse a ``(clock, pid)`` timestamp that
     copies of its pre-crash broadcasts may still carry.  Neither does the
-    fsync point truncate a garbage-collected replica's ``base`` record
-    (anything exposing ``durable_gc_state``) — the compacted base is
-    modeled as an atomically-rewritten segment, and without it a
-    crash+recover would silently rewind every collected update.  The
+    fsync point truncate the ``base`` record of a replica that keeps a
+    base (``accepts_state``) — the compacted base is modeled as an
+    atomically-rewritten segment, and without it a crash+recover would
+    silently rewind every collected update.  The
     replica must be of the :class:`~repro.core.universal.UniversalReplica`
     family (an ``updates`` log of ``(clock, pid, update)`` triples and a
     ``clock``).
@@ -405,15 +405,8 @@ def install_base(replica: Any, rec: dict) -> bool:
     """Install a verified ``base`` record — from the replica's own journal
     at boot or a peer's state transfer — through ``install_gc_state``;
     returns whether it was adopted.  Every field is decoded first: a
-    record lacking one, or a replica with no base state, is a
+    record lacking one, or a replica that keeps no base, is a
     :class:`ValueError` and installs nothing."""
-    install = getattr(replica, "install_gc_state", None)
-    if install is None:
-        raise ValueError(
-            "image carries a compacted base state but the target replica "
-            f"({type(replica).__name__}) cannot install one; restore into "
-            "a GarbageCollectedReplica"
-        )
     try:
         frontier = decode_value(rec["frontier"])
         base = decode_value(rec["base"])
@@ -422,7 +415,9 @@ def install_base(replica: Any, rec: dict) -> bool:
             frontier = tuple(frontier)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed base record: {exc!r}") from exc
-    return install(base=base, clock_floor=clock_floor, frontier=frontier)
+    return replica.install_gc_state(
+        base=base, clock_floor=clock_floor, frontier=frontier
+    )
 
 
 # -- state transfer ------------------------------------------------------------
@@ -465,15 +460,16 @@ def restore_replica(replica: Any, image: str | JournalImage) -> int:
     records the storage engine read off disk (:class:`JournalImage`) or
     an image text, which goes through :func:`read_image` first — either
     way every chain link was checked exactly once before any record
-    touches replica state.  Records are replayed in journal order: the
+    touches replica state, and every field is decoded before any does.
+    Records are replayed in journal order: the
     clock first (no timestamp reuse after log amnesia), then the
     compacted base if the image carries one, then the surviving entries
-    through the replica's ``load_log``.  Garbage-collected replicas
-    finally re-derive their ``heard`` claims (``finish_restore``):
-    trusted verbatim from a complete image, rewound to what the surviving
-    prefix proves after a truncated one.  Raises :class:`ValueError` on
-    an image the replica cannot take.  Returns the number of log entries
-    restored.
+    through the replica's ``load_log``.  The replica finally re-derives
+    its ``heard`` claims (``finish_restore``): trusted verbatim from a
+    complete image, rewound to what the surviving prefix proves after a
+    truncated one.  Raises :class:`ValueError`, never a raw ``KeyError``
+    or ``TypeError``, on an image the replica cannot take.  Returns the
+    number of log entries restored.
     """
     if isinstance(image, str):
         image = read_image(image)
@@ -485,7 +481,7 @@ def restore_replica(replica: Any, image: str | JournalImage) -> int:
     meta = records[0]
     if meta.get("r") != "meta" or meta.get("format") != REPLICA_FORMAT_V3:
         raise ValueError("v3 journal image does not start with a meta record")
-    if int(meta.get("pid", pid)) != pid:
+    if meta.get("pid", pid) != pid:
         raise ValueError(
             f"journal meta belongs to process {meta.get('pid')}, not {pid}"
         )
@@ -496,34 +492,30 @@ def restore_replica(replica: Any, image: str | JournalImage) -> int:
     clock = 0
     base_rec: dict | None = None
     heard_rec: dict | None = None
-    entries: list[Any] = []
-    for rec in records:
-        kind = rec.get("r")
-        if kind == "entry":
-            entries.append(rec["e"])
-        elif kind == "clock":
-            clock = max(clock, int(rec["value"]))
-        elif kind == "base":
-            base_rec = rec
-        elif kind == "heard":
-            heard_rec = rec
-        # meta and unknown record kinds: skip (forward compatibility)
-    replica.clock.merge(clock)
-    if base_rec is not None:
-        install_base(replica, base_rec)
-    loaded = replica.load_log(decode_value(entries))
-    finish = getattr(replica, "finish_restore", None)
-    if finish is not None:
+    encoded: list[Any] = []
+    try:
+        for rec in records:
+            kind = rec.get("r")
+            if kind == "entry":
+                encoded.append(rec["e"])
+            elif kind == "clock":
+                clock = max(clock, int(rec["value"]))
+            elif kind == "base":
+                base_rec = rec
+            elif kind == "heard":
+                heard_rec = rec
+            # meta and unknown record kinds: skip (forward compatibility)
+        entries = [(int(cl), int(j), u) for cl, j, u in decode_value(encoded)]
         # ``heard`` records (appended by the storage engine when the
         # vector advances between compactions) supersede the base
         # record's copy — last wins, heard is per-component monotone.
-        if heard_rec is not None:
-            stored_heard = heard_rec.get("h")
-        else:
-            stored_heard = base_rec.get("heard") if base_rec is not None else None
-        finish(
-            clock,
-            heard=decode_value(stored_heard)
-            if complete and stored_heard is not None else None,
-        )
+        stored = heard_rec["h"] if heard_rec else base_rec and base_rec.get("heard")
+        heard = None if stored is None else tuple(map(int, decode_value(stored)))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed journal record: {exc!r}") from exc
+    replica.clock.merge(clock)
+    if base_rec is not None:
+        install_base(replica, base_rec)
+    loaded = replica.load_log(entries)
+    replica.finish_restore(clock, heard=heard if complete else None)
     return loaded

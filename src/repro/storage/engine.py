@@ -10,13 +10,13 @@ per key is the current state.  The cells are exactly the
   one small record) whenever the clock advanced, *before* the entries of
   the same batch, so a recovering process never reuses a timestamp even
   when the batch's entry tail is torn off.
-* ``"base"`` — the compacted GC segment (base state, clock floor, fold
-  frontier, heard vector).  Written at journal birth for GC replicas and
-  rewritten by compaction.
-* ``"heard"`` — the GC replica's heard vector on its own, re-appended
-  (one small record) whenever it advanced between compactions, so a
-  recovered replica's completeness claims are as fresh as its last
-  flush, not its last compaction.
+* ``"base"`` — the compacted segment (base state, clock floor, fold
+  frontier, heard vector).  Written at journal birth for a replica that
+  keeps a base (``accepts_state``) and rewritten by compaction.
+* ``"heard"`` — the heard vector on its own, re-appended (one small
+  record) whenever it advanced between compactions of a journal that
+  holds a base, so a recovered replica's completeness claims are as
+  fresh as its last flush, not its last compaction.
 * ``"<clock>.<pid>"`` — one cell per logged update, keyed by its Lamport
   timestamp.  The journal's update counter refines the very total order
   the paper's Algorithm 1 replays in, which is why replaying the journal
@@ -33,11 +33,13 @@ scan CRC-checked and chain-verified as the
 :class:`~repro.proto.wire.JournalImage` that
 :func:`~repro.proto.wire.restore_replica` restores from.
 
-Compaction is keyed to the GC replica's floor: once
+Compaction is keyed to the replica's floor: once
 ``replica.gc_clock_floor`` passes what the on-disk base record covers,
 the folded entry cells are dead weight and the journal is atomically
 rewritten (tmp + rename + dir fsync) to a fresh generation holding just
-the new base and the surviving tail.
+the new base and the surviving tail.  Whether a journal compacts and
+carries ``heard`` records is read off what it holds (a base record),
+never off the replica's class.
 """
 
 from __future__ import annotations
@@ -47,14 +49,12 @@ from typing import Any
 
 from repro.proto.wire import (
     JournalImage,
-    base_record,
     clock_record,
     decode_ts_key,
     decode_value,
     entry_record,
     heard_record,
     journal_records,
-    meta_record,
 )
 from repro.storage.journal import Journal
 
@@ -123,49 +123,46 @@ class JournalStore:
         append order is the write-ahead discipline: base (only at journal
         birth), then the clock cell, then new entry cells in timestamp
         order — so any torn suffix of a batch loses entries, never the
-        clock that stamped them.  Returns ``{"appended": ...,
-        "compacted": 0|1}``.
+        clock that stamped them.  A journal holding only its meta frame
+        (a birth batch torn right after it) gets the rest of the birth
+        batch.  Returns ``{"appended": ..., "compacted": 0|1}``.
         """
         journal = self._require_journal()
-        durable_gc = getattr(replica, "durable_gc_state", None)
-        floor = int(getattr(replica, "gc_clock_floor", 0))
         if (
-            durable_gc is not None
-            and self._base_floor is not None
-            and floor > self._base_floor
+            self._base_floor is not None
+            and replica.gc_clock_floor > self._base_floor
         ):
             # The folded prefix on disk is dead weight: rewrite.
             self.compact(replica)
             return {"appended": 0, "compacted": 1}
-        batch: list[dict] = []
-        birth = journal.records == 0
-        if birth:
-            batch.append(meta_record(self.pid))
-            if durable_gc is not None:
+        if journal.records <= 1:
+            # A newborn journal holds nothing of this replica, whatever
+            # another store wrote of it before: its whole durable state,
+            # minus the meta frame a torn birth left behind.
+            batch, _complete = journal_records(replica)
+            del batch[:journal.records]
+            self.examined = len(replica.updates)
+        else:
+            batch = []
+            clock = int(replica.clock.value)
+            if clock > self._clock_written:
                 self._counter += 1
-                batch.append(base_record(self._counter, durable_gc()))
-        clock = int(replica.clock.value)
-        if clock > self._clock_written:
-            self._counter += 1
-            batch.append(clock_record(self._counter, clock))
-        # A newborn journal holds nothing, whatever another store wrote
-        # of this replica before: take the whole log.
-        suffix = replica.updates[0 if birth else replica.unflushed_from:]
-        self.examined = len(suffix)
-        journaled = self._journaled
-        for stamped in suffix:
-            if stamped[:2] in journaled:
-                continue  # displaced by a late arrival, not new
-            self._counter += 1
-            batch.append(entry_record(self._counter, stamped))
-        if durable_gc is not None and not birth:
-            # The heard vector is a completeness claim, so it goes *last*
-            # in the batch: a torn suffix must never keep a heard advance
-            # while dropping the entry cells that justify it.  One small
-            # record per flush keeps the base segment compaction-only
-            # (at journal birth the base record carries the vector).
+                batch.append(clock_record(self._counter, clock))
+            suffix = replica.updates[replica.unflushed_from:]
+            self.examined = len(suffix)
+            journaled = self._journaled
+            for stamped in suffix:
+                if stamped[:2] in journaled:
+                    continue  # displaced by a late arrival, not new
+                self._counter += 1
+                batch.append(entry_record(self._counter, stamped))
             heard = tuple(int(h) for h in replica.heard)
-            if heard != self._heard_written:
+            if self._heard_written not in (None, heard):
+                # A completeness claim goes *last* in the batch: a torn
+                # suffix must never keep a heard advance while dropping
+                # the entry cells that justify it.  One small record per
+                # flush keeps the base segment compaction-only (at birth
+                # the base record carries the vector).
                 self._counter += 1
                 batch.append(heard_record(self._counter, heard))
         if batch:

@@ -2,7 +2,8 @@
 
 CI entry point (``python -m repro.storage.smoke``): in a throwaway
 directory, write a journal through the engine, then inflict each crash
-fate — torn tail, mid-file bit rot, interrupted compaction — and check
+fate — torn tail, a birth torn right after its meta frame, mid-file bit
+rot, interrupted compaction — and check
 the recovery contract end to end (the journal scan's CRC and digest-chain
 checks, then :func:`repro.proto.wire.restore_replica` on the records it
 returns).  Prints one ``PASS`` line per scenario; any failure is a
@@ -22,10 +23,10 @@ import tempfile
 
 from repro.core.checkpoint import GarbageCollectedReplica
 from repro.core.universal import UniversalReplica
-from repro.proto.wire import restore_replica
+from repro.proto.wire import meta_record, restore_replica
 from repro.specs import SetSpec
 from repro.specs import set_spec as S
-from repro.storage import CorruptImageError, JournalStore
+from repro.storage import CorruptImageError, Journal, JournalStore
 
 SPEC = SetSpec()
 
@@ -44,10 +45,10 @@ def _write_store(path: str, replica) -> None:
     st.close()
 
 
-def _recover(path: str, *, cls=UniversalReplica, **kw):
+def _recover(path: str, *, n: int = 3, cls=UniversalReplica, **kw):
     st = JournalStore(path, 0)
     image = st.open()
-    fresh = cls(0, 3, SPEC, **kw)
+    fresh = cls(0, n, SPEC, **kw)
     if image is not None:
         restore_replica(fresh, image)
     return fresh, st
@@ -74,6 +75,25 @@ def scenario_torn_tail(tmp: str) -> None:
     assert st.truncated_tail, "torn tail went undetected"
     assert len(fresh.updates) == len(replica.updates) - 1, "wrong prefix"
     assert fresh.clock.value == replica.clock.value, "WAL clock cell lost"
+    st.close()
+
+
+def scenario_torn_birth(tmp: str) -> None:
+    # The birth batch is one commit; a power cut may keep only its meta
+    # frame.  The node boots fresh on it and must journal everything it
+    # does from then on, its garbage-collected prefix included.
+    path = os.path.join(tmp, "birth.journal")
+    journal, _records, _torn = Journal.open(path, 0)
+    journal.append(meta_record(0))
+    journal.commit()
+    journal.close()
+    restarted = GarbageCollectedReplica(0, 1, SPEC, gc_interval=4)
+    for i in range(50):
+        restarted.on_update(S.insert(i))
+    _write_store(path, restarted)
+    fresh, st = _recover(path, n=1, cls=GarbageCollectedReplica, gc_interval=4)
+    assert fresh.local_state() == restarted.local_state(), "updates lost"
+    assert fresh.gc_clock_floor == restarted.gc_clock_floor > 0, "floor lost"
     st.close()
 
 
@@ -131,6 +151,7 @@ def scenario_compaction_round_trip(tmp: str) -> None:
 SCENARIOS = [
     scenario_clean_recovery,
     scenario_torn_tail,
+    scenario_torn_birth,
     scenario_bit_rot,
     scenario_interrupted_compaction,
     scenario_compaction_round_trip,

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.metrics import payload_size_bits
-from repro.core import checkpoint
+from repro.core import universal
 from repro.core.adt import Update
 from repro.core.checkpoint import GarbageCollectedReplica, StabilityViolation
 from repro.core.sync import (
@@ -277,6 +277,18 @@ MALFORMED = {
     "no-frontier": lambda: _base_without("frontier"),
 }
 
+#: The refusal table's two receivers: a GC replica refuses every malformed
+#: handoff, and a replica that keeps no base refuses even a well-formed one.
+REFUSALS = {
+    **{key: (GarbageCollectedReplica, make) for key, make in MALFORMED.items()},
+    **{
+        f"plain-{key}": (UniversalReplica, make)
+        for key, make in [
+            *MALFORMED.items(), ("well-formed", lambda: state_transfer(_sender()))
+        ]
+    },
+}
+
 
 class TestStateTransferImage:
     """A ``SYNC_STATE`` is the sender's ``[meta, base]`` journal image."""
@@ -291,14 +303,22 @@ class TestStateTransferImage:
             frozenset({1}), 7, (7, 2))
         assert r.local_state() == sender.local_state()
 
-    @pytest.mark.parametrize("make", MALFORMED.values(), ids=MALFORMED.keys())
-    def test_malformed_rejected(self, make):
-        r = GarbageCollectedReplica(0, 3, SPEC)
+    @pytest.mark.parametrize(
+        "receiver,make", REFUSALS.values(), ids=REFUSALS.keys()
+    )
+    def test_malformed_rejected(self, receiver, make):
+        r = receiver(0, 3, SPEC)
         r.on_update(S.insert(1))
-        before = (r.local_state(), r.gc_clock_floor, r.clock.value)
-        with pytest.raises(SyncProtocolError, match="refused"):
+
+        def shape():
+            return (r.local_state(), list(r.updates), r._sync_digest().floors,
+                    r.clock.value, list(r.outbox))
+
+        before = shape()
+        refused = "refused" if receiver is GarbageCollectedReplica else None
+        with pytest.raises(SyncProtocolError, match=refused):
             r.on_message(2, make())
-        assert (r.local_state(), r.gc_clock_floor, r.clock.value) == before
+        assert shape() == before
 
     def test_tampered_handoff_refused(self):
         # a base record edited after chaining: every link still holds,
@@ -569,7 +589,7 @@ class TestStateTransfer:
             sent.append((replica.pid, replica.n, payload, image))
             return payload
 
-        monkeypatch.setattr(checkpoint, "state_transfer", recording)
+        monkeypatch.setattr(universal, "state_transfer", recording)
         gc_state_transfer_scenario(seed)
         assert sent
         for pid, n, payload, image in sent:
@@ -698,8 +718,8 @@ def digests_checked(monkeypatch):
         digest = r._sync_digest()
         assert digest == SyncDigest.from_uids(
             r._keys, r.n,
-            floors=tuple(getattr(r, "heard", (0,) * r.n)),
-            accepts_state=hasattr(r, "heard"),
+            floors=tuple(r.heard),
+            accepts_state=r.accepts_state,
         )
         count[0] += 1
 

@@ -15,11 +15,16 @@ import pytest
 from repro.core.adt import Query, Update
 from repro.core.checkpoint import GarbageCollectedReplica
 from repro.core.universal import UniversalReplica
+from repro.proto import ProtocolCore
 from repro.proto.wire import (
+    _image_text,
     base_record,
+    clock_record,
     decode_payload,
     encode_payload,
+    entry_record,
     install_base,
+    meta_record,
     read_image,
     replica_snapshot,
     restore_replica,
@@ -137,3 +142,35 @@ def test_restoring_a_base_record_missing_a_field_is_refused(field):
     del image.records[1][field]
     with pytest.raises(ValueError, match="malformed base record"):
         restore_replica(GarbageCollectedReplica(0, 2, SetSpec()), image)
+
+
+def _with_record(rec):
+    """A chain-valid, complete image of process 0: a collected replica's
+    records with ``rec`` spliced in after its base."""
+    records = [
+        meta_record(0),
+        base_record(1, _scripted_collected().durable_gc_state()),
+        rec,
+        clock_record(3, 12),
+        entry_record(4, (12, 0, S.insert(7))),
+    ]
+    return _image_text(0, records, True)
+
+
+UNDECODABLE = {
+    "clock-without-value": {"r": "clock", "c": 2},
+    "clock-value-null": {"r": "clock", "c": 2, "value": None},
+    "entry-without-e": {"r": "entry", "c": 2, "k": "11.0"},
+    "heard-not-a-vector": {"r": "heard", "c": 2, "h": 5},
+}
+
+
+@pytest.mark.parametrize("rec", UNDECODABLE.values(), ids=UNDECODABLE.keys())
+def test_restoring_an_undecodable_record_is_refused(rec):
+    # The chain verifies, so only decoding can refuse the image — with a
+    # ValueError, leaving the recovering core's replica in place.
+    core = ProtocolCore(0, 2, lambda p, n: GarbageCollectedReplica(p, n, SetSpec()))
+    before = core.replica
+    with pytest.raises(ValueError, match="malformed journal record"):
+        core.recover(_with_record(rec))
+    assert core.replica is before

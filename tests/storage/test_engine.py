@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.checkpoint import GarbageCollectedReplica
 from repro.core.universal import UniversalReplica
-from repro.proto.wire import restore_replica, verify_chain
+from repro.proto.wire import meta_record, restore_replica, verify_chain
 from repro.specs import CounterSpec, SetSpec
 from repro.specs import counter as C
 from repro.specs import set_spec as S
@@ -346,6 +346,67 @@ class TestGcCompaction:
         assert fresh.gc_clock_floor == r.gc_clock_floor
         assert fresh.clock.value == r.clock.value
         st2.close()
+
+    def test_a_birth_torn_after_its_meta_frame_is_born_again(self, tmp_path):
+        # A power cut inside the one-commit birth batch can leave only the
+        # meta frame: open() then boots fresh, and the next sync must still
+        # write the rest of the birth batch — without the base record the
+        # journal would never compact, and every entry collected before
+        # the flush would be lost.
+        st = open_store(tmp_path)
+        journal, _records, _torn = Journal.open(st.path, 0)
+        journal.append(meta_record(0))
+        journal.commit()
+        journal.close()
+        assert st.open() is None
+        r = GarbageCollectedReplica(0, 1, SPEC, gc_interval=4)
+        for i in range(50):
+            r.on_update(S.insert(i))
+        assert r.gc_clock_floor > 0
+        st.sync(r)
+        kinds = [rec["r"] for rec in records_on_disk(st.path)]
+        assert kinds[:3] == ["meta", "base", "clock"]
+        assert kinds.count("meta") == 1
+        st.close()
+        st2 = open_store(tmp_path)
+        fresh = GarbageCollectedReplica(0, 1, SPEC, gc_interval=4)
+        restore_replica(fresh, st2.open())
+        assert fresh.local_state() == r.local_state()
+        assert len(fresh.local_state()) == 50
+        floor = fresh.gc_clock_floor
+        for i in range(50, 58):
+            fresh.on_update(S.insert(i))
+        assert fresh.gc_clock_floor > floor
+        assert st2.sync(fresh)["compacted"] == 1
+        st2.close()
+
+
+def test_a_plain_replica_journals_no_folded_state(tmp_path):
+    """A replica that keeps no base writes neither a base nor a heard
+    record — at birth, on incremental syncs, or after a truncated
+    restore — and certifies nothing once restored."""
+    r = replica_with(4)
+    st = open_store(tmp_path)
+    st.open()
+    st.sync(r)
+    r.on_message(1, (2, 1, S.insert("late")))
+    r.on_update(S.insert(9))
+    st.sync(r)
+    st.close()
+    path = tmp_path / "replica-0.journal"
+    with open(path, "r+b") as fh:
+        fh.truncate(path.stat().st_size - 4)
+    st2 = open_store(tmp_path)
+    image = st2.open()
+    assert image.complete is False
+    fresh = UniversalReplica(0, 3, SPEC)
+    restore_replica(fresh, image)
+    assert fresh._sync_digest().floors == (0, 0, 0)
+    fresh.on_update(S.insert(10))
+    st2.sync(fresh)
+    st2.close()
+    kinds = {rec["r"] for rec in records_on_disk(path)}
+    assert kinds == {"meta", "clock", "entry"}
 
 
 def test_the_replica_class_is_not_part_of_the_image(tmp_path):

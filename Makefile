@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench artifacts ledger ledger-compare examples lint serve loadtest soak all clean
+.PHONY: install test bench ledger ledger-compare examples lint serve all clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -22,11 +22,10 @@ lint:
 		mypy; \
 	else echo "mypy not installed; skipping (CI runs it)"; fi
 
+# Regenerates every paper artefact under benchmarks/results/ (counts
+# only: CI fails on any diff there).
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-artifacts:
-	$(PYTHON) benchmarks/run_all.py
 
 # The perf ledger (benchmarks/ledger/README.md): four workloads, every
 # end-to-end metric of BENCHMARK.json, correctness-checked.  Compare two
@@ -50,19 +49,9 @@ serve:
 	PYTHONPATH=src $(PYTHON) -m repro.net serve --object set \
 		--pid 0 --peers 127.0.0.1:9000 --http-port 8080
 
-# Closed-loop load against a fresh in-process 3-replica asyncio cluster;
-# exits non-zero below 500 sustained ops/sec (the CI floor).
-loadtest:
-	PYTHONPATH=src $(PYTHON) benchmarks/load_harness.py --check
+all: test bench
 
-# Soak mode: same harness with a per-second time-series (ops/sec, window
-# p50/p99, convergence-lag p99) in a validated repro-net-report-v1 doc.
-soak:
-	PYTHONPATH=src $(PYTHON) benchmarks/load_harness.py --soak --check \
-		--duration 10 --out net_soak.json
-
-all: test bench artifacts
-
+# Caches only: benchmarks/results/ is committed and CI-pinned.
 clean:
-	rm -rf benchmarks/results .pytest_cache .hypothesis
+	rm -rf .pytest_cache .hypothesis .benchmarks benchmarks/ledger/.work
 	find . -name __pycache__ -type d -exec rm -rf {} +

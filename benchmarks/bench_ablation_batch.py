@@ -5,19 +5,19 @@ Algorithm 1's hot loop is the replay fold; ``UQADT.apply_batch`` lets each
 spec fold a whole log at once (numpy delta sum for the counter, single
 concatenation for the log, reverse membership pass for the set).
 
-Series regenerated: wall-clock of one full replay at log length 20 000,
-batch vs loop, per spec.  Shape asserted: batch never loses, and wins by
-a large factor on the specs with real fast paths (the log's naive fold is
-quadratic, so its factor grows with the log).
+Measured: wall-clock of one full replay at log length 20 000, batch vs
+loop, per spec, each the best of ``REPEATS`` runs.  Shape asserted: batch
+never loses, and wins by a large factor on the specs with real fast paths
+(the log's naive fold is quadratic, so its factor grows with the log).
+Seconds only, so nothing is saved under ``results/``.
 """
 
 from __future__ import annotations
 
-import time
+import timeit
 
 import pytest
 
-from repro.analysis import format_table
 from repro.specs import CounterSpec, LogSpec, MemorySpec, SetSpec
 from repro.specs import counter as C
 from repro.specs import log_spec as L
@@ -25,6 +25,9 @@ from repro.specs import register as R
 from repro.specs import set_spec as S
 
 LOG_LEN = 20_000
+#: each fold is timed as the best of this many runs: one millisecond-scale
+#: run is at the mercy of whatever else the host is doing.
+REPEATS = 5
 
 
 def make_updates(spec_name: str):
@@ -56,33 +59,21 @@ def loop_fold(spec, updates):
     return state
 
 
+def best_of(fn) -> float:
+    return min(timeit.repeat(fn, number=1, repeat=REPEATS))
+
+
 @pytest.mark.parametrize("name", list(SPECS))
-def test_batch_vs_loop(benchmark, save_result, name):
+def test_batch_vs_loop(benchmark, name):
     spec = SPECS[name]()
     updates = make_updates(name)
 
     batch_state = benchmark(spec.apply_batch, spec.initial_state(), updates)
+    assert spec.canonical(batch_state) == spec.canonical(loop_fold(spec, updates))
 
-    t0 = time.perf_counter()
-    loop_state = loop_fold(spec, updates)
-    loop_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    spec.apply_batch(spec.initial_state(), updates)
-    batch_s = time.perf_counter() - t0
-
-    assert spec.canonical(batch_state) == spec.canonical(loop_state)
-
+    loop_s = best_of(lambda: loop_fold(spec, updates))
+    batch_s = best_of(lambda: spec.apply_batch(spec.initial_state(), updates))
     speedup = loop_s / batch_s if batch_s > 0 else float("inf")
-    save_result(
-        f"ablation_batch_{name}",
-        format_table(
-            ["fold", "seconds"],
-            [["per-update apply", f"{loop_s:.4f}"],
-             ["apply_batch", f"{batch_s:.4f}"],
-             ["speedup", f"{speedup:.1f}x"]],
-            title=f"replay fold, {LOG_LEN} updates — {name}",
-        ),
-    )
 
     # Shape: batch at least competitive everywhere, decisively faster on
     # the specs whose naive fold copies state per update (the log's is

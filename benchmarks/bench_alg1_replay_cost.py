@@ -50,7 +50,7 @@ def build_quiescent(kind: str, n_updates: int) -> Cluster:
     starts from: ``n_updates`` issued with a mid-run query (as real
     workloads have), the network drained, incremental caches warmed by one
     post-quiescence query.  Returned rather than consumed so callers can
-    also read its metrics registry (``run_all.py``'s JSON artifact)."""
+    also read its metrics registry."""
     c = Cluster(2, FACTORIES[kind], seed=1)
     for i in range(n_updates):
         c.update(i % 2, C.inc(1))

@@ -5,8 +5,9 @@ rewrites the whole image on every dirty flush (baseline: the one-shot
 ``replica_snapshot`` image) writes bytes *per update* that grow linearly
 with the log; the journal appends only the changed cells, so its
 per-update cost is flat.  And recovery must stay practical at scale: restoring a replica from a
-10⁵-update journal — digest chain verified end to end — in seconds, not
-minutes.
+2·10⁴-update journal — digest chain verified end to end — in seconds, not
+minutes.  The saved results hold counts only (bytes, entries); the
+recovery seconds are asserted against a bound, not written down.
 
 Both benches run the journal with ``fsync=False``: the comparison is
 bytes and CPU, not disk latency (the fsync cost is identical per flush
@@ -29,7 +30,7 @@ SPEC = SetSpec()
 
 WRITE_OPS = 300
 WRITE_SAMPLE = 25
-RECOVERY_OPS = 100_000
+RECOVERY_OPS = 20_000
 
 
 def _replica(n_updates, *, n=3):
@@ -75,9 +76,9 @@ def write_cost(ops: int = WRITE_OPS, sample_every: int = WRITE_SAMPLE) -> dict:
 
 
 def recovery_scale(ops: int = RECOVERY_OPS) -> dict:
-    """Recover a replica from a ``ops``-update journal; report seconds
-    and bytes on disk for the journal vs the one-shot in-memory image
-    (same records, same chain verification, no file scan)."""
+    """Recover a replica from a ``ops``-update journal; report the
+    recovery seconds, and bytes on disk for the journal vs the one-shot
+    in-memory image (same records, same chain verification)."""
     r = _replica(ops)
     with tempfile.TemporaryDirectory(prefix="repro-bench-storage-") as tmp:
         path = os.path.join(tmp, "r.journal")
@@ -95,21 +96,14 @@ def recovery_scale(ops: int = RECOVERY_OPS) -> dict:
         journal_s = time.perf_counter() - t0
         st2.close()
 
-        snap = replica_snapshot(r)
-        t0 = time.perf_counter()
-        fresh2 = UniversalReplica(0, 3, SPEC, track_witness=False)
-        restore_replica(fresh2, snap)
-        snapshot_s = time.perf_counter() - t0
-
     assert loaded == ops, f"journal recovery lost entries: {loaded}/{ops}"
     assert fresh.local_state() == r.local_state(), "recovered state diverged"
     assert fresh.clock.value == r.clock.value, "recovered clock diverged"
     return {
         "ops": ops,
         "journal_bytes": journal_bytes,
-        "snapshot_bytes": len(snap.encode("utf-8")),
+        "snapshot_bytes": len(replica_snapshot(r).encode("utf-8")),
         "journal_recovery_s": journal_s,
-        "snapshot_recovery_s": snapshot_s,
         "digest_verified": True,  # open() / restore_replica raised otherwise
     }
 
@@ -141,14 +135,14 @@ def test_write_cost_journal_flat_snapshot_linear(benchmark, save_result):
 
 
 def test_recovery_at_scale(benchmark, save_result):
-    # one large build, timed restore inside (pytest-benchmark reruns the
-    # whole thing; keep the op count CI-sized and let run_all.py do 10⁵)
-    doc = benchmark.pedantic(
-        lambda: recovery_scale(ops=20_000), rounds=1, iterations=1
-    )
+    # one large build, timed restore inside (pytest-benchmark would rerun
+    # the whole thing, so one round)
+    doc = benchmark.pedantic(recovery_scale, rounds=1, iterations=1)
     assert doc["digest_verified"]
     assert doc["journal_recovery_s"] < 60
     save_result(
         "storage_recovery",
-        "\n".join(f"{k}: {v}" for k, v in doc.items()),
+        "\n".join(
+            f"{k}: {v}" for k, v in doc.items() if k != "journal_recovery_s"
+        ),
     )

@@ -135,8 +135,8 @@ def test_sync_request_stays_flat(benchmark, save_result):
     assert last[2] < last[1] / 10, series
 
 
-def test_sync_pages_bounded(save_result):
-    c, pages = run_paged_repair()
+def test_sync_pages_bounded(benchmark, save_result):
+    c, pages = benchmark(run_paged_repair)
 
     save_result(
         "sync_pages",

@@ -4,13 +4,14 @@ Every bench regenerates one of the paper's artifacts (see DESIGN.md's
 per-experiment index): it times the computational core with
 pytest-benchmark, asserts the *shape* the paper predicts (who wins, by
 roughly what factor, where the crossover falls), and saves the regenerated
-rows/series under ``benchmarks/results/`` for inspection.
+rows/series under ``benchmarks/results/``.  A saved result holds counts
+only, never seconds, so it is a pure function of its seeds and CI pins
+the whole directory byte-identical; wall-clock figures belong to the perf
+ledger (``benchmarks/ledger/``).
 
-Run everything with::
+Run everything (and regenerate every result) with::
 
     pytest benchmarks/ --benchmark-only
-
-or regenerate just the tables (no timing) with ``python benchmarks/run_all.py``.
 """
 
 from __future__ import annotations

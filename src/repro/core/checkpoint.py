@@ -55,6 +55,7 @@ class GarbageCollectedReplica(UniversalReplica):
         "gc_interval",
         "_since_gc",
         "_own_suspect_below",
+        "_installed_floor",
         "_collected",
     )
 
@@ -99,6 +100,10 @@ class GarbageCollectedReplica(UniversalReplica):
         #: the recorded value, so its own ``heard`` column must not advance
         #: until a state transfer certifies a floor covering the gap.
         self._own_suspect_below = 0
+        #: the highest floor installed from outside (a state transfer or a
+        #: durable base): it certifies other replicas' deliveries, so
+        #: triples at or below it may still be in flight on our channels.
+        self._installed_floor = 0
 
     def bind_metrics(self, registry: MetricsRegistry) -> None:
         super().bind_metrics(registry)
@@ -136,7 +141,9 @@ class GarbageCollectedReplica(UniversalReplica):
             # FIFO completeness claim).
             return super().on_message(src, payload)
         cl, j, _u = payload
-        if cl <= self._gc_clock_floor:
+        if self._installed_floor < cl <= self._gc_clock_floor:
+            # At or below an installed floor the triple is a duplicate of
+            # folded content, and the base class drops it as covered.
             raise StabilityViolation(
                 f"update stamped {(cl, j)} arrived under the collected "
                 f"floor {self._gc_clock_floor}; use FIFO channels with GC"
@@ -225,10 +232,12 @@ class GarbageCollectedReplica(UniversalReplica):
         installed = super().install_gc_state(
             base=base, clock_floor=clock_floor, frontier=frontier
         )
-        if installed and clock_floor >= self._own_suspect_below:
-            # The floor certifies every update (ours included) at or
-            # below it, so any amnesia gap is provably repaired.
-            self._own_suspect_below = 0
+        if installed:
+            self._installed_floor = clock_floor
+            if clock_floor >= self._own_suspect_below:
+                # The floor certifies every update (ours included) at or
+                # below it, so any amnesia gap is provably repaired.
+                self._own_suspect_below = 0
         return installed
 
     def finish_restore(

@@ -16,8 +16,7 @@ surface.  This module provides it:
   for simulator hot paths (one bound-method call per increment).
 * Exposition in both Prometheus text format
   (:meth:`MetricsRegistry.to_prometheus_text`) and a JSON document
-  (:meth:`MetricsRegistry.to_json`) consumed by the run-report layer and
-  ``benchmarks/run_all.py``'s ``BENCH_universal.json``.
+  (:meth:`MetricsRegistry.to_json`) consumed by the run-report layer.
 
 Determinism: instruments never read a clock or draw randomness — every
 recorded value is handed in by the caller, stamped with the cluster's
@@ -339,7 +338,7 @@ class MetricsRegistry:
     # -- exposition -----------------------------------------------------------
 
     def flat(self) -> dict[str, int | float]:
-        """A flat ``name{label="v"} -> value`` dict (benchmark artifacts).
+        """A flat ``name{label="v"} -> value`` dict (``/metrics`` JSON, the ledger).
 
         Histograms are flattened to ``name_count`` and ``name_sum``.
         """

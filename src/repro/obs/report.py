@@ -35,10 +35,6 @@ from repro.obs.tracer import NullTracer
 from repro.sim.cluster import Cluster
 
 REPORT_FORMAT = "repro-run-report-v1"
-#: The networked-backend report document emitted by the load harness
-#: (``benchmarks/load_harness.py``, incl. ``--soak``); validated by
-#: :func:`validate_net_report`.
-NET_REPORT_FORMAT = "repro-net-report-v1"
 
 JsonDict = dict[str, Any]
 
@@ -276,80 +272,6 @@ def _lookup(doc: JsonDict, dotted: str) -> tuple[bool, Any]:
             return False, None
         node = node[part]
     return True, node
-
-
-#: Required dotted paths of the ``repro-net-report-v1`` document (the
-#: wall-clock twin of the run report: emitted by the load harness, with
-#: a per-second ``series`` when running in soak mode).
-_NET_REQUIRED: dict[str, tuple[Any, ...]] = {
-    "format": (str,),
-    "kind": (str,),
-    "config": (dict,),
-    "config.users": (int,),
-    "config.replicas": (int,),
-    "config.duration_seconds": (float,),
-    "config.ramp_seconds": (float,),
-    "summary": (dict,),
-    "summary.ops": (int,),
-    "summary.updates": (int,),
-    "summary.queries": (int,),
-    "summary.errors": (int,),
-    "summary.measured_seconds": (float,),
-    "summary.ops_per_sec": (float,),
-    "summary.p50_ms": (float,),
-    "summary.p99_ms": (float,),
-    "summary.max_ms": (float,),
-    "summary.convergence_lag_p50_ms": (float,),
-    "summary.convergence_lag_p99_ms": (float,),
-    "summary.task_errors": (int,),
-    "summary.converged": (bool, None),
-    "series": (list,),
-    "metrics": (dict,),
-}
-
-#: Required fields of one per-second ``series`` row.
-_NET_SERIES_FIELDS: dict[str, tuple[Any, ...]] = {
-    "t": (float,),
-    "ops": (int,),
-    "ops_per_sec": (float,),
-    "p50_ms": (float,),
-    "p99_ms": (float,),
-    "convergence_lag_p99_ms": (float,),
-    "task_errors": (int,),
-    "errors": (int,),
-}
-
-
-def validate_net_report(doc: Any) -> list[str]:
-    """Check a document against the net-report schema; return the errors
-    (empty list = valid).  Structural, like :func:`validate_report`; the
-    soak-mode value-level cross-checks live in ``tests/net``."""
-    if not isinstance(doc, dict):
-        return [f"report must be a JSON object, got {type(doc).__name__}"]
-    errors: list[str] = []
-    if doc.get("format") != NET_REPORT_FORMAT:
-        errors.append(
-            f"format must be {NET_REPORT_FORMAT!r}, got {doc.get('format')!r}"
-        )
-    for dotted, kinds in _NET_REQUIRED.items():
-        present, value = _lookup(doc, dotted)
-        if not present:
-            errors.append(f"missing required field {dotted!r}")
-        elif not _type_ok(value, kinds):
-            names = "/".join("null" if k is None else k.__name__ for k in kinds)
-            errors.append(
-                f"field {dotted!r} must be {names}, got {type(value).__name__}"
-            )
-    for i, row in enumerate(doc.get("series") or []):
-        if not isinstance(row, dict):
-            errors.append(f"series[{i}] must be an object")
-            continue
-        for name, kinds in _NET_SERIES_FIELDS.items():
-            if name not in row:
-                errors.append(f"series[{i}] missing field {name!r}")
-            elif not _type_ok(row[name], kinds):
-                errors.append(f"series[{i}].{name} has the wrong type")
-    return errors
 
 
 def validate_report(doc: Any) -> list[str]:

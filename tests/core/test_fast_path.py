@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis import update_consistent_convergence
 from repro.core.checkpoint import GarbageCollectedReplica
@@ -138,6 +138,15 @@ class TestDifferentialFuzz:
         )
 
     @given(SEEDS)
+    # A state transfer installs a floor while a triple at or below it is
+    # still in flight: the triple is covered, not a stability violation.
+    @example(seed=3449)
+    @example(seed=3873)
+    @example(seed=4088)
+    @example(seed=6871)
+    @example(seed=7453)
+    @example(seed=7781)
+    @example(seed=9152)
     @settings(max_examples=8, deadline=None)
     @pytest.mark.parametrize("replica_cls, kind, replay", MATRIX)
     def test_optimized_variants_differential(self, replica_cls, kind, replay, seed):

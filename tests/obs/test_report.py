@@ -12,11 +12,9 @@ from repro.analysis.convergence import converged
 from repro.analysis.metrics import collect_message_stats
 from repro.analysis.staleness import staleness_report
 from repro.obs.report import (
-    NET_REPORT_FORMAT,
     REPORT_FORMAT,
     report_json,
     run_report,
-    validate_net_report,
     validate_report,
     write_report,
 )
@@ -196,6 +194,17 @@ class TestValidator:
         ok["convergence"]["time_to_agreement"] = None
         assert validate_report(ok) == []
 
+    def test_integers_satisfy_float_fields(self, chaos):
+        # JSON has one number type; a whole-number measurement must pass,
+        # a boolean must not.
+        _, doc, _snap = chaos
+        ok = copy.deepcopy(doc)
+        ok["cluster"]["virtual_time"] = 7
+        ok["replay"]["replayed_per_query"] = 0
+        assert validate_report(ok) == []
+        ok["cluster"]["virtual_time"] = True
+        assert any("cluster.virtual_time" in e for e in validate_report(ok))
+
     def test_survives_json_round_trip(self, chaos, tmp_path):
         _, doc, _snap = chaos
         path = tmp_path / "report.json"
@@ -204,76 +213,3 @@ class TestValidator:
         assert validate_report(loaded) == []
         assert loaded["messages"] == doc["messages"]
 
-
-def minimal_net_report() -> dict:
-    """The smallest document the net-report schema accepts."""
-    return {
-        "format": NET_REPORT_FORMAT,
-        "kind": "soak",
-        "config": {"users": 10, "replicas": 3,
-                   "duration_seconds": 2.0, "ramp_seconds": 0.5},
-        "summary": {
-            "ops": 100, "updates": 80, "queries": 20, "errors": 0,
-            "measured_seconds": 2.5, "ops_per_sec": 40.0,
-            "p50_ms": 1.0, "p99_ms": 5.0, "max_ms": 9.0,
-            "convergence_lag_p50_ms": 2.0, "convergence_lag_p99_ms": 30.0,
-            "task_errors": 0, "converged": True,
-        },
-        "series": [{
-            "t": 1.0, "ops": 40, "ops_per_sec": 40.0,
-            "p50_ms": 1.0, "p99_ms": 5.0, "convergence_lag_p99_ms": 25.0,
-            "task_errors": 0, "errors": 0,
-        }],
-        "metrics": {"repro_net_frames_sent_total": 123},
-    }
-
-
-class TestNetReportValidator:
-    def test_accepts_minimal_document(self):
-        assert validate_net_report(minimal_net_report()) == []
-
-    def test_rejects_non_dict(self):
-        assert validate_net_report(None) == [
-            "report must be a JSON object, got NoneType"
-        ]
-
-    def test_flags_wrong_format(self):
-        doc = minimal_net_report()
-        doc["format"] = "repro-net-report-v0"
-        assert any("format" in e for e in validate_net_report(doc))
-
-    def test_flags_missing_and_mistyped_fields(self):
-        doc = minimal_net_report()
-        del doc["summary"]["ops_per_sec"]
-        doc["config"]["users"] = "many"
-        errors = validate_net_report(doc)
-        assert any("summary.ops_per_sec" in e for e in errors)
-        assert any("config.users" in e for e in errors)
-
-    def test_converged_is_nullable(self):
-        doc = minimal_net_report()
-        doc["summary"]["converged"] = None
-        assert validate_net_report(doc) == []
-        doc["summary"]["converged"] = "yes"
-        assert validate_net_report(doc) != []
-
-    def test_integers_satisfy_float_fields(self):
-        # JSON has one number type; a whole-number measurement must pass.
-        doc = minimal_net_report()
-        doc["summary"]["p99_ms"] = 5
-        doc["series"][0]["t"] = 1
-        assert validate_net_report(doc) == []
-
-    def test_flags_broken_series_rows(self):
-        doc = minimal_net_report()
-        doc["series"].append("not a row")
-        doc["series"].append({"t": 2.0})
-        errors = validate_net_report(doc)
-        assert any("series[1] must be an object" in e for e in errors)
-        assert any("series[2] missing field" in e for e in errors)
-
-    def test_empty_series_is_valid_for_plain_load(self):
-        doc = minimal_net_report()
-        doc["kind"] = "load"
-        doc["series"] = []
-        assert validate_net_report(doc) == []

@@ -18,7 +18,10 @@ This is the *log-free* end of the fast-path spectrum:
 cost from its default replay on commutative specs (the arrival-order
 fold, :mod:`repro.core.replay`) but keeps the sorted log for
 anti-entropy, persistence and GC.  Use this class when those services are
-not needed and O(state) memory is the point.
+not needed and O(state) memory is the point.  Delivery must be
+exactly-once: nothing here remembers which updates arrived, so a
+duplicated message is applied twice and, with ``track_witness``, listed
+twice in the visibility view.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 from typing import Any, Hashable, Sequence
 
 from repro.core.adt import UQADT, Update
-from repro.sim.replica import Replica
+from repro.sim.replica import KnownIds, Replica
 from repro.util.clocks import LamportClock
 
 
@@ -41,7 +44,7 @@ class CommutativeReplica(Replica):
         "track_witness",
         "_last_meta",
         "_visible",
-        "_visible_cache",
+        "_last_visible",
     )
 
     def __init__(
@@ -64,17 +67,18 @@ class CommutativeReplica(Replica):
         self.applied = 0
         self.track_witness = track_witness
         self._last_meta: dict[str, Any] = {}
-        self._visible: set[tuple[int, int]] = set()
-        #: quiescent queries share one frozenset (allocation-free capture).
-        self._visible_cache: frozenset[tuple[int, int]] | None = None
+        #: every applied update's id in arrival order, append-only: a
+        #: query's visibility set is the prefix applied by then, an O(1)
+        #: view that quiescent queries share (nothing is ever dropped).
+        self._visible: list[tuple[int, int]] = []
+        self._last_visible: KnownIds | None = None
 
     def on_update(self, update: Update) -> Sequence[Any]:
         cl = self.clock.tick_value()
         self._state = self.spec.apply(self._state, update)
         self.applied += 1
         if self.track_witness:
-            self._visible.add((cl, self.pid))
-            self._visible_cache = None
+            self._visible.append((cl, self.pid))
             self._last_meta = {"timestamp": (cl, self.pid)}
         return [(cl, self.pid, update)]
 
@@ -84,16 +88,15 @@ class CommutativeReplica(Replica):
         self._state = self.spec.apply(self._state, update)
         self.applied += 1
         if self.track_witness:
-            self._visible.add((cl, j))
-            self._visible_cache = None
+            self._visible.append((cl, j))
         return ()
 
     def on_query(self, name: str, args: tuple[Hashable, ...] = ()) -> Any:
         if self.track_witness:
             cl = self.clock.tick_value()
-            visible = self._visible_cache
-            if visible is None:
-                visible = self._visible_cache = frozenset(self._visible)
+            visible = self._last_visible = KnownIds.whole(
+                self._visible, self._last_visible
+            )
             self._last_meta = {
                 "timestamp": (cl, self.pid),
                 "visible": visible,

@@ -64,7 +64,7 @@ from repro.core.sync import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.proto.wire import install_state_transfer, state_transfer
-from repro.sim.replica import Replica
+from repro.sim.replica import KnownIds, Replica
 from repro.util.clocks import LamportClock
 
 #: A timestamped update as shipped on the wire: ``(clock, pid, update)``.
@@ -106,8 +106,8 @@ class UniversalReplica(Replica):
         "_gc_frontier",
         "_gc_clock_floor",
         "_last_meta",
-        "_visible_pending",
-        "_visible_cache",
+        "_arrived",
+        "_last_visible",
         "_sync_requests",
         "_sync_request_bits",
         "_sync_pages",
@@ -159,8 +159,7 @@ class UniversalReplica(Replica):
         self.clock = LamportClock(pid)
         self.updates: list[Stamped] = []
         #: parallel ``(clock, pid)`` key list for ``updates``: bisecting a
-        #: flat tuple list needs no per-comparison key callable, and the
-        #: witness/visibility machinery reads it without rebuilding pairs.
+        #: flat tuple list needs no per-comparison key callable.
         self._keys: list[tuple[int, int]] = []
         #: per author, the sorted maximal runs ``(lo, hi)`` of consecutive
         #: clocks among the live log's ids: the sync digest's exception
@@ -192,15 +191,14 @@ class UniversalReplica(Replica):
         self._gc_frontier: tuple[int, int] | None = None
         self._gc_clock_floor = 0
         self._last_meta: dict[str, Any] = {}
-        #: the last query's witness still lacks its visibility set: it is
-        #: captured when claimed (:meth:`witness_meta`) or just before the
-        #: log next changes, whichever comes first — a query nobody asks
-        #: the witness of builds no O(log) frozenset.
-        self._visible_pending = False
-        #: cached witness visibility set (satellite of Section VII-C
-        #: witness cost): rebuilt lazily after a log change, so quiescent
-        #: queries share one frozenset instead of allocating O(log) each.
-        self._visible_cache: frozenset[tuple[int, int]] | None = None
+        #: the live log's ids in arrival order, append-only: a query's
+        #: visibility set is the prefix that had arrived by then, an O(1)
+        #: :class:`~repro.sim.replica.KnownIds` view.  :meth:`_drop_prefix`
+        #: rebinds it and never mutates it in place, so no view changes.
+        self._arrived: list[tuple[int, int]] = []
+        #: the last view captured, shared by the next query if nothing
+        #: arrived in between.
+        self._last_visible: KnownIds | None = None
 
     # -- observability ---------------------------------------------------------------
 
@@ -254,7 +252,6 @@ class UniversalReplica(Replica):
         cl = self.clock.tick_value()  # line 5
         pid = self.pid
         stamped: Stamped = (cl, pid, update)
-        self._visible_pending = False  # superseded, claimed or not
         self._insert(stamped)  # instantaneous self-delivery
         if self.track_witness:
             self._last_meta = {"timestamp": (cl, pid)}
@@ -506,8 +503,10 @@ class UniversalReplica(Replica):
         cl = self.clock.tick_value()  # line 13
         state = self.replay.query(self.updates)  # lines 14-17
         if self.track_witness:
-            self._last_meta = {"timestamp": (cl, self.pid)}
-            self._visible_pending = True
+            visible = self._last_visible = KnownIds.whole(
+                self._arrived, self._last_visible
+            )
+            self._last_meta = {"timestamp": (cl, self.pid), "visible": visible}
         return self.spec.observe(state, name, args)  # line 18
 
     # -- internals -----------------------------------------------------------------
@@ -520,8 +519,6 @@ class UniversalReplica(Replica):
         common case — a fresh update sorting after everything known —
         appends in O(1); late messages bisect the flat key list.
         """
-        if self._visible_pending:
-            self._capture_visible()
         key = (stamped[0], stamped[1])
         keys = self._keys
         if not keys or key > keys[-1]:
@@ -535,6 +532,7 @@ class UniversalReplica(Replica):
             if pos < self.unflushed_from:
                 self.unflushed_from = pos
         self._known.add(key)
+        self._arrived.append(key)
         cl, j = key
         runs = self._runs[j]
         if not runs or cl > runs[-1][1] + 1:
@@ -548,7 +546,6 @@ class UniversalReplica(Replica):
             lo = runs[i - 1][0] if i and runs[i - 1][1] == cl - 1 else cl
             hi = runs[i][1] if i < len(runs) and runs[i][0] == cl + 1 else cl
             runs[i - (lo < cl):i + (hi > cl)] = [(lo, hi)]
-        self._visible_cache = None
         self.replay.inserted(self.updates, pos)
 
     def _drop_prefix(self, cut: int) -> None:
@@ -557,35 +554,18 @@ class UniversalReplica(Replica):
         per-entry bookkeeping in step."""
         if cut <= 0:
             return
-        if self._visible_pending:
-            self._capture_visible()
         self._known.difference_update(islice(self._keys, cut))
         floor = self._keys[cut - 1][0]
         self._runs = [runs_above(runs, floor) for runs in self._runs]
         del self.updates[:cut]
         del self._keys[:cut]
         self.unflushed_from = max(0, self.unflushed_from - cut)
-        self._visible_cache = None
+        # a new list: views captured before the cut still read the old one
+        self._arrived = list(self._keys)
 
     def mark_flushed(self) -> None:
         """The storage engine made the whole log durable."""
         self.unflushed_from = len(self.updates)
-
-    def _visible_uids(self) -> frozenset[tuple[int, int]]:
-        """The witness visibility set: every known update's ``(clock,
-        pid)``.  Cached until the log changes, so a run of quiescent
-        queries shares a single frozenset (allocation-free capture)."""
-        cache = self._visible_cache
-        if cache is None:
-            cache = self._visible_cache = frozenset(self._keys)
-        return cache
-
-    def _capture_visible(self) -> None:
-        """Complete the last query's witness with the ids visible to it.
-        Runs before the log changes or the witness is claimed, so the set
-        is the one the query saw."""
-        self._visible_pending = False
-        self._last_meta["visible"] = self._visible_uids()
 
     # -- introspection --------------------------------------------------------------
 
@@ -593,8 +573,6 @@ class UniversalReplica(Replica):
         return self.replay.peek(self.updates)
 
     def witness_meta(self) -> dict[str, Any]:
-        if self._visible_pending:
-            self._capture_visible()
         meta, self._last_meta = self._last_meta, {}
         return meta
 

@@ -19,8 +19,8 @@ Routes::
     GET  /witness        -> {"witness": {...}}   (timestamp, visibility, of the
                             last local op whose witness was not already claimed;
                             POST /update claims its own in the response; a
-                            query's visibility set is built by this claim,
-                            not by the query)
+                            query's visibility set is an O(1) view, walked
+                            only when this claim encodes it)
     GET  /metrics        -> {"metrics": {...}}   (registry.flat()); with
                             ``Accept: text/plain`` or ``?format=text`` the
                             Prometheus text exposition instead (scrapable)

@@ -52,12 +52,9 @@ def encode_value(value: Any) -> Any:
     if isinstance(value, tuple):
         return {"@": "tuple", "items": [encode_value(v) for v in value]}
     if isinstance(value, frozenset):
-        # Deterministic output: sort by a stable key.
-        items = sorted((encode_value(v) for v in value), key=repr)
-        return {"@": "frozenset", "items": items}
+        return _encode_set("frozenset", value)
     if isinstance(value, set):
-        items = sorted((encode_value(v) for v in value), key=repr)
-        return {"@": "set", "items": items}
+        return _encode_set("set", value)
     if isinstance(value, dict):
         # Deterministic output: insertion order must not leak into the
         # bytes (two structurally equal dicts encode identically).
@@ -68,7 +65,19 @@ def encode_value(value: Any) -> Any:
         return {"@": "dict", "items": items}
     if isinstance(value, list):
         return [encode_value(v) for v in value]
+    # Imported here: repro.sim's package init imports this codec.
+    from repro.sim.replica import KnownIds
+
+    if isinstance(value, KnownIds):
+        # a query's visibility view: the bytes of the frozenset it equals
+        return _encode_set("frozenset", value)
     raise TypeError(f"cannot persist value of type {type(value).__name__}")
+
+
+def _encode_set(tag: str, value: Iterable[Any]) -> dict:
+    # Deterministic output: sort by a stable key.
+    items = sorted((encode_value(v) for v in value), key=repr)
+    return {"@": tag, "items": items}
 
 
 def decode_value(data: Any) -> Any:

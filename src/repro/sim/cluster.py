@@ -121,10 +121,12 @@ class Trace:
 
         Requires every record's ``meta`` to carry ``"timestamp"`` (the
         ``(clock, pid)`` stamp) and every query's to carry ``"visible"``
-        (the frozenset of visible updates' timestamps) — Algorithm 1
-        replicas provide both.  Garbage-collected replicas additionally
-        report ``"visible_floor"``: every update with clock at or below
-        it was folded into the base state (hence visible) without being
+        (the visible updates' timestamps: a
+        :class:`~repro.sim.replica.KnownIds` prefix view as recorded, a
+        frozenset in a loaded trace) — Algorithm 1 replicas provide
+        both.  Garbage-collected replicas additionally report
+        ``"visible_floor"``: every update with clock at or below it was
+        folded into the base state (hence visible) without being
         enumerated; the floor is expanded here against the recorded
         update timestamps.
         """

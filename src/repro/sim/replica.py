@@ -20,15 +20,69 @@ replica's hooks are never called again).
 Replicas additionally expose introspection used by the analysis layer:
 :meth:`Replica.local_state` (the value a read-all query would see) and
 :meth:`Replica.witness_meta` (per-operation metadata for SUC witness
-reconstruction — see Proposition 4).
+reconstruction — see Proposition 4).  A query's visibility set in that
+metadata is a :class:`KnownIds` view.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Sequence
+from collections.abc import Set
+from itertools import islice
+from typing import Any, Callable, Hashable, Iterator, Sequence
 
 from repro.core.adt import Update
 from repro.obs.metrics import MetricsRegistry
+
+
+class KnownIds(Set):
+    """The update ids a query saw: a read-only set view of ``ids[:n]``.
+
+    A replica's known ids only grow between collections, so what each
+    query saw is a prefix of one append-only arrival list: capturing it
+    is two references, not a copy of the log.  The owner must never
+    mutate ``ids`` in place except by appending — a collection *rebinds*
+    its list instead — so a view reads the same set forever.  Iteration
+    walks the prefix; membership freezes it once (cached)."""
+
+    __slots__ = ("_ids", "_n", "_frozen")
+
+    def __init__(self, ids: list, n: int) -> None:
+        self._ids = ids
+        self._n = n
+        self._frozen: frozenset | None = None
+
+    @classmethod
+    def whole(cls, ids: list, last: "KnownIds | None") -> "KnownIds":
+        """The view of all of ``ids`` — ``last`` itself when it already is
+        one, so identical captures at quiescence share one object."""
+        if last is not None and last._ids is ids and last._n == len(ids):
+            return last
+        return cls(ids, len(ids))
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self) -> Iterator:
+        return islice(self._ids, self._n)
+
+    def __contains__(self, uid: object) -> bool:
+        return uid in self._materialise()
+
+    def __hash__(self) -> int:
+        return hash(self._materialise())  # equal to the equal frozenset's
+
+    def __repr__(self) -> str:
+        return f"KnownIds({sorted(self)!r})"
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)  # the Set operators' results
+
+    def _materialise(self) -> frozenset:
+        frozen = self._frozen
+        if frozen is None:
+            frozen = self._frozen = frozenset(islice(self._ids, self._n))
+        return frozen
 
 
 class Replica:

@@ -20,7 +20,7 @@ trade-off curve.
 from __future__ import annotations
 
 from repro.analysis import format_table, payload_size_bits
-from repro.core.commutative import CommutativeReplica
+from repro.core.universal import UniversalReplica
 from repro.crdt.state_based import GSetLattice, StateBasedReplica, gossip_round
 from repro.sim import Cluster
 from repro.sim.network import FixedLatency
@@ -46,7 +46,7 @@ def measure_bits(cluster) -> list[int]:
 
 def run_op_based():
     spec = GSetSpec()
-    c = Cluster(N, lambda p, n: CommutativeReplica(p, n, spec),
+    c = Cluster(N, lambda p, n: UniversalReplica(p, n, spec),
                 latency=FixedLatency(1.0))
     bits = measure_bits(c)
     staleness = []

@@ -9,7 +9,8 @@ Series regenerated: replayed updates per query as the log grows, for
 * ``naive``       — Algorithm 1 verbatim: O(log length) per query;
 * ``checkpoint``  — cached prefix: O(new updates) amortized, ~flat;
 * ``undo``        — Karsenty–Beaudouin-Lafon (on the counter): O(1) query;
-* ``commutative`` — apply-on-receipt fast path: O(1) query, no log.
+* ``commutative`` — the arrival-order fold, Section VII-C's apply-on-receipt
+  fast path for commuting updates: O(1) query.
 
 Shape asserted: naive grows linearly with the log; every optimization's
 per-query replay work stays flat (zero at quiescence).
@@ -20,7 +21,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import format_table
-from repro.core.commutative import CommutativeReplica
 from repro.core.universal import UniversalReplica
 from repro.sim import Cluster
 from repro.specs import CounterSpec
@@ -41,7 +41,7 @@ FACTORIES = {
     "naive": replaying("naive"),
     "checkpoint": replaying("checkpoint"),
     "undo": replaying("undo"),
-    "commutative": lambda p, n: CommutativeReplica(p, n, SPEC),
+    "commutative": replaying("fold"),
 }
 
 

@@ -12,12 +12,12 @@ pinned byte-identical; pytest-benchmark times the run.
 
 Variants:
 
-* ``legacy``      — the checkpoint replay: incremental checkpoint-tree
-                    replay on its own;
-* ``fast``        — the arrival-order fold replay, the default on the
-                    counter (its updates commute);
-* ``naive``       — Algorithm 1 verbatim (full replay per query);
-* ``commutative`` — the log-free ``CommutativeReplica`` upper bound.
+* ``legacy`` — the checkpoint replay: incremental checkpoint-tree replay
+               on its own;
+* ``fast``   — the arrival-order fold replay, the default on the counter
+               (its updates commute) and Section VII-C's apply-on-receipt
+               path;
+* ``naive``  — Algorithm 1 verbatim (full replay per query).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Any, Callable
 import pytest
 
 from repro.analysis import format_table
-from repro.core.commutative import CommutativeReplica
 from repro.core.universal import UniversalReplica
 from repro.sim import Cluster
 from repro.specs import CounterSpec
@@ -44,7 +43,6 @@ VARIANTS: dict[str, Callable[[int, int], Any]] = {
     "fast": lambda p, n: UniversalReplica(p, n, SPEC, track_witness=False),
     "naive": lambda p, n: UniversalReplica(
         p, n, SPEC, replay="naive", track_witness=False),
-    "commutative": lambda p, n: CommutativeReplica(p, n, SPEC),
 }
 
 
@@ -100,6 +98,5 @@ def test_replay_shape(benchmark):
     # replays the log.
     m = benchmark(lambda: {kind: measure(kind) for kind in VARIANTS})
     assert m["fast"]["replayed_per_query"] == 0
-    assert m["commutative"]["replayed_per_query"] == 0
     assert m["legacy"]["replayed_per_query"] >= QUERY_EVERY / 2
     assert m["naive"]["replayed_per_query"] > m["legacy"]["replayed_per_query"]

@@ -73,7 +73,7 @@ def main() -> None:
 
     leaves, outcomes = check(
         "FIFO apply (pipelined baseline)",
-        lambda p, n: FifoApplyReplica(p, n, SPEC, record_applied=False),
+        lambda p, n: FifoApplyReplica(p, n, SPEC),
         FIG_1B_SCRIPT,
         fifo=True,
     )

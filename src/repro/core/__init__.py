@@ -10,10 +10,10 @@
   consistent construction.
 * :mod:`repro.core.memory` — Algorithm 2, the update-consistent shared
   memory with O(1) operations.
-* :mod:`repro.core.replay` / :mod:`repro.core.checkpoint` /
-  :mod:`repro.core.commutative` — the Section VII-C optimizations: four
-  ways to answer a query from the log, stable-prefix GC, and the log-free
-  replica for commuting updates.
+* :mod:`repro.core.replay` / :mod:`repro.core.checkpoint` — the Section
+  VII-C optimizations: four ways to answer a query from the log (the
+  arrival-order fold is the apply-on-receipt path for commuting updates)
+  and stable-prefix GC.
 """
 
 from repro.core.adt import Query, UQADT, Update

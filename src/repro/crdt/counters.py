@@ -6,7 +6,7 @@ The G-Counter keeps one component per process (grow-only vector, value =
 sum); the PN-Counter is a pair of G-Counters (increments, decrements).
 
 These replicas answer :class:`repro.specs.counter.CounterSpec`'s query
-vocabulary so the commutative fast-path benches can swap them in.
+vocabulary, so they can stand in for a ``UniversalReplica`` of that spec.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """UQ006 — declared commutativity must survive a behavioural probe.
 
-The commutative fast path (Section VII-C, implemented in
-:mod:`repro.core.replay` and :mod:`repro.core.commutative`) trusts a
+The commutative fast path (Section VII-C, the arrival-order fold of
+:mod:`repro.core.replay`) trusts a
 spec's ``commutative_updates = True`` declaration and applies updates in
 arrival order.  A spec that *lies* — declares commutativity but has an
 order-sensitive ``apply`` — silently diverges under that path, which is

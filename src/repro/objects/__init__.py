@@ -5,7 +5,7 @@
   object API (``insert``, ``put``, ``read`` ...).
 * :mod:`repro.objects.factory` — one-call construction of a replicated
   object over any spec and any implementation strategy (naive Algorithm 1,
-  checkpointed, undo, commutative fast path, Algorithm 2 memory).
+  checkpointed, undo, stable-prefix GC, Algorithm 2 memory).
 * :mod:`repro.objects.pipelined` — the FIFO apply-on-receipt baseline:
   pipelined consistent, *not* convergent (Fig. 2's behaviour).
 * :mod:`repro.objects.causal` — causal-order apply baseline (vector-clock

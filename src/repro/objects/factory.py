@@ -8,17 +8,18 @@ the paper's implementations and optimizations:
 strategy         replica                                     section
 ===============  ==========================================  =======
 ``universal``    ``UniversalReplica`` (naive replay, or the  Alg. 1
-                 arrival-order fold on commuting updates)
+                 arrival-order fold on commuting updates,
+                 Section VII-C's apply-on-receipt path)
 ``checkpoint``   ``UniversalReplica(replay="checkpoint")``   VII-C
 ``undo``         ``UniversalReplica(replay="undo")``         VII-C
 ``gc``           ``GarbageCollectedReplica``                 VII-C
-``commutative``  ``CommutativeReplica`` (log-free)           VII-C
 ``fifo``         ``FifoApplyReplica``                        Sec. IV
 ``causal``       ``CausalApplyReplica``                      Sec. IV
 ===============  ==========================================  =======
 
 (The ``fifo`` and ``causal`` strategies are baselines: pipelined/causally
-consistent but not convergent — see Proposition 1.)
+consistent but not convergent — see Proposition 1.)  ``replay="fold"``
+forces the fold and refuses a spec whose updates do not commute.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import Any, Callable
 
 from repro.core.adt import UQADT
 from repro.core.checkpoint import GarbageCollectedReplica
-from repro.core.commutative import CommutativeReplica
 from repro.core.universal import UniversalReplica
 from repro.objects.causal import CausalApplyReplica
 from repro.objects.handles import (
@@ -51,7 +51,6 @@ STRATEGIES: dict[str, Callable[..., Any]] = {
     "checkpoint": partial(UniversalReplica, replay="checkpoint"),
     "gc": GarbageCollectedReplica,
     "undo": partial(UniversalReplica, replay="undo"),
-    "commutative": CommutativeReplica,
     "fifo": FifoApplyReplica,
     "causal": CausalApplyReplica,
 }

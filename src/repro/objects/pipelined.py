@@ -30,19 +30,11 @@ from repro.util.clocks import LamportClock
 class FifoApplyReplica(Replica):
     """Apply updates in delivery order; queries read the running state."""
 
-    def __init__(
-        self,
-        pid: int,
-        n: int,
-        spec: UQADT,
-        *,
-        record_applied: bool = True,
-    ) -> None:
+    def __init__(self, pid: int, n: int, spec: UQADT) -> None:
         super().__init__(pid, n)
         self.spec = spec
         self.clock = LamportClock(pid)
         self._state: Any = spec.initial_state()
-        self.record_applied = record_applied
         #: the updates applied, in application order — this replica's own
         #: linearization witness for Definition 7.
         self.applied_log: list[tuple[int, int, Update]] = []
@@ -62,8 +54,7 @@ class FifoApplyReplica(Replica):
 
     def _apply(self, cl: int, j: int, update: Update) -> None:
         self._state = self.spec.apply(self._state, update)
-        if self.record_applied:
-            self.applied_log.append((cl, j, update))
+        self.applied_log.append((cl, j, update))
 
     def on_query(self, name: str, args: tuple[Hashable, ...] = ()) -> Any:
         ts = self.clock.tick()

@@ -19,22 +19,28 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis import update_consistent_convergence
 from repro.core.checkpoint import GarbageCollectedReplica
-from repro.core.commutative import CommutativeReplica
 from repro.core.universal import UniversalReplica
 from repro.sim import Cluster
 from repro.sim.fuzz import AdversaryFuzzer
-from repro.sim.network import ExponentialLatency, LossyNetwork
-from repro.specs import CounterSpec, GSetSpec, MapSpec, SetSpec
+from repro.sim.network import DuplicatingNetwork, ExponentialLatency, LossyNetwork
+from repro.specs import CounterSpec, GSetSpec, MapSpec, MaxRegisterSpec, SetSpec
 from repro.specs import counter as C
 from repro.specs import gset as G
+from repro.specs import max_register as M
 from repro.specs import set_spec as S
 
 N = 3
 SEEDS = st.integers(0, 10_000)
 
-SPECS = {"counter": CounterSpec(), "gset": GSetSpec()}
+SPECS = {"counter": CounterSpec(), "gset": GSetSpec(), "max": MaxRegisterSpec()}
 #: the order-sensitive spec of the replay matrix (naive and checkpoint only)
 ORDERED = {"set": SetSpec()}
+#: chaos networks: loss that anti-entropy repairs, and re-delivery that
+#: only the replica's deduplication absorbs.
+NETWORKS = {
+    "lossy": (LossyNetwork, {"drop_probability": 0.1}),
+    "duplicating": (DuplicatingNetwork, {"duplicate_probability": 0.5}),
+}
 
 #: every replay each spec takes, on both log-keeping replica classes.
 MATRIX = [
@@ -59,6 +65,8 @@ def make_script(kind: str, seed: int, n_ops: int = 25) -> list:
         elif kind == "set":
             v = int(rng.integers(8))
             op = S.delete(v) if rng.random() < 0.4 else S.insert(v)
+        elif kind == "max":
+            op = M.write_max(int(rng.integers(20)))
         else:
             op = G.insert(int(rng.integers(8)))
         script.append((pid, op))
@@ -66,9 +74,15 @@ def make_script(kind: str, seed: int, n_ops: int = 25) -> list:
 
 
 def chaos_cluster(
-    kind: str, seed: int, replay=None, replica_cls=UniversalReplica, **kwargs
+    kind: str,
+    seed: int,
+    replay=None,
+    replica_cls=UniversalReplica,
+    network: str = "lossy",
+    **kwargs,
 ):
     spec = {**SPECS, **ORDERED}[kind]
+    network_cls, network_kwargs = NETWORKS[network]
     # Loss is repaired by anti-entropy alone: every replica class takes
     # the same keywords, and stable-prefix GC forbids epidemic relay.
     return Cluster(
@@ -76,16 +90,16 @@ def chaos_cluster(
         lambda p, n: replica_cls(p, n, spec, replay=replay, **kwargs),
         seed=seed,
         fifo=True,
-        network_cls=LossyNetwork,
-        network_kwargs={"drop_probability": 0.1},
+        network_cls=network_cls,
+        network_kwargs=network_kwargs,
     )
 
 
-def run_chaos(cluster: Cluster, kind: str, seed: int) -> dict:
+def run_chaos(cluster: Cluster, kind: str, seed: int, crash_budget: int = 1) -> dict:
     fuzzer = AdversaryFuzzer(
         cluster,
         seed=seed,
-        crash_budget=1,
+        crash_budget=crash_budget,
         allow_message_loss=True,
         recover_probability=0.3,
     )
@@ -96,22 +110,36 @@ def run_chaos(cluster: Cluster, kind: str, seed: int) -> dict:
 class TestDifferentialFuzz:
     @given(SEEDS)
     @settings(max_examples=15, deadline=None)
-    @pytest.mark.parametrize("kind", list(SPECS))
-    def test_fast_path_equals_sorted_replay_under_chaos(self, kind, seed):
+    @pytest.mark.parametrize("kind, network", [
+        pytest.param("counter", "lossy", id="counter"),
+        pytest.param("gset", "lossy", id="gset"),
+        pytest.param("counter", "duplicating", id="counter-duplicating"),
+    ])
+    def test_fast_path_equals_sorted_replay_under_chaos(self, kind, network, seed):
         """Same seed, same adversary, same script: the arrival-order fold
         and the sorted-log replay must agree at every surviving replica
-        (crashes recover through the durable-log codec mid-run)."""
-        fast = chaos_cluster(kind, seed)
+        (crashes recover through the durable-log codec mid-run).  On the
+        duplicating network nothing crashes, so every scripted update
+        survives and each replica must also hold the script's exact sum:
+        a re-delivered update folded twice would miss it."""
+        crash_budget = 0 if network == "duplicating" else 1
+        fast = chaos_cluster(kind, seed, network=network)
         assert all(r.replay.name == "fold" for r in fast.replicas)
-        slow = chaos_cluster(kind, seed, replay="naive")
+        slow = chaos_cluster(kind, seed, replay="naive", network=network)
         spec = SPECS[kind]
-        fast_states = run_chaos(fast, kind, seed)
-        slow_states = run_chaos(slow, kind, seed)
+        fast_states = run_chaos(fast, kind, seed, crash_budget)
+        slow_states = run_chaos(slow, kind, seed, crash_budget)
         assert set(fast_states) == set(slow_states)
         for pid in fast_states:
             assert spec.canonical(fast_states[pid]) == spec.canonical(
                 slow_states[pid]
             ), f"pid {pid} diverged on seed {seed}"
+        if network == "duplicating":
+            total = sum(
+                op.args[0] if op.name == "inc" else -op.args[0]
+                for _, op in make_script(kind, seed)
+            )
+            assert set(fast_states.values()) == {total}, f"seed {seed}"
 
     @given(SEEDS)
     @settings(max_examples=10, deadline=None)
@@ -183,26 +211,6 @@ class TestDifferentialFuzz:
             assert spec.canonical(r.local_state()) == expected, where
             assert spec.canonical(state) == expected, where
 
-    @given(SEEDS)
-    @settings(max_examples=10, deadline=None)
-    def test_fast_path_agrees_with_commutative_replica(self, seed):
-        """The log-free :class:`CommutativeReplica` is the fast path taken
-        to its limit; on a commutative spec all three agree."""
-        spec = SPECS["counter"]
-        script = make_script("counter", seed)
-        finals = []
-        for factory in (
-            lambda p, n: UniversalReplica(p, n, spec),
-            lambda p, n: UniversalReplica(p, n, spec, replay="naive"),
-            lambda p, n: CommutativeReplica(p, n, spec),
-        ):
-            c = Cluster(N, factory, seed=seed, latency=ExponentialLatency(3.0))
-            for pid, op in script:
-                c.update(pid, op)
-            c.run()
-            finals.append({p: spec.canonical(s) for p, s in c.states().items()})
-        assert finals[0] == finals[1] == finals[2]
-
 
 class TestCrashRecovery:
     def test_truncated_log_recovery_differential(self):
@@ -271,6 +279,7 @@ class TestActivation:
         for spec, expect in (
             (CounterSpec(), True),
             (GSetSpec(), True),
+            (MaxRegisterSpec(), True),
             (SetSpec(), False),
             (MapSpec(), False),
         ):

@@ -8,9 +8,10 @@ from repro.analysis import update_consistent_convergence
 from repro.core.criteria.witness import verify_suc_witness
 from repro.core.universal import UniversalReplica
 from repro.sim import Cluster
-from repro.sim.network import ExponentialLatency, FixedLatency
+from repro.sim.network import DuplicatingNetwork, ExponentialLatency, FixedLatency
 from repro.sim.workload import conflict_heavy_set_workload, run_workload
-from repro.specs import SetSpec
+from repro.specs import CounterSpec, SetSpec
+from repro.specs import counter as C
 from repro.specs import set_spec as S
 from tests.counts import replayed
 
@@ -242,6 +243,33 @@ class TestWitness:
         c.query(1, "read")
         h = c.trace.to_history()
         assert verify_suc_witness(h, SPEC, c.trace.suc_witness(h))
+
+    def test_fold_counts_a_duplicated_delivery_once(self):
+        """A re-delivered update is recognised by its ``(clock, pid)`` id:
+        the fold applies it once and the witness lists it once."""
+        spec = CounterSpec()
+        c = Cluster(
+            2,
+            lambda pid, n: UniversalReplica(pid, n, spec, track_witness=True),
+            seed=1,
+            network_cls=DuplicatingNetwork,
+            network_kwargs={"duplicate_probability": 0.9},
+        )
+        for _ in range(5):
+            c.update(0, C.inc(1))
+        c.run()
+        c.query(1, "read")
+        assert c.metrics.total("repro_network_messages_duplicated_total") > 0
+        assert c.states() == {0: 5, 1: 5}
+        views = [rec.meta["visible"] for rec in c.trace if "visible" in rec.meta]
+        assert views
+        for view in views:
+            ids = list(view)
+            assert len(ids) == len(set(ids)) == 5
+            assert view == frozenset(ids)
+        h = c.trace.to_history()
+        res = verify_suc_witness(h, spec, c.trace.suc_witness(h))
+        assert res, res.reason
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)

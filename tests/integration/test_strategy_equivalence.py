@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import update_consistent_convergence
 from repro.core.checkpoint import GarbageCollectedReplica
-from repro.core.commutative import CommutativeReplica
 from repro.core.universal import UniversalReplica
 from repro.sim import Cluster
 from repro.sim.network import ExponentialLatency
@@ -77,7 +76,7 @@ class TestInvertibleStrategies:
         base = run(replaying("naive"), wl, seed)
         ck = run(replaying("checkpoint"), wl, seed)
         un = run(replaying("undo"), wl, seed)
-        fast = run(lambda p, n: CommutativeReplica(p, n, spec), wl, seed)
+        fast = run(replaying("fold"), wl, seed)
         assert base[0] == ck[0] == un[0] == fast[0]
         assert base[1] == ck[1] == un[1] == fast[1]
 

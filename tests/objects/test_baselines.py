@@ -63,11 +63,6 @@ class TestFifoApply:
         assert c.query(0, "read") == frozenset()
         assert c.query(1, "read") == frozenset({3})  # diverged forever
 
-    def test_record_applied_can_be_disabled(self):
-        c = Cluster(2, lambda pid, n: FifoApplyReplica(pid, n, SPEC, record_applied=False))
-        c.update(0, S.insert(1))
-        assert c.replicas[0].applied_log == []
-
 
 class TestCausalApply:
     def causal_cluster(self, n=3, **kw):

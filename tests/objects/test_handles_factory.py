@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.commutative import CommutativeReplica
 from repro.core.universal import UniversalReplica
 from repro.objects import make_memory, make_replicated
 from repro.objects.handles import SetHandle
@@ -64,9 +63,11 @@ class TestFactory:
             make_replicated(SetSpec(), 2, strategy="gc", relay=True)
 
     def test_commutative_strategy_needs_commutative_spec(self):
-        make_replicated(CounterSpec(), 2, strategy="commutative")
-        with pytest.raises(ValueError):
-            make_replicated(SetSpec(), 2, strategy="commutative")
+        # Section VII-C's commutative path is the fold replay; forcing it
+        # on updates that do not commute is refused.
+        make_replicated(CounterSpec(), 2, replay="fold")
+        with pytest.raises(ValueError, match="commutative"):
+            make_replicated(SetSpec(), 2, replay="fold")
 
     def test_fifo_defaults(self):
         c1, _ = make_replicated(SetSpec(), 2)
@@ -75,8 +76,8 @@ class TestFactory:
         assert c2.network.fifo
 
     def test_commutative_replica_for_counter(self):
-        cluster, _ = make_replicated(CounterSpec(), 2, strategy="commutative")
-        assert isinstance(cluster.replicas[0], CommutativeReplica)
+        cluster, _ = make_replicated(CounterSpec(), 2)
+        assert all(r.replay.name == "fold" for r in cluster.replicas)
 
 
 class TestHandles:

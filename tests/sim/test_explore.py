@@ -19,7 +19,7 @@ def universal(pid, n):
 
 
 def fifo(pid, n):
-    return FifoApplyReplica(pid, n, SPEC, record_applied=False)
+    return FifoApplyReplica(pid, n, SPEC)
 
 
 class TestMechanics:

@@ -78,7 +78,7 @@ def test_strategy_registry_matches_docs():
     from repro.objects import STRATEGIES
 
     assert set(STRATEGIES) == {
-        "universal", "checkpoint", "gc", "undo", "commutative", "fifo", "causal"
+        "universal", "checkpoint", "gc", "undo", "fifo", "causal"
     }
 
 

@@ -27,10 +27,10 @@ CHECKPOINTS = (100, 200, 400, 800)
 def run_with_log_series(kind: str):
     if kind == "gc":
         factory = lambda p, n: GarbageCollectedReplica(
-            p, n, SPEC, gc_interval=16, track_witness=False
+            p, n, SPEC, gc_interval=16
         )
     else:
-        factory = lambda p, n: UniversalReplica(p, n, SPEC, track_witness=False)
+        factory = lambda p, n: UniversalReplica(p, n, SPEC)
     c = Cluster(3, factory, fifo=True, seed=5)
     series = []
     ops = 0

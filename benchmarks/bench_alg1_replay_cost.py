@@ -34,7 +34,7 @@ SIZES = (100, 400, 1600)
 # benchmarks/bench_throughput.py) instead of the machinery measured here.
 def replaying(replay: str):
     return lambda p, n: UniversalReplica(
-        p, n, SPEC, replay=replay, track_witness=False)
+        p, n, SPEC, replay=replay)
 
 
 FACTORIES = {

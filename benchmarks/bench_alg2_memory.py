@@ -34,7 +34,7 @@ SIZES = (100, 400, 1600)
 
 def build(kind: str, writes: int):
     if kind == "alg1":
-        c = Cluster(2, lambda p, n: UniversalReplica(p, n, SPEC, track_witness=False))
+        c = Cluster(2, lambda p, n: UniversalReplica(p, n, SPEC))
     else:
         c = Cluster(2, lambda p, n: MemoryReplica(p, n))
     for i in range(writes):

@@ -37,8 +37,7 @@ SCENARIOS = [
 def run_scenario(network_cls, network_kwargs, *, relay):
     c = Cluster(
         N,
-        lambda p, n: UniversalReplica(p, n, SPEC, relay=relay,
-                                      track_witness=False),
+        lambda p, n: UniversalReplica(p, n, SPEC, relay=relay),
         seed=SEED, network_cls=network_cls, network_kwargs=network_kwargs,
     )
     for i in range(OPS // 2):

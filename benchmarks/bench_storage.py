@@ -34,7 +34,7 @@ RECOVERY_OPS = 20_000
 
 
 def _replica(n_updates, *, n=3):
-    r = UniversalReplica(0, n, SPEC, track_witness=False)
+    r = UniversalReplica(0, n, SPEC)
     for i in range(n_updates):
         r.on_update(S.insert(i))
     return r
@@ -91,7 +91,7 @@ def recovery_scale(ops: int = RECOVERY_OPS) -> dict:
         t0 = time.perf_counter()
         st2 = JournalStore(path, 0, fsync=False)
         image = st2.open()  # scans frames, CRCs, verifies the digest chain
-        fresh = UniversalReplica(0, 3, SPEC, track_witness=False)
+        fresh = UniversalReplica(0, 3, SPEC)
         loaded = restore_replica(fresh, image)  # records in, replica out
         journal_s = time.perf_counter() - t0
         st2.close()

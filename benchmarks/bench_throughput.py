@@ -39,10 +39,10 @@ QUERY_EVERY = 10
 
 VARIANTS: dict[str, Callable[[int, int], Any]] = {
     "legacy": lambda p, n: UniversalReplica(
-        p, n, SPEC, replay="checkpoint", track_witness=False),
-    "fast": lambda p, n: UniversalReplica(p, n, SPEC, track_witness=False),
+        p, n, SPEC, replay="checkpoint"),
+    "fast": lambda p, n: UniversalReplica(p, n, SPEC),
     "naive": lambda p, n: UniversalReplica(
-        p, n, SPEC, replay="naive", track_witness=False),
+        p, n, SPEC, replay="naive"),
 }
 
 

@@ -64,7 +64,7 @@ def main() -> None:
 
     leaves, outcomes = check(
         "Algorithm 1",
-        lambda p, n: UniversalReplica(p, n, SPEC, track_witness=False),
+        lambda p, n: UniversalReplica(p, n, SPEC),
         FIG_1B_SCRIPT,
     )
     assert all(leaf.converged for leaf in leaves)
@@ -84,7 +84,7 @@ def main() -> None:
     print("== a 3-process script, exhaustively ==")
     script3 = [(0, S.insert(1)), (1, S.delete(1)), (2, S.insert(2))]
     leaves, explorer = explore_outcomes(
-        3, lambda p, n: UniversalReplica(p, n, SPEC, track_witness=False),
+        3, lambda p, n: UniversalReplica(p, n, SPEC),
         script3, max_leaves=500_000,
     )
     assert all(leaf.converged for leaf in leaves)

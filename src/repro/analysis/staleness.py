@@ -45,33 +45,19 @@ class StalenessReport:
 def staleness_report(trace: Trace) -> StalenessReport:
     """Compute version/time staleness over every query in the trace.
 
-    Requires witness metadata (timestamps + per-query visibility).
+    Requires witness metadata (:meth:`~repro.sim.cluster.Trace.witness_ids`).
     """
+    timestamps, visible = trace.witness_ids()
     issued: dict[tuple[int, int], float] = {}
     version_lags: list[int] = []
     time_lags: list[float] = []
     # Walk in record order: updates register themselves, queries compare.
     for r in trace.records:
-        ts = r.meta.get("timestamp")
-        if ts is None:
-            raise ValueError(
-                f"record {r.eid} lacks timestamp metadata; staleness needs "
-                f"witness-tracking replicas"
-            )
         if r.is_update:
-            issued[tuple(ts)] = r.time
+            issued[timestamps[r.eid]] = r.time
             continue
-        visible = r.meta.get("visible")
-        if visible is None:
-            raise ValueError(f"query record {r.eid} lacks visibility metadata")
-        # GC replicas report the folded prefix as a completeness floor
-        # (every update with clock <= floor is in the base state, hence
-        # visible) instead of enumerating its uids.
-        floor = int(r.meta.get("visible_floor", 0) or 0)
-        seen = {tuple(u) for u in visible}
-        missing = {
-            uid for uid in issued if uid not in seen and uid[0] > floor
-        }
+        seen = visible[r.eid]
+        missing = [uid for uid in issued if uid not in seen]
         version_lags.append(len(missing))
         if missing:
             oldest = min(issued[uid] for uid in missing)
@@ -97,25 +83,21 @@ def inclusion_latencies(trace: Trace) -> dict[tuple[int, int], float]:
     it visible (update uid -> latency).  Updates never subsequently
     covered by a query at some process are omitted (unknowable from the
     trace)."""
+    timestamps, visible = trace.witness_ids()
     issued: dict[tuple[int, int], float] = {}
     first_seen_everywhere: dict[tuple[int, int], float] = {}
-    pids = sorted({r.pid for r in trace.records})
+    pids = {r.pid for r in trace.records}
     # For each update, track which pids have confirmed visibility.
     confirmations: dict[tuple[int, int], set[int]] = {}
     for r in trace.records:
-        ts = r.meta.get("timestamp")
         if r.is_update:
-            uid = tuple(ts)
+            uid = timestamps[r.eid]
             issued[uid] = r.time
             confirmations[uid] = {r.pid}  # issuer sees its own update
             continue
-        visible = {tuple(u) for u in r.meta.get("visible", ())}
-        floor = int(r.meta.get("visible_floor", 0) or 0)
-        if floor:
-            visible.update(uid for uid in issued if uid[0] <= floor)
-        for uid in visible:
+        for uid in visible[r.eid]:
             if uid in confirmations and uid not in first_seen_everywhere:
                 confirmations[uid].add(r.pid)
-                if confirmations[uid] >= set(pids):
+                if confirmations[uid] >= pids:
                     first_seen_everywhere[uid] = r.time - issued[uid]
     return first_seen_everywhere

@@ -28,7 +28,7 @@ a spec declaring ``commutative_updates``).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Hashable, Sequence
+from typing import Any, Sequence
 
 from repro.core.adt import UQADT
 from repro.core.universal import UniversalReplica
@@ -74,7 +74,6 @@ class GarbageCollectedReplica(UniversalReplica):
         replay: str | None = None,
         checkpoint_interval: int | None = None,
         gc_interval: int = 128,
-        track_witness: bool = False,
         relay: bool = False,
         sync_page_size: int = 64,
     ) -> None:
@@ -88,7 +87,6 @@ class GarbageCollectedReplica(UniversalReplica):
             pid, n, spec,
             replay=replay,
             checkpoint_interval=checkpoint_interval,
-            track_witness=track_witness,
             sync_page_size=sync_page_size,
         )
         if gc_interval <= 0:
@@ -211,17 +209,6 @@ class GarbageCollectedReplica(UniversalReplica):
         self.replay.collected(cut, self._base)
         self._collected.inc(cut)
         return cut
-
-    def on_query(self, name: str, args: tuple[Hashable, ...] = ()) -> Any:
-        out = super().on_query(name, args)
-        if self.track_witness and self._last_meta:
-            # The folded prefix is reported as a floor instead of an
-            # enumerated uid list (which would grow forever and defeat
-            # GC's space bound): every update with clock <= the floor was
-            # visible.  Trace consumers expand it against the recorded
-            # update timestamps.
-            self._last_meta["visible_floor"] = self._gc_clock_floor
-        return out
 
     # -- crash recovery: the own-authorship guard ---------------------------------
 

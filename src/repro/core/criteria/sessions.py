@@ -32,45 +32,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only (avoids a cycle:
     from repro.sim.cluster import Trace
 
 
-def _visibility(trace: "Trace"):
-    """(per-record timestamp, per-query visible-uid set) or raise.
-
-    A GC replica reports the folded prefix as a ``visible_floor``
-    (completeness claim: every update with clock at or below it is in the
-    base state) rather than enumerating its uids; the floor is expanded
-    here against all update timestamps in the trace.
-    """
-    timestamps = {}
-    update_uids = set()
-    for r in trace.records:
-        ts = r.meta.get("timestamp")
-        if ts is None:
-            raise ValueError(
-                f"record {r.eid} lacks timestamp metadata; session checks "
-                f"need a witness-tracking replica"
-            )
-        timestamps[r.eid] = tuple(ts)
-        if r.is_update:
-            update_uids.add(tuple(ts))
-    visible = {}
-    for r in trace.records:
-        if r.is_update:
-            continue
-        vis = r.meta.get("visible")
-        if vis is None:
-            raise ValueError(f"query record {r.eid} lacks visibility metadata")
-        seen = {tuple(u) for u in vis}
-        floor = int(r.meta.get("visible_floor", 0) or 0)
-        if floor:
-            seen.update(uid for uid in update_uids if uid[0] <= floor)
-        visible[r.eid] = frozenset(seen)
-    return timestamps, visible
-
-
 def read_your_writes(trace: "Trace") -> CheckResult:
     """Every query sees all earlier updates of its own process."""
     name = "RYW"
-    timestamps, visible = _visibility(trace)
+    timestamps, visible = trace.witness_ids()
     own: dict[int, set] = {}
     for r in trace.records:
         if r.is_update:
@@ -88,7 +53,7 @@ def read_your_writes(trace: "Trace") -> CheckResult:
 def monotonic_reads(trace: "Trace") -> CheckResult:
     """Per process, successive queries see non-shrinking update sets."""
     name = "MR"
-    _, visible = _visibility(trace)
+    _, visible = trace.witness_ids()
     last: dict[int, frozenset] = {}
     for r in trace.records:
         if r.is_update:
@@ -107,7 +72,7 @@ def monotonic_reads(trace: "Trace") -> CheckResult:
 def monotonic_writes(trace: "Trace") -> CheckResult:
     """A process's updates are arbitration-ordered as issued."""
     name = "MW"
-    timestamps, _ = _visibility(trace)
+    timestamps, _ = trace.witness_ids()
     last: dict[int, tuple] = {}
     for r in trace.records:
         if not r.is_update:
@@ -127,7 +92,7 @@ def writes_follow_reads(trace: "Trace") -> CheckResult:
     """An update is arbitration-ordered after every update its issuer had
     already seen (Lamport causality in the timestamps)."""
     name = "WFR"
-    timestamps, visible = _visibility(trace)
+    timestamps, visible = trace.witness_ids()
     seen: dict[int, frozenset] = {}
     for r in trace.records:
         if r.is_update:

@@ -20,8 +20,8 @@ value, but all replicas converge to the state of the agreed linearization.
 The replica also records the Definition 9 witness as it runs (timestamps
 = the arbitration ``≤``; the set of received updates at query time = the
 visibility relation), which is exactly how Proposition 4's proof certifies
-correctness.  Witness tracking is optional (``track_witness=False``) for
-performance benchmarking of the algorithm proper.
+correctness.  Every replica records it: a query's visibility set is an
+O(1) view of the ids that had arrived (:meth:`on_query`).
 
 How a query reaches its state is the replica's
 :class:`~repro.core.replay.Replay`, chosen at construction (``replay=``):
@@ -95,7 +95,6 @@ class UniversalReplica(Replica):
         "sync_page_size",
         "clock",
         "updates",
-        "track_witness",
         "relay",
         "_keys",
         "_runs",
@@ -139,7 +138,6 @@ class UniversalReplica(Replica):
         *,
         replay: str | None = None,
         checkpoint_interval: int | None = None,
-        track_witness: bool = True,
         relay: bool = False,
         sync_page_size: int = 64,
     ) -> None:
@@ -172,7 +170,6 @@ class UniversalReplica(Replica):
         #: here only.  Appends never lower it, a late message lowers it to
         #: where it landed, a collected prefix shifts it left.
         self.unflushed_from = 0
-        self.track_witness = track_witness
         #: epidemic relay: re-broadcast first-seen updates.  Algorithm 1
         #: assumes *reliable* broadcast — all-or-nothing delivery even when
         #: the sender crashes mid-broadcast.  Point-to-point channels only
@@ -253,8 +250,7 @@ class UniversalReplica(Replica):
         pid = self.pid
         stamped: Stamped = (cl, pid, update)
         self._insert(stamped)  # instantaneous self-delivery
-        if self.track_witness:
-            self._last_meta = {"timestamp": (cl, pid)}
+        self._last_meta = {"timestamp": (cl, pid)}
         return (stamped,)  # line 6: broadcast
 
     def on_message(self, src: int, payload: Any) -> Sequence[Any]:
@@ -502,11 +498,17 @@ class UniversalReplica(Replica):
     def on_query(self, name: str, args: tuple[Hashable, ...] = ()) -> Any:
         cl = self.clock.tick_value()  # line 13
         state = self.replay.query(self.updates)  # lines 14-17
-        if self.track_witness:
-            visible = self._last_visible = KnownIds.whole(
-                self._arrived, self._last_visible
-            )
-            self._last_meta = {"timestamp": (cl, self.pid), "visible": visible}
+        visible = self._last_visible = KnownIds.whole(
+            self._arrived, self._last_visible
+        )
+        meta = {"timestamp": (cl, self.pid), "visible": visible}
+        if self.accepts_state:
+            # The folded prefix is reported as a floor instead of an
+            # enumerated id list (which would grow forever and defeat
+            # GC's space bound): every update with clock <= the floor was
+            # visible.  ``Trace.witness_ids`` expands it.
+            meta["visible_floor"] = self._gc_clock_floor
+        self._last_meta = meta
         return self.spec.observe(state, name, args)  # line 18
 
     # -- internals -----------------------------------------------------------------

@@ -35,10 +35,12 @@ termination, and convergence is the network's job.
 
 The front-end is also where traces begin: every ``POST /update`` mints a
 :class:`~repro.obs.wall.TraceContext` (honouring a client-supplied
-``X-Trace-Id``) and stamps the submit wall time — the zero point each
-replica measures its convergence lag from.  The trace id comes back in
+``X-Trace-Id``) and stamps the submit wall time — the zero point the
+node measures its convergence lag from.  The trace id comes back in
 both the JSON response (``"trace"``) and an ``X-Trace-Id`` response
-header.
+header.  The context reaches the peers, and their convergence lags,
+only from a node whose tracer is enabled: a frame carries trace headers
+iff it does (:meth:`~repro.net.node.ReplicaNode.submit`).
 """
 
 from __future__ import annotations

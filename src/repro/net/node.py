@@ -348,16 +348,19 @@ class ReplicaNode:
         (timestamp etc.).  Never awaits.
 
         With a :class:`~repro.obs.wall.TraceContext` (minted by the HTTP
-        front-end), the update's trace rides every outgoing frame the
-        submit produces, a ``update.local_apply`` span is recorded, and
-        this node's convergence lag (submit wall time to local
-        visibility) is observed.  Without one, the wire bytes are
-        identical to an untraced build — the sim↔net differential test
-        depends on that.
+        front-end), this node's convergence lag (submit wall time to local
+        visibility) is observed.  On a node whose tracer is enabled the
+        update is also *traced*: its trace rides every outgoing frame the
+        submit produces, and ``update.local_apply`` / ``update.visible``
+        are recorded.  A frame carries trace headers iff the node's
+        tracer is enabled, so an untraced node's wire bytes are those of
+        an untraced build — the sim↔net differential test depends on that.
         """
         self._check_running()
-        if ctx is None:
+        if ctx is None or not self.tracer.enabled:
             self._apply_effects(self.core.submit(update))
+            if ctx is not None:
+                self._conv_lag.observe(max(0.0, wall_now() - ctx.t0))
             return self.core.witness_meta()
         t_start = wall_now()
         effects = self.core.submit(update)
@@ -373,17 +376,16 @@ class ReplicaNode:
         now = wall_now()
         lag = max(0.0, now - ctx.t0)
         self._conv_lag.observe(lag)
-        if self.tracer.enabled:
-            attrs: dict[str, Any] = {"trace": ctx.trace_id}
-            if ts is not None:
-                attrs["ts"] = encode_ts_key(ts)
-            self.tracer.span(
-                "update.local_apply", t_start, now, pid=self.pid, attrs=attrs
-            )
-            self.tracer.event(
-                "update.visible", now, pid=self.pid,
-                attrs={**attrs, "lag_s": round(lag, 6)},
-            )
+        attrs: dict[str, Any] = {"trace": ctx.trace_id}
+        if ts is not None:
+            attrs["ts"] = encode_ts_key(ts)
+        self.tracer.span(
+            "update.local_apply", t_start, now, pid=self.pid, attrs=attrs
+        )
+        self.tracer.event(
+            "update.visible", now, pid=self.pid,
+            attrs={**attrs, "lag_s": round(lag, 6)},
+        )
         return meta
 
     def query(self, name: str, args: tuple[Hashable, ...] = ()) -> Any:
@@ -466,6 +468,8 @@ class ReplicaNode:
         response / state transfer path — attaching recently seen traces is
         what lets a node that was down during the broadcast still join an
         update's span tree when anti-entropy repairs it."""
+        if not self.tracer.enabled:
+            return None
         out = dict(self._out_traces) if self._out_traces else {}
         if self._trace_recent:
             recent = list(self._trace_recent.items())[-TRACE_SEND_CAP:]
@@ -512,7 +516,8 @@ class ReplicaNode:
             return
         fresh = {ts: tc for ts, tc in traces.items() if ts not in self._trace_recent}
         t_start = wall_now()
-        self._out_traces = traces
+        if self.tracer.enabled:  # an untraced node puts no header on the wire
+            self._out_traces = traces
         try:
             self._apply_effects(self.core.deliver(src, payload))
         finally:

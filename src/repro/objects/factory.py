@@ -85,7 +85,7 @@ def make_replicated(
     ``fifo`` defaults to whatever the strategy needs (FIFO channels for
     the pipelined baseline and the GC variant; plain channels otherwise).
     Extra keyword arguments go to the replica constructor (e.g.
-    ``checkpoint_interval=32``, ``track_witness=False``).
+    ``checkpoint_interval=32``).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; pick from {sorted(STRATEGIES)}")

@@ -74,13 +74,6 @@ def run_report(
         str(pid): lag for pid, lag in sorted(conv["final_divergence"].items())
     }
 
-    try:
-        stale: JsonDict | None = asdict(staleness_report(cluster.trace))
-    except ValueError:
-        # Replicas without witness metadata (track_witness=False) cannot
-        # be scored for staleness; the section is null rather than absent.
-        stale = None
-
     def counted(name: str, **labels: int) -> int:
         """A count the cluster's own instruments keep (0 if none does)."""
         return int(cluster.metrics.value(name, **labels))
@@ -157,7 +150,7 @@ def run_report(
             "recoveries": counted("repro_cluster_recoveries_total"),
         },
         "convergence": conv,
-        "staleness": stale,
+        "staleness": asdict(staleness_report(cluster.trace)),
         "messages": messages,
         "sync": sync,
         "replay": replay,

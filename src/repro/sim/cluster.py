@@ -116,52 +116,64 @@ class Trace:
                 ordering.add_edge(po, a, b)
         return History(events, po)
 
-    def suc_witness(self, history: History | None = None) -> SUCWitness:
-        """Reconstruct the Definition 9 witness from replica metadata.
+    def witness_ids(
+        self,
+    ) -> tuple[dict[int, tuple[int, int]], dict[int, frozenset[tuple[int, int]]]]:
+        """The Definition 9 witness as ids, read from replica metadata: by
+        record ``eid``, every record's ``(clock, pid)`` timestamp and every
+        query's set of visible update timestamps.
 
-        Requires every record's ``meta`` to carry ``"timestamp"`` (the
-        ``(clock, pid)`` stamp) and every query's to carry ``"visible"``
-        (the visible updates' timestamps: a
+        Requires every record's ``meta`` to carry ``"timestamp"`` and every
+        query's to carry ``"visible"`` (a
         :class:`~repro.sim.replica.KnownIds` prefix view as recorded, a
-        frozenset in a loaded trace) — Algorithm 1 replicas provide
-        both.  Garbage-collected replicas additionally report
+        frozenset in a loaded trace) — every Algorithm 1 replica records
+        both.  A replica that keeps a base also reports
         ``"visible_floor"``: every update with clock at or below it was
         folded into the base state (hence visible) without being
         enumerated; the floor is expanded here against the recorded
-        update timestamps.
+        update timestamps.  The one reader of those three keys.
         """
-        if history is None:
-            history = self.to_history()
-        by_eid = {e.eid: e for e in history.events}
-        timestamps: dict[Event, tuple[int, int]] = {}
-        update_by_uid: dict[tuple[int, int], Event] = {}
+        timestamps: dict[int, tuple[int, int]] = {}
+        update_uids: list[tuple[int, int]] = []
         for r in self.records:
-            ev = by_eid[r.eid]
             ts = r.meta.get("timestamp")
             if ts is None:
                 raise ValueError(
                     f"record {r.eid} lacks a timestamp: replica does not "
                     f"construct SUC witnesses"
                 )
-            timestamps[ev] = tuple(ts)
+            ts = timestamps[r.eid] = (ts[0], ts[1])
             if r.is_update:
-                update_by_uid[tuple(ts)] = ev
-        visibility: dict[Event, frozenset[Event]] = {}
+                update_uids.append(ts)
+        visible: dict[int, frozenset[tuple[int, int]]] = {}
         for r in self.records:
             if r.is_update:
                 continue
-            ev = by_eid[r.eid]
             uids = r.meta.get("visible")
             if uids is None:
                 raise ValueError(f"query record {r.eid} lacks visibility metadata")
-            visible = {update_by_uid[tuple(u)] for u in uids}
-            floor = int(r.meta.get("visible_floor", 0) or 0)
+            seen = {(u[0], u[1]) for u in uids}
+            floor = r.meta.get("visible_floor", 0)
             if floor:
-                visible.update(
-                    ev_u for uid, ev_u in update_by_uid.items() if uid[0] <= floor
-                )
-            visibility[ev] = frozenset(visible)
-        order = tuple(sorted(history.events, key=lambda e: timestamps[e]))
+                seen.update(uid for uid in update_uids if uid[0] <= floor)
+            visible[r.eid] = frozenset(seen)
+        return timestamps, visible
+
+    def suc_witness(self, history: History | None = None) -> SUCWitness:
+        """Reconstruct the Definition 9 witness from replica metadata
+        (:meth:`witness_ids`, mapped onto the history's events)."""
+        if history is None:
+            history = self.to_history()
+        timestamps, visible = self.witness_ids()
+        by_eid = {e.eid: e for e in history.events}
+        update_by_uid = {
+            timestamps[r.eid]: by_eid[r.eid] for r in self.records if r.is_update
+        }
+        visibility = {
+            by_eid[eid]: frozenset(update_by_uid[uid] for uid in uids)
+            for eid, uids in visible.items()
+        }
+        order = tuple(sorted(history.events, key=lambda e: timestamps[e.eid]))
         return SUCWitness(order=order, visibility=visibility)
 
 

@@ -12,6 +12,7 @@ from repro.analysis import (
     update_consistent_convergence,
 )
 from repro.core.universal import UniversalReplica
+from repro.objects.causal import CausalApplyReplica
 from repro.objects.pipelined import FifoApplyReplica
 from repro.sim import Cluster
 from repro.sim.network import ExponentialLatency
@@ -72,7 +73,8 @@ class TestExpectedFinalState:
         assert expected == frozenset()
 
     def test_requires_timestamps(self):
-        c = Cluster(2, lambda pid, n: UniversalReplica(pid, n, SPEC, track_witness=False))
+        # The causal baseline records no witness (every Algorithm 1 replica does).
+        c = Cluster(2, lambda pid, n: CausalApplyReplica(pid, n, SPEC))
         c.update(0, S.insert(1))
         with pytest.raises(ValueError, match="timestamp"):
             expected_final_state(c.trace, SPEC)

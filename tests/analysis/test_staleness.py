@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.staleness import inclusion_latencies, staleness_report
 from repro.core.universal import UniversalReplica
+from repro.objects.causal import CausalApplyReplica
 from repro.sim import Cluster
 from repro.sim.network import FixedLatency
 from repro.specs import SetSpec
@@ -72,7 +73,8 @@ class TestStalenessReport:
         assert rep.mean_version_lag == pytest.approx(0.5)
 
     def test_requires_metadata(self):
-        c = Cluster(2, lambda p, n: UniversalReplica(p, n, SPEC, track_witness=False))
+        # The causal baseline records no witness (every Algorithm 1 replica does).
+        c = Cluster(2, lambda p, n: CausalApplyReplica(p, n, SPEC))
         c.update(0, S.insert(1))
         c.query(0, "read")
         with pytest.raises(ValueError, match="timestamp"):

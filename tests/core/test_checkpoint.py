@@ -118,7 +118,7 @@ class TestRollbackAccounting:
     repeated rollbacks, and the rollback-replay counter."""
 
     def warm_replica(self, n_updates=8, interval=2):
-        r = checkpointed(0, 2, checkpoint_interval=interval, track_witness=False)
+        r = checkpointed(0, 2, checkpoint_interval=interval)
         for i in range(n_updates):
             r.on_update(S.insert(i))
         r.on_query("read")  # replay once: checkpoints recorded

@@ -31,7 +31,7 @@ FACTORIES = {
     "naive": lambda p, n: UniversalReplica(p, n, SPEC, replay="naive"),
     "checkpoint": lambda p, n: UniversalReplica(p, n, SPEC, replay="checkpoint"),
     "gc": lambda p, n: GarbageCollectedReplica(
-        p, n, SPEC, track_witness=True, gc_interval=10_000
+        p, n, SPEC, gc_interval=10_000
     ),
 }
 
@@ -129,6 +129,20 @@ class TestKnownIds:
         second = KnownIds.whole(ids, first)
         assert second is not first and len(second) == 2 and len(first) == 1
         assert KnownIds.whole(list(ids), second) is not second
+
+    def test_a_view_taken_before_a_cut_still_walks_its_ids(self):
+        # Equality compares lengths first and a view's length is fixed,
+        # so walk the ids: a list changed in place at the cut would be
+        # read through a view that still reports 6.
+        r = GarbageCollectedReplica(0, N, SPEC, gc_interval=10_000)
+        for i in range(6):
+            r.on_update(S.insert(i))
+        r.on_query("read")
+        seen = [(cl, j) for cl, j, _ in r.updates]
+        for j in (1, 2):
+            r.on_message(j, ("hb", 4, j))
+        assert r.collect_garbage() == 4
+        assert list(r.witness_meta()["visible"]) == seen
 
 
 class TestRetention:

@@ -97,7 +97,7 @@ def ids(replica):
 
 def gc_replica():
     return GarbageCollectedReplica(
-        0, 3, SPEC, track_witness=True, gc_interval=10_000
+        0, 3, SPEC, gc_interval=10_000
     )
 
 

@@ -3,6 +3,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.tools.__main__ import main as cli_main
@@ -24,6 +26,19 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert code == 0
         assert "update-consistent convergence: PASS" in out
+
+    def test_gc_strategy_records_the_witness(self, capsys):
+        # A garbage-collecting replica records its Def. 9 witness like
+        # every Algorithm 1 replica: the convergence check runs on its
+        # update stamps, the timestamp size is read from them, and the
+        # staleness line from its queries' visibility.
+        code = cli_main(["simulate", "--spec", "counter", "--strategy", "gc"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "update-consistent convergence: PASS" in out
+        bits = re.search(r"max timestamp (\d+) bits", out)
+        assert bits is not None and int(bits.group(1)) > 0
+        assert "reads: " in out
 
     def test_fuzzed_run_reports_adversary(self, capsys):
         code = cli_main([

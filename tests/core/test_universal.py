@@ -250,7 +250,7 @@ class TestWitness:
         spec = CounterSpec()
         c = Cluster(
             2,
-            lambda pid, n: UniversalReplica(pid, n, spec, track_witness=True),
+            lambda pid, n: UniversalReplica(pid, n, spec),
             seed=1,
             network_cls=DuplicatingNetwork,
             network_kwargs={"duplicate_probability": 0.9},

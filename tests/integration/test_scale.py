@@ -44,7 +44,6 @@ class TestLongRun:
             4,
             lambda p, n: UniversalReplica(
                 p, n, SPEC, replay="checkpoint", checkpoint_interval=128,
-                track_witness=True,
             ),
             latency=ExponentialLatency(1.5), seed=14,
         )

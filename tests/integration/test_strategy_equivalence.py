@@ -54,7 +54,7 @@ class TestSetStrategies:
         base_fifo = run(lambda p, n: UniversalReplica(p, n, spec), wl, seed, fifo=True)
         gc = run(
             lambda p, n: GarbageCollectedReplica(
-                p, n, spec, gc_interval=5, track_witness=True
+                p, n, spec, gc_interval=5
             ),
             wl, seed, fifo=True,
         )

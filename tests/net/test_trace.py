@@ -14,6 +14,8 @@ from __future__ import annotations
 import asyncio
 import tempfile
 
+import pytest
+
 from repro.core.adt import Update
 from repro.core.universal import UniversalReplica
 from repro.net.framing import (
@@ -22,6 +24,7 @@ from repro.net.framing import (
     split_headers,
     with_headers,
 )
+from repro.net.__main__ import make_factory
 from repro.net.harness import LocalCluster
 from repro.net.node import MSG
 from repro.obs.wall import trace_ids
@@ -39,21 +42,27 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def make_cluster(**kwargs):
+def make_cluster(factory=None, **kwargs):
     return LocalCluster(
         3,
-        lambda pid, n: UniversalReplica(pid, n, SetSpec()),
+        factory or (lambda pid, n: UniversalReplica(pid, n, SetSpec())),
         sync_interval=0.05,
         **kwargs,
     )
 
 
+#: the shipped node's replicas: plain, and with stable-prefix GC (what
+#: every ledger mesh node runs).
+PLAIN = make_factory("set")
+GC = make_factory("set", gc=True)
+
+
 # -- the merged-timeline acceptance criterion -----------------------------------------
 
 
-def test_one_update_links_spans_across_all_nodes():
+def test_one_update_links_spans_across_all_nodes(factory=PLAIN):
     async def body():
-        cluster = make_cluster(trace=True)
+        cluster = make_cluster(factory, trace=True)
         await cluster.start()
         try:
             client = cluster.client(0)
@@ -78,6 +87,10 @@ def test_one_update_links_spans_across_all_nodes():
         assert by_name["update.visible"] == {0, 1, 2}
 
     run(body())
+
+
+def test_one_update_links_spans_across_all_gc_nodes():
+    test_one_update_links_spans_across_all_nodes(GC)
 
 
 def test_client_supplied_trace_id_is_honoured():
@@ -139,9 +152,9 @@ def test_trace_survives_kill_and_restart():
     run(body())
 
 
-def test_convergence_lag_recorded_per_node():
+def test_convergence_lag_recorded_per_node(factory=PLAIN):
     async def body():
-        cluster = make_cluster(trace=True)
+        cluster = make_cluster(factory, trace=True)
         await cluster.start()
         try:
             client = cluster.client(0)
@@ -153,6 +166,45 @@ def test_convergence_lag_recorded_per_node():
         hist = cluster.registry.get("repro_net_convergence_lag_seconds")
         counts = {s.labels[0]: s.count for s in hist.series()}
         assert all(counts.get(str(pid), 0) >= 1 for pid in range(3))
+
+    run(body())
+
+
+def test_convergence_lag_recorded_per_gc_node():
+    test_convergence_lag_recorded_per_node(GC)
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("factory", [PLAIN, GC], ids=["plain", "gc"])
+def test_only_a_traced_node_puts_trace_headers_on_update_frames(factory, trace):
+    """A frame carries trace headers iff the node's tracer is enabled,
+    whatever replica the node runs: an HTTP update still mints a trace id,
+    but on an untraced node it never reaches the wire."""
+
+    async def body():
+        cluster = make_cluster(factory, trace=trace)
+        await cluster.start()
+        try:
+            node = cluster.nodes[0]
+            shipped = []
+            original = node.links.ship
+            node.links.ship = lambda dst, data: shipped.append(
+                data
+            ) or original(dst, data)
+            client = cluster.client(0)
+            doc = await client.update("insert", 3)
+            assert doc["trace"]
+            await client.close()
+        finally:
+            await cluster.stop()
+        headers = []
+        for data in shipped:
+            frame, _ = decode_frame(data)
+            payload, frame_headers = split_headers(frame[2:])
+            if isinstance(payload[0], int):  # a stamped update, not a sync
+                headers.append(frame_headers)
+        assert headers  # the update was broadcast to both peers
+        assert all(bool(h) == trace for h in headers)
 
     run(body())
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.universal import UniversalReplica
+from repro.objects.causal import CausalApplyReplica
 from repro.sim import Cluster
 from repro.sim.cluster import CrashedProcessError, OpRecord
 from repro.sim.network import FixedLatency
@@ -148,7 +149,8 @@ class TestTrace:
         assert not h.precedes(e0, e1)
 
     def test_suc_witness_requires_metadata(self):
-        c = Cluster(2, lambda pid, n: UniversalReplica(pid, n, SetSpec(), track_witness=False))
+        # The causal baseline records no witness (every Algorithm 1 replica does).
+        c = Cluster(2, lambda pid, n: CausalApplyReplica(pid, n, SetSpec()))
         c.update(0, S.insert(1))
         with pytest.raises(ValueError, match="timestamp"):
             c.trace.suc_witness()

@@ -15,7 +15,7 @@ SPEC = SetSpec()
 
 
 def universal(pid, n):
-    return UniversalReplica(pid, n, SPEC, track_witness=False)
+    return UniversalReplica(pid, n, SPEC)
 
 
 def fifo(pid, n):

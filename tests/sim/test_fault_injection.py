@@ -317,11 +317,10 @@ class TestGCUnderPartition:
         gc = self.drive(
             lambda p, n: GarbageCollectedReplica(
                 p, n, SPEC, gc_interval=8, checkpoint_interval=8,
-                track_witness=False,
             )
         )  # would raise StabilityViolation on a FIFO regression
         plain = self.drive(
-            lambda p, n: UniversalReplica(p, n, SPEC, track_witness=False)
+            lambda p, n: UniversalReplica(p, n, SPEC)
         )
         assert len(states_of(gc)) == 1
         assert states_of(gc) == states_of(plain)
@@ -348,7 +347,7 @@ class TestGCUnderHoldsAndCrashes:
         return Cluster(
             n,
             lambda pid, total: GarbageCollectedReplica(
-                pid, total, SPEC, gc_interval=8, track_witness=False
+                pid, total, SPEC, gc_interval=8
             ),
             fifo=True,
             **kw,

@@ -27,7 +27,7 @@ CHECKPOINTS = (100, 200, 400, 800)
 def run_with_log_series(kind: str):
     if kind == "gc":
         factory = lambda p, n: GarbageCollectedReplica(
-            p, n, SPEC, gc_interval=16
+            p, n, SPEC, replay="checkpoint", gc_interval=16
         )
     else:
         factory = lambda p, n: UniversalReplica(p, n, SPEC)

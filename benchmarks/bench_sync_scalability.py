@@ -37,7 +37,7 @@ def _build_cluster(tracer=None):
     return Cluster(
         PROCS,
         lambda p, n: GarbageCollectedReplica(
-            p, n, SPEC, gc_interval=16,
+            p, n, SPEC, replay="checkpoint", gc_interval=16,
             sync_page_size=PAGE_SIZE,
         ),
         fifo=True,

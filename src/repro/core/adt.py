@@ -100,6 +100,10 @@ class UQADT:
       ``freeze(fold_into(thaw(s), us)) == apply_batch(s, us)`` and ``s``
       is left unchanged (property-tested over every spec).
 
+    * optionally :meth:`slot` — on a spec declaring
+      :attr:`slotted_updates`, the one slot of the state an update
+      overwrites.
+
     :meth:`apply`, :meth:`apply_batch` and :meth:`observe` stay pure.
     :meth:`observe` must accept a working state as well as a frozen one,
     answer both alike, and never return an alias of a working state (a
@@ -115,6 +119,12 @@ class UQADT:
     #: Karsenty–Beaudouin-Lafon undo replay (:mod:`repro.core.replay`).
     #: Implementations must then provide :meth:`unapply`.
     invertible_updates: bool = False
+    #: True when every update overwrites one slot of the state: ``T(s, u)``
+    #: differs from ``s`` only at ``slot(u)``, and the value there does not
+    #: depend on ``s`` — the precondition of the keyed replay
+    #: (:mod:`repro.core.replay`).  Implementations must then provide
+    #: :meth:`slot`.
+    slotted_updates: bool = False
 
     # -- the transition system -------------------------------------------------
 
@@ -138,6 +148,19 @@ class UQADT:
         replay (Section VII-C's discussion of [Karsenty & Beaudouin-Lafon]).
         """
         raise NotImplementedError(f"{self.name} updates are not invertible")
+
+    def slot(self, update: Update) -> Hashable:
+        """The one slot ``update`` overwrites (the set's ``insert(v)`` and
+        ``delete(v)`` write slot ``v``; a register has one slot).
+
+        Only meaningful when :attr:`slotted_updates` is True.  Two updates
+        to different slots then commute, and an update is shadowed by any
+        later one to its slot: the keyed replay folds a late update only
+        when no folded update after it writes its slot.  Algorithm 2
+        applies the same argument to the shared memory
+        (property-tested per declaring spec through :meth:`observe`).
+        """
+        raise NotImplementedError(f"{self.name} updates overwrite no slot")
 
     def apply_batch(self, state: Any, updates: Sequence[Update]) -> Any:
         """Fold a whole update sequence into the state.

@@ -20,7 +20,7 @@ collected prefix — the replica detects that and raises
 
 Collection is orthogonal to how queries are answered: the replica's
 :class:`~repro.core.replay.Replay` is told when a prefix is collected into
-a new base and when a base is installed wholesale, whichever of the four
+a new base and when a base is installed wholesale, whichever of the five
 replays it is (the checkpoint tree by default, the arrival-order fold on
 a spec declaring ``commutative_updates``).
 """

@@ -1,4 +1,4 @@
-"""Section VII-C: the four ways a replica answers a query from its log.
+"""Section VII-C: the five ways a replica answers a query from its log.
 
 Algorithm 1 keeps every known update in ``(clock, pid)`` order and
 "re-executes all past updates each time a new query is issued".  The
@@ -6,7 +6,10 @@ paper then names three cheaper ways to reach the same state: keep
 intermediate states that "are re-computed only if very late messages
 arrive", position a late update with undo/redo (Karsenty &
 Beaudouin-Lafon), or — when all updates commute — apply each update as
-soon as it is received.  Each is a :class:`Replay` here; a
+soon as it is received.  Algorithm 2's argument, that an overwritten
+value is never read again, gives one more for objects whose updates each
+overwrite one slot: keep the folded state, and check a late update
+against the later writes to its slot.  Each is a :class:`Replay` here; a
 :class:`~repro.core.universal.UniversalReplica` owns exactly one, chosen at
 construction, and calls it at five points:
 
@@ -29,6 +32,8 @@ name            query cost                                needs
 ==============  ========================================  =======================
 ``naive``       O(log): Algorithm 1, lines 14-17          —
 ``checkpoint``  O(new arrivals); a late one rolls back    —
+``keyed``       O(new arrivals); a late one is checked    ``slotted_updates``
+                against the later writes to its slot
 ``undo``        O(1); a late one undoes and redoes        ``invertible_updates``
 ``fold``        O(1); each arrival folds in on receipt    ``commutative_updates``
 ==============  ========================================  =======================
@@ -275,6 +280,95 @@ class CheckpointReplay(Replay):
         self._share_tip(0, base)
 
 
+class KeyedReplay(Replay):
+    """Algorithm 2's argument — "an overwritten value can never be read
+    again" — for any spec whose updates each overwrite one slot
+    (:meth:`~repro.core.adt.UQADT.slot`): the set's ``insert(v)`` and
+    ``delete(v)`` write slot ``v``, the map's ``put``/``remove`` write
+    their key.
+
+    A query folds the updates that arrived since the last one into a
+    working state this replay owns, as the checkpoint replay does, but
+    keeps no checkpoints: a *late* entry never needs a rollback.  Slots
+    are independent and a write's value does not depend on the state, so
+    a late entry is either overwritten by an already-folded write to its
+    slot — then the folded state is already right and nothing is folded —
+    or no folded entry after it touches its slot, and folding it on top
+    gives the state its sorted position would.  Deciding which scans the
+    folded entries that now sort after it: never more than the checkpoint
+    replay's rollback would fold again, and no state is copied.  An
+    entry at or after the applied mark (every in-order append, every
+    journal entry a boot replays) costs nothing until the next query.
+    """
+
+    __slots__ = ("_applied",)
+
+    name = "keyed"
+
+    def __init__(self, spec: UQADT) -> None:
+        if not spec.slotted_updates:
+            raise ValueError(
+                f"{spec.name!r} does not declare slotted_updates; the keyed "
+                f"replay needs updates that each overwrite one slot"
+            )
+        super().__init__(spec)
+        # ``_state`` is log[:applied] folded, a working state folded in place.
+        self._state = spec.thaw(self._state)
+        self._applied = 0
+
+    def inserted(self, log: Log, pos: int) -> None:
+        applied = self._applied
+        if pos >= applied:
+            return  # pending: the next query folds it in order
+        slot = self.spec.slot
+        update = log[pos][2]
+        key = slot(update)
+        # the folded entries that sort after the newcomer: log[pos+1:applied+1]
+        for i in range(pos + 1, applied + 1):
+            if slot(log[i][2]) == key:
+                break  # shadowed: a later write to its slot is folded
+        else:
+            self._state = self.spec.fold_into(self._state, (update,))
+            self._snapshot = None
+        self._applied = applied + 1
+
+    def query(self, log: Log) -> Any:
+        i, end = self._applied, len(log)
+        if i < end:
+            self._state = self.spec.fold_into(
+                self._state, [s[2] for s in log[i:]]
+            )
+            self._replayed.inc(end - i)
+            self._applied, self._snapshot = end, None
+        return self._state
+
+    def peek(self, log: Log) -> Any:
+        """The folded state, frozen once per position, plus the pending
+        suffix in one batch fold."""
+        snapshot = self._snapshot_of(self._state)
+        if self._applied == len(log):
+            return snapshot
+        return self.spec.apply_batch(
+            snapshot, [s[2] for s in log[self._applied:]]
+        )
+
+    def collected(self, cut: int, base: Any) -> None:
+        # As for the checkpoint replay: a folded prefix covering the cut
+        # only moves its index; otherwise restart from the new base.
+        if self._applied >= cut:
+            self._applied -= cut
+        else:
+            self._restart(base)
+
+    def installed(self, log: Log, base: Any) -> None:
+        self._restart(base)
+
+    def _restart(self, base: Any) -> None:
+        """Fold from ``base`` (frozen, so its own snapshot)."""
+        self._state, self._applied = self.spec.thaw(base), 0
+        self._snapshot = base
+
+
 class UndoReplay(Replay):
     """Karsenty–Beaudouin-Lafon undo/redo: the fully-applied state is
     maintained at all times, so a query costs nothing.  An entry landing
@@ -353,7 +447,8 @@ class ArrivalFold(Replay):
 
 
 REPLAYS: dict[str, type[Replay]] = {
-    cls.name: cls for cls in (NaiveReplay, CheckpointReplay, UndoReplay, ArrivalFold)
+    cls.name: cls
+    for cls in (NaiveReplay, CheckpointReplay, KeyedReplay, UndoReplay, ArrivalFold)
 }
 
 

@@ -25,9 +25,10 @@ O(1) view of the ids that had arrived (:meth:`on_query`).
 
 How a query reaches its state is the replica's
 :class:`~repro.core.replay.Replay`, chosen at construction (``replay=``):
-Algorithm 1's full replay (the default), the checkpoint tree, undo/redo,
-or the arrival-order fold that is picked by default on a spec declaring
-``commutative_updates`` — the Section VII-C optimizations, see
+Algorithm 1's full replay (the default), the checkpoint tree, the keyed
+replay, undo/redo, or the arrival-order fold that is picked by default on
+a spec declaring ``commutative_updates`` — the Section VII-C
+optimizations, see
 :mod:`repro.core.replay`.  Whichever answers, the sorted log, the
 ``(clock, pid)`` keys, the witness metadata, anti-entropy, persistence
 and GC are the same.  Replay cost is charged to

@@ -36,12 +36,12 @@ OBJECTS = {
 def make_factory(object_name: str, *, gc: bool = False):
     """A ``(pid, n) -> replica`` factory for a named UQ-ADT object.
 
-    Either way the node keeps its replayed prefix (Section VII-C: a query
-    folds what arrived since the last one) — the checkpoint replay, or the
-    arrival-order fold on an object whose updates commute; ``gc`` adds
-    stable-prefix collection.  Same log, digest and durable image as
-    Algorithm 1 verbatim, which the sim and the paper benches build by
-    name.
+    Either way a query folds only what arrived since the last one
+    (Section VII-C): the arrival-order fold on an object whose updates
+    commute, the keyed replay on one whose updates each overwrite a slot
+    (every shipped object is one or the other); ``gc`` adds stable-prefix
+    collection.  Same log, digest and durable image as Algorithm 1
+    verbatim, which the sim and the paper benches build by name.
     """
     spec_cls = OBJECTS.get(object_name)
     if spec_cls is None:
@@ -49,10 +49,9 @@ def make_factory(object_name: str, *, gc: bool = False):
             f"unknown object {object_name!r} (choose from {sorted(OBJECTS)})"
         )
     spec = spec_cls()
-    if gc:
-        return lambda pid, n: GarbageCollectedReplica(pid, n, spec)
-    replay = "fold" if spec.commutative_updates else "checkpoint"
-    return lambda pid, n: UniversalReplica(pid, n, spec, replay=replay)
+    replay = "fold" if spec.commutative_updates else "keyed"
+    replica_cls = GarbageCollectedReplica if gc else UniversalReplica
+    return lambda pid, n: replica_cls(pid, n, spec, replay=replay)
 
 
 def _parse_peers(text: str) -> list[tuple[str, int]]:

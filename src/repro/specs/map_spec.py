@@ -46,6 +46,7 @@ class MapSpec(UQADT):
 
     name = "map"
     commutative_updates = False
+    slotted_updates = True
 
     def initial_state(self) -> dict:
         return {}
@@ -64,6 +65,10 @@ class MapSpec(UQADT):
             del new[k]
             return new
         raise ValueError(f"unknown map update {update.name!r}")
+
+    def slot(self, update: Update) -> Hashable:
+        """``put(k, v)`` and ``remove(k)`` both decide key ``k``."""
+        return update.args[0]
 
     def thaw(self, state: dict) -> dict:
         return dict(state)

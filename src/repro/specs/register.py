@@ -42,6 +42,7 @@ class RegisterSpec(UQADT):
 
     name = "register"
     commutative_updates = False  # writes overwrite: order matters
+    slotted_updates = True
 
     def __init__(self, initial: Any = None) -> None:
         self._initial = initial
@@ -56,6 +57,10 @@ class RegisterSpec(UQADT):
             (v,) = update.args
             return v
         raise ValueError(f"unknown register update {update.name!r}")
+
+    def slot(self, update: Update) -> Hashable:
+        """One register, one slot: every write overwrites it."""
+        return None
 
     def observe(self, state: Any, name: str, args: tuple[Hashable, ...] = ()) -> Any:
         if name == "read":
@@ -83,6 +88,7 @@ class MemorySpec(UQADT):
 
     name = "memory"
     commutative_updates = False
+    slotted_updates = True
 
     def __init__(self, initial: Any = None) -> None:
         self._initial = initial
@@ -101,6 +107,10 @@ class MemorySpec(UQADT):
             new[x] = v
             return new
         raise ValueError(f"unknown memory update {update.name!r}")
+
+    def slot(self, update: Update) -> Hashable:
+        """``write(x, v)`` overwrites register ``x`` (Algorithm 2's slot)."""
+        return update.args[0]
 
     def apply_batch(self, state: dict, updates) -> dict:
         """One dict copy plus n assignments (last write per register wins

@@ -47,6 +47,7 @@ class SetSpec(UQADT):
 
     name = "set"
     commutative_updates = False  # insert/delete of the same value conflict
+    slotted_updates = True
 
     def initial_state(self) -> frozenset:
         return frozenset()
@@ -59,6 +60,10 @@ class SetSpec(UQADT):
             (v,) = update.args
             return state - {v}
         raise ValueError(f"unknown set update {update.name!r}")
+
+    def slot(self, update: Update) -> Hashable:
+        """``I(v)`` and ``D(v)`` both decide the membership of ``v``."""
+        return update.args[0]
 
     def apply_batch(self, state: frozenset, updates) -> frozenset:
         """Single reverse pass: the last operation on each value decides

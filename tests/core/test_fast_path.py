@@ -19,13 +19,24 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis import update_consistent_convergence
 from repro.core.checkpoint import GarbageCollectedReplica
+from repro.core.replay import make_replay
 from repro.core.universal import UniversalReplica
+from repro.net import __main__ as net_main
 from repro.sim import Cluster
 from repro.sim.fuzz import AdversaryFuzzer
 from repro.sim.network import DuplicatingNetwork, ExponentialLatency, LossyNetwork
-from repro.specs import CounterSpec, GSetSpec, MapSpec, MaxRegisterSpec, SetSpec
+from repro.specs import (
+    CounterSpec,
+    GSetSpec,
+    LogSpec,
+    MapSpec,
+    MaxRegisterSpec,
+    QueueSpec,
+    SetSpec,
+)
 from repro.specs import counter as C
 from repro.specs import gset as G
+from repro.specs import map_spec as Mp
 from repro.specs import max_register as M
 from repro.specs import set_spec as S
 
@@ -33,8 +44,9 @@ N = 3
 SEEDS = st.integers(0, 10_000)
 
 SPECS = {"counter": CounterSpec(), "gset": GSetSpec(), "max": MaxRegisterSpec()}
-#: the order-sensitive spec of the replay matrix (naive and checkpoint only)
-ORDERED = {"set": SetSpec()}
+#: the order-sensitive specs of the replay matrix (naive, checkpoint and,
+#: as each update overwrites one slot, keyed)
+ORDERED = {"set": SetSpec(), "map": MapSpec()}
 #: chaos networks: loss that anti-entropy repairs, and re-delivery that
 #: only the replica's deduplication absorbs.
 NETWORKS = {
@@ -48,7 +60,8 @@ MATRIX = [
     for cls in (UniversalReplica, GarbageCollectedReplica)
     for kind, replays in (
         ("counter", ("naive", "checkpoint", "undo", "fold")),
-        ("set", ("naive", "checkpoint")),
+        ("set", ("naive", "checkpoint", "keyed")),
+        ("map", ("naive", "checkpoint", "keyed")),
     )
     for replay in replays
 ]
@@ -65,6 +78,9 @@ def make_script(kind: str, seed: int, n_ops: int = 25) -> list:
         elif kind == "set":
             v = int(rng.integers(8))
             op = S.delete(v) if rng.random() < 0.4 else S.insert(v)
+        elif kind == "map":
+            k = int(rng.integers(4))
+            op = Mp.remove(k) if rng.random() < 0.3 else Mp.put(k, int(rng.integers(5)))
         elif kind == "max":
             op = M.write_max(int(rng.integers(20)))
         else:
@@ -103,7 +119,8 @@ def run_chaos(cluster: Cluster, kind: str, seed: int, crash_budget: int = 1) -> 
         allow_message_loss=True,
         recover_probability=0.3,
     )
-    fuzzer.run_workload(make_script(kind, seed), anti_entropy_rounds=5)
+    query = ("snapshot", ()) if kind == "map" else ("read", ())
+    fuzzer.run_workload(make_script(kind, seed), anti_entropy_rounds=5, query=query)
     return cluster.states()
 
 
@@ -140,6 +157,24 @@ class TestDifferentialFuzz:
                 for _, op in make_script(kind, seed)
             )
             assert set(fast_states.values()) == {total}, f"seed {seed}"
+
+    @given(SEEDS)
+    @settings(max_examples=10, deadline=None)
+    def test_keyed_set_equals_sorted_replay_on_a_duplicating_network(self, seed):
+        """Re-delivery under the keyed replay: a duplicate that reached the
+        replay would land as a late write to a slot.  Nothing crashes, so
+        every replica ends on the one state naive replay reaches."""
+        spec = ORDERED["set"]
+        states = {}
+        for name in ("keyed", "naive"):
+            c = chaos_cluster("set", seed, name, network="duplicating")
+            assert all(r.replay.name == name for r in c.replicas)
+            states[name] = {
+                pid: spec.canonical(state)
+                for pid, state in run_chaos(c, "set", seed, 0).items()
+            }
+        assert states["keyed"] == states["naive"], f"seed {seed}"
+        assert len(set(states["keyed"].values())) == 1, f"seed {seed}"
 
     @given(SEEDS)
     @settings(max_examples=10, deadline=None)
@@ -274,6 +309,57 @@ class TestCrashRecovery:
         assert c.replicas[1].replay.name == "fold"
 
 
+@pytest.mark.parametrize("replay", ["checkpoint", "keyed"])
+class TestCollectAndInstall:
+    """What a collection or a state install moves under a replay's folded
+    state, on one fixed schedule: each step answers as naive replay does."""
+
+    def pair(self, replay):
+        return [
+            GarbageCollectedReplica(0, 2, SetSpec(), replay=name, gc_interval=10_000)
+            for name in (replay, "naive")
+        ]
+
+    def agree(self, replicas):
+        a, b = (r.on_query("read") for r in replicas)
+        assert a == b
+        assert replicas[0].local_state() == replicas[1].local_state() == a
+        return a
+
+    def test_a_collection_under_and_past_the_folded_prefix(self, replay):
+        replicas = self.pair(replay)
+        for r in replicas:
+            for i in range(10):
+                r.on_update(S.insert(i))
+        self.agree(replicas)  # the first ten folded
+        for r in replicas:
+            for i in range(5):
+                r.on_update(S.delete(i))
+            r.on_message(1, ("hb", 4, 1))
+            assert r.collect_garbage() == 4  # under the folded prefix
+        assert self.agree(replicas) == frozenset(range(5, 10))
+        for r in replicas:
+            for i in range(5, 8):
+                r.on_update(S.delete(i))
+            r.on_message(1, ("hb", 19, 1))
+            assert r.collect_garbage() == 13  # past the folded prefix
+        assert self.agree(replicas) == frozenset({8, 9})
+
+    def test_a_state_install_replaces_the_folded_state(self, replay):
+        replicas = self.pair(replay)
+        for r in replicas:
+            for i in range(6):
+                r.on_update(S.insert(i))
+        self.agree(replicas)
+        for r in replicas:
+            r.on_update(S.delete(5))
+            assert r.install_gc_state(base=frozenset(range(100, 104)), clock_floor=4)
+        assert self.agree(replicas) == frozenset({4, 100, 101, 102, 103})
+        for r in replicas:
+            r.on_update(S.insert(104))
+        assert self.agree(replicas) == frozenset({4, 100, 101, 102, 103, 104})
+
+
 class TestActivation:
     def test_auto_active_only_on_commutative_specs(self):
         for spec, expect in (
@@ -295,6 +381,21 @@ class TestActivation:
     ):
         with pytest.raises(ValueError, match="commutative"):
             replica_cls(0, 2, spec_cls(), replay="fold")
+
+    @pytest.mark.parametrize("spec_cls", [CounterSpec, QueueSpec, LogSpec])
+    def test_keyed_refuses_a_spec_without_slots(self, spec_cls):
+        with pytest.raises(ValueError, match="slot"):
+            make_replay(spec_cls(), "keyed")
+
+    @pytest.mark.parametrize("gc", [False, True])
+    @pytest.mark.parametrize("name", sorted(net_main.OBJECTS))
+    def test_every_shipped_object_commutes_or_declares_a_slot(self, name, gc):
+        """The node never falls back to the checkpoint tree: each object
+        it ships takes the fold or the keyed replay."""
+        spec = net_main.OBJECTS[name]()
+        assert spec.commutative_updates or spec.slotted_updates, name
+        r = net_main.make_factory(name, gc=gc)(0, 2)
+        assert r.replay.name == ("fold" if spec.commutative_updates else "keyed")
 
     def test_undo_replica_opts_out(self):
         # Undo/redo *is* its own incremental strategy: choosing it on a

@@ -3,7 +3,9 @@
 ``make_factory`` (what ``python -m repro.net serve`` runs) hands out
 replicas that keep their replayed prefix: a query folds the updates that
 arrived since the previous one into a working state the replica owns —
-no copy of the state unless the tip crosses a checkpoint position — and
+the keyed replay on the set, which copies no state and answers a late
+write with a slot check (the checkpoint replay, named here by
+``replay="checkpoint"``, copies once per checkpoint interval) — and
 its witness's visibility set is an O(1) view of the prefix of the
 replica's arrival list that had arrived by then, whoever claims it and
 whenever.  Algorithm 1 verbatim —
@@ -55,12 +57,10 @@ def test_a_query_on_the_shipped_replica_folds_only_what_arrived_since(
 
 
 @pytest.mark.parametrize("gc", [False, True])
-def test_a_busy_replica_copies_its_state_once_per_checkpoint_interval(
-    gc, monkeypatch
-):
-    monkeypatch.setitem(net_main.OBJECTS, "set", CountingSetSpec)
-    r = net_main.make_factory("set", gc=gc)(0, 3)
-    spec = r.spec
+def test_a_busy_replica_copies_its_state_once_per_checkpoint_interval(gc):
+    spec = CountingSetSpec()
+    replica_cls = GarbageCollectedReplica if gc else UniversalReplica
+    r = replica_cls(0, 3, spec, replay="checkpoint")
     for i in range(12_000):
         r.on_update(S.insert(i))
     r.on_query("contains", (0,))  # the cold fold: one thaw, then in place
@@ -89,6 +89,88 @@ def test_a_busy_replica_copies_its_state_once_per_checkpoint_interval(
     first, second = r.local_state(), r.local_state()
     assert first is second and spec.freezes == 1
     assert type(first) is frozenset and "late" in first
+
+
+class SlotCountingSetSpec(CountingSetSpec):
+    """Also counts ``slot`` calls: the keyed replay's scan, plus one for
+    the late entry's own slot."""
+
+    def reset(self):
+        super().reset()
+        self.slots = 0
+
+    def slot(self, update):
+        self.slots += 1
+        return super().slot(update)
+
+
+@pytest.mark.parametrize("gc", [False, True])
+def test_a_busy_keyed_replica_copies_nothing_and_checks_a_late_write_by_slot(
+    gc, monkeypatch
+):
+    monkeypatch.setitem(net_main.OBJECTS, "set", SlotCountingSetSpec)
+    factory = net_main.make_factory("set", gc=gc)
+    r = factory(0, 3)
+    spec = r.spec
+    assert r.replay.name == "keyed" and spec.thaws == 1  # its working state
+    spec.reset()
+    for i in range(12_000):
+        r.on_update(S.insert(i))
+    assert spec.folds == [] and spec.slots == 0  # an append costs nothing
+    r.on_query("contains", (0,))  # the cold fold: one fold, no copy
+    assert spec.folds == [12_000] == [replayed(r)]
+
+    # a boot: load_log folds nothing before the first query
+    booted = factory(0, 3)
+    boot_spec = booted.spec
+    boot_spec.reset()
+    assert booted.load_log(r.updates) == 12_000
+    assert (boot_spec.folds, boot_spec.slots, boot_spec.thaws) == ([], 0, 0)
+    assert booted.on_query("contains", (11_999,)) is True
+    assert boot_spec.folds == [12_000] and boot_spec.thaws == 0
+
+    spec.reset()
+    for round_ in range(400):
+        for k in range(4):
+            r.on_update(S.delete(round_) if k == 3 else S.insert(-4 * round_ - k))
+        r.on_query("contains", (round_,))
+    assert spec.folds == [4] * 400 and spec.applies == 0 and spec.batches == []
+    assert spec.thaws == 0 and spec.freezes == 0  # the query path copies nothing
+
+    def deliver_late(cl, update):
+        """Deliver ``update`` from pid 1 stamped ``cl`` (under the folded
+        tip); return how many folded entries now sort after it."""
+        spec.reset()
+        before = replayed(r)
+        r.on_message(1, (cl, 1, update))
+        assert spec.thaws == 0 and spec.freezes == 0
+        assert replayed(r) == before  # nothing pending for a query
+        return len(r.updates) - 1 - r._keys.index((cl, 1))
+
+    # shadowed by a folded write to its slot — the last entry folded
+    assert r.updates[-1][2] == S.delete(399)
+    lateness = deliver_late(13_000, S.insert(399))
+    assert lateness > 0 and spec.folds == []
+    assert 1 <= spec.slots <= lateness + 1  # its own slot, then the scan
+    assert r.on_query("contains", (399,)) is False
+    # shadowed by a write further on: the scan stops at it
+    lateness = deliver_late(12_010, S.delete(-4 * 399 - 1))
+    assert spec.folds == [] and spec.slots < lateness + 1
+    assert r.on_query("contains", (-4 * 399 - 1,)) is True
+    # no folded write to its slot after it: exactly one update folded
+    lateness = deliver_late(12_500, S.insert("late"))
+    assert spec.folds == [1] and spec.slots == lateness + 1
+    assert r.on_query("contains", ("late",)) is True and spec.folds == [1]
+    assert rollbacks(r) == 0
+
+    # the folded state is frozen once per position, however often polled
+    spec.reset()
+    first, second = r.local_state(), r.local_state()
+    assert first is second and spec.freezes == 1
+    assert type(first) is frozenset and "late" in first and 399 not in first
+    assert first == booted.spec.apply_batch(
+        frozenset(), [u for _, _, u in r.updates]
+    )
 
 
 def ids(replica):

@@ -911,6 +911,18 @@ class TestRunComparison:
         missing = clocks_of(runs) - clocks_of(minus)
         assert first_gap(runs, minus) == (min(missing) if missing else None)
 
+    @pytest.mark.parametrize("runs, minus, gap", [
+        ([(3, 5)], [(1, 3)], 4),  # minus ends on the first clock
+        ([(3, 5)], [(1, 2)], 3),  # minus ends just below
+        ([(3, 5)], [(3, 3), (5, 5)], 4),
+        ([(1, 3)], [(1, 5)], None),  # minus starts on the first clock
+        ([(1, 3), (7, 9)], [(1, 3), (8, 9)], 7),
+        ([(2, 2)], [], 2),
+        ([], [(1, 1)], None),
+    ])
+    def test_first_gap_on_runs_that_abut_or_share_an_end(self, runs, minus, gap):
+        assert first_gap(runs, minus) == gap
+
     @settings(max_examples=200, deadline=None)
     @given(served_replicas())
     def test_the_serve_ships_exactly_what_covers_misses(self, case):

@@ -53,8 +53,14 @@ class Mutant:
 
 
 UNIVERSAL = "src/repro/core/universal.py"
+REPLAY = "src/repro/core/replay.py"
 NODE = "src/repro/net/node.py"
 CLAIM = "tests/core/test_query_cost.py::TestWitnessCapturedOnClaim::"
+KEYED_TEST = (
+    "tests/core/test_query_cost.py::"
+    "test_a_busy_keyed_replica_copies_nothing_and_checks_a_late_write_by_slot"
+)
+SEAM = "tests/core/test_fast_path.py::TestCollectAndInstall::"
 HEADER_TEST = (
     "tests/net/test_trace.py::"
     "test_only_a_traced_node_puts_trace_headers_on_update_frames"
@@ -139,6 +145,78 @@ MUTANTS: tuple[Mutant, ...] = (
         tests=(
             "tests/core/test_universal.py::TestWitness::"
             "test_fold_counts_a_duplicated_delivery_once",
+        ),
+    ),
+    Mutant(
+        id="keyed-folds-a-late-arrival-without-the-shadow-scan",
+        guards="A keyed replay for the shipped set and map",
+        path=REPLAY,
+        old="            if slot(log[i][2]) == key:\n"
+        "                break  # shadowed: a later write to its slot is folded\n",
+        new="            pass\n",
+        tests=(KEYED_TEST,),
+    ),
+    Mutant(
+        id="keyed-scan-stops-one-short",
+        guards="A keyed replay for the shipped set and map",
+        path=REPLAY,
+        old="        for i in range(pos + 1, applied + 1):\n",
+        new="        for i in range(pos + 1, applied):\n",
+        tests=(KEYED_TEST,),
+    ),
+    Mutant(
+        id="keyed-collected-moves-nothing",
+        guards="one replica, one replay seam",
+        path=REPLAY,
+        old="        if self._applied >= cut:\n"
+        "            self._applied -= cut\n"
+        "        else:\n"
+        "            self._restart(base)\n",
+        new="        pass\n",
+        tests=(SEAM + "test_a_collection_under_and_past_the_folded_prefix[keyed]",),
+    ),
+    Mutant(
+        id="keyed-installed-keeps-the-old-fold",
+        guards="one replica, one replay seam",
+        path=REPLAY,
+        old="    def installed(self, log: Log, base: Any) -> None:\n"
+        "        self._restart(base)\n",
+        new="    def installed(self, log: Log, base: Any) -> None:\n"
+        "        pass\n",
+        tests=(SEAM + "test_a_state_install_replaces_the_folded_state[keyed]",),
+    ),
+    Mutant(
+        id="checkpoint-collected-moves-nothing",
+        guards="one replica, one replay seam",
+        path=REPLAY,
+        old="        if self._applied >= cut:\n"
+        "            self._applied -= cut\n"
+        "        else:\n"
+        "            self._share_tip(0, base)\n",
+        new="",
+        tests=(
+            SEAM + "test_a_collection_under_and_past_the_folded_prefix[checkpoint]",
+        ),
+    ),
+    Mutant(
+        id="checkpoint-installed-keeps-the-old-tip",
+        guards="one replica, one replay seam",
+        path=REPLAY,
+        old="        self._ckpts.reset(base)\n"
+        "        self._share_tip(0, base)\n",
+        new="        self._ckpts.reset(base)\n",
+        tests=(SEAM + "test_a_state_install_replaces_the_folded_state[checkpoint]",),
+    ),
+    Mutant(
+        id="first-gap-skips-a-run-ending-on-the-clock",
+        guards="An anti-entropy round between replicas that agree costs a "
+        "run-list comparison",
+        path="src/repro/core/sync.py",
+        old="            while i < m and minus[i][1] < lo:\n",
+        new="            while i < m and minus[i][1] <= lo:\n",
+        tests=(
+            "tests/core/test_sync.py::TestRunComparison::"
+            "test_first_gap_on_runs_that_abut_or_share_an_end",
         ),
     ),
 )

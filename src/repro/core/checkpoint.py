@@ -31,6 +31,7 @@ from bisect import bisect_left
 from typing import Any, Sequence
 
 from repro.core.adt import UQADT
+from repro.core.sync import LINK_COMPLETE, LINK_DOWN, LINK_OPEN, parse_sync_done
 from repro.core.universal import UniversalReplica
 from repro.obs.metrics import MetricsRegistry
 
@@ -53,6 +54,7 @@ class GarbageCollectedReplica(UniversalReplica):
 
     __slots__ = (
         "gc_interval",
+        "link_epochs",
         "_since_gc",
         "_own_suspect_below",
         "_installed_floor",
@@ -102,6 +104,12 @@ class GarbageCollectedReplica(UniversalReplica):
         #: durable base): it certifies other replicas' deliveries, so
         #: triples at or below it may still be in flight on our channels.
         self._installed_floor = 0
+        #: per peer, the epoch of the link its frames arrive on
+        #: (``repro.core.sync.LINK_*``; DESIGN.md §11).  Only a complete
+        #: epoch's FIFO delivery may advance ``heard``.  A replica is born
+        #: with complete links — nothing can have been missed yet — and a
+        #: runtime whose links start down says so with ``link_lost``.
+        self.link_epochs: list[str] = [LINK_COMPLETE] * n
 
     def bind_metrics(self, registry: MetricsRegistry) -> None:
         super().bind_metrics(registry)
@@ -120,24 +128,14 @@ class GarbageCollectedReplica(UniversalReplica):
         return out
 
     def on_message(self, src: int, payload) -> Sequence[Any]:
-        if isinstance(payload, tuple) and payload and payload[0] == self.HEARTBEAT:
-            _, cl, j = payload
-            self.clock.merge(cl)
-            if src == j:
-                # Only the author's own channel carries the FIFO
-                # completeness claim; a forwarded heartbeat would assert
-                # another channel's delivery order.
-                self.heard[j] = max(self.heard[j], cl)
-            self._maybe_gc()
-            return ()
-        if isinstance(payload, tuple) and payload and isinstance(payload[0], str):
-            # Other control payloads (the anti-entropy handshake): the
-            # base class dispatches them; sync-resp entries go through
+        if payload.__class__ is tuple and payload and payload[0].__class__ is str:
+            # Control payloads: the heartbeat here, the anti-entropy
+            # handshake in the base class; sync-resp entries go through
             # _ingest_synced, which tolerates sub-floor duplicates and
             # never advances ``heard`` (a paged update arrives on the
             # responder's channel, not its author's, so it carries no
             # FIFO completeness claim).
-            return super().on_message(src, payload)
+            return self._on_control(src, payload[0], payload)
         cl, j, _u = payload
         if self._installed_floor < cl <= self._gc_clock_floor:
             # At or below an installed floor the triple is a duplicate of
@@ -146,15 +144,57 @@ class GarbageCollectedReplica(UniversalReplica):
                 f"update stamped {(cl, j)} arrived under the collected "
                 f"floor {self._gc_clock_floor}; use FIFO channels with GC"
             )
-        if src == j:
-            # As with heartbeats: the claim "every j-update with a smaller
-            # clock has been delivered" is only sound on j's own FIFO
-            # channel.  Before v2, a sync-resp entry relayed by a peer
-            # advanced ``heard`` too, silently over-advancing the frontier.
+        if src == j and self.link_epochs[j] is LINK_COMPLETE:
+            # The claim "every j-update with a smaller clock has been
+            # delivered" is only sound on j's own FIFO channel, and only
+            # in an epoch whose opening round filled what earlier
+            # connections dropped.
             self.heard[j] = max(self.heard[j], cl)
         out = super().on_message(src, payload)
         self._maybe_gc()
         return out
+
+    def _on_control(self, src: int, tag: str, payload: tuple) -> Sequence[Any]:
+        if tag == self.HEARTBEAT:
+            _, cl, j = payload
+            self.clock.merge(cl)
+            if src == j and self.link_epochs[j] is LINK_COMPLETE:
+                # As with live updates: only the author's own channel, in
+                # a complete epoch, carries the FIFO completeness claim.
+                self.heard[j] = max(self.heard[j], cl)
+            self._maybe_gc()
+            return ()
+        if tag == self.SYNC_DONE:
+            # The marker came after every page of src's round, on the same
+            # FIFO link, so every src-authored update up to its clock is
+            # here; and it came on src's current connection (the backends
+            # never deliver a frame of an older one), which it completes.
+            clock = parse_sync_done(payload)
+            self.link_epochs[src] = LINK_COMPLETE
+            self.heard[src] = max(self.heard[src], clock)
+            return ()
+        return super()._on_control(src, tag, payload)
+
+    # -- link epochs (DESIGN.md §11) -------------------------------------------------
+
+    def link_established(self, peer: int) -> tuple:
+        """A new connection from ``peer``: a new epoch opens, and this
+        sync request opens its round — the ``SYNC_DONE`` that ends any
+        round ``peer`` serves on the new connection completes it."""
+        self.link_epochs[peer] = LINK_OPEN
+        return self.sync_request()
+
+    def link_lost(self, peer: int) -> None:
+        """The connection from ``peer`` is gone (or dropped a frame): its
+        epoch ends.  ``heard[peer]`` keeps what it earned and stops."""
+        self.link_epochs[peer] = LINK_DOWN
+
+    def _own_floor(self) -> int:
+        self._advance_own_heard()
+        return self.heard[self.pid]
+
+    def _round_open(self, peer: int) -> bool:
+        return self.link_epochs[peer] is LINK_OPEN
 
     def heartbeat(self) -> tuple:
         """A clock-only payload keeping the stability frontier moving.
@@ -162,8 +202,7 @@ class GarbageCollectedReplica(UniversalReplica):
         Callers broadcast it via the cluster's network; it carries no
         update, so it does not appear in the distributed history.
         """
-        self._advance_own_heard()
-        return (self.HEARTBEAT, self.clock.value, self.pid)
+        return (self.HEARTBEAT, self._own_floor(), self.pid)
 
     def _advance_own_heard(self) -> None:
         """Advance the own ``heard`` column to the clock — unless a
@@ -188,6 +227,10 @@ class GarbageCollectedReplica(UniversalReplica):
         sort into or before the prefix.
         """
         frontier = min(self.heard)
+        if self.journaled and self.unflushed_from < len(self._keys):
+            # Fold only what the journal has seen: below the first clock
+            # at or after the flush mark.
+            frontier = min(frontier, self._keys[self.unflushed_from][0] - 1)
         if frontier > self._gc_clock_floor:
             # The floor is a completeness claim, not a fold marker: every
             # update with clock <= min(heard) is known (FIFO + Lamport
@@ -209,6 +252,10 @@ class GarbageCollectedReplica(UniversalReplica):
         self.replay.collected(cut, self._base)
         self._collected.inc(cut)
         return cut
+
+    @property
+    def installed_floor(self) -> int:
+        return self._installed_floor
 
     # -- crash recovery: the own-authorship guard ---------------------------------
 

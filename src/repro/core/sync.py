@@ -51,12 +51,21 @@ be confused with ``(clock, pid, update)`` triples):
   code a boot runs; a payload that is not such an image of the sender,
   or whose chain does not verify, is a :class:`SyncProtocolError` and
   installs nothing.
+* ``(SYNC_DONE, clock)`` — the last frame a responder sends a requester
+  whose digest ``accepts_state``, after every page and state transfer
+  of the round: "every update I authored with a clock up to ``clock`` is
+  in what I sent you or in what you told me you had".  Arriving on a
+  connection, it completes that connection's *epoch* (DESIGN.md §11):
+  only inside a completed epoch may live frames and heartbeats advance
+  the receiver's ``heard`` claims.  A payload of any other shape is a
+  :class:`SyncProtocolError`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from operator import index
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -64,6 +73,12 @@ from typing import Any, Iterable, Iterator, Sequence
 SYNC_REQ = "sync-req"
 SYNC_RESP = "sync-resp"
 SYNC_STATE = "sync-state"
+SYNC_DONE = "sync-done"
+
+#: A peer link's epoch, as its receiver sees it (DESIGN.md §11): no
+#: connection; a connection whose opening sync round has not completed;
+#: a completed one, on which FIFO delivery certifies completeness.
+LINK_DOWN, LINK_OPEN, LINK_COMPLETE = "down", "open", "complete"
 
 #: A run of consecutive integer clocks ``(lo, hi)``, both ends included.
 Run = tuple[int, int]
@@ -219,6 +234,22 @@ class SyncDigest:
         return (SYNC_REQ, requester, self.floors, self.intervals,
                 self.accepts_state)
 
+    def request_bits(self, requester: int) -> int:
+        """``payload_size_bits(self.request_payload(requester))`` in closed
+        form, without building or walking the tuple: each int costs its
+        bit length (at least 1), the tag 8 bits per byte, the flag 1.
+        Runs hold only ids above a floor, so a 0 can only open an
+        author's first run."""
+        bits = 8 * len(SYNC_REQ) + (requester.bit_length() or 1) + 1
+        for floor in self.floors:
+            bits += floor.bit_length() or 1
+        for runs in self.intervals:
+            if runs:
+                lo, hi = runs[0]
+                bits += sum(map(int.bit_length, chain.from_iterable(runs)))
+                bits += (lo == 0) + (hi == 0)
+        return bits
+
 
 def parse_sync_request(payload: tuple) -> tuple[int, SyncDigest]:
     """``(requester, digest)`` from a sync-request payload.
@@ -240,6 +271,18 @@ def parse_sync_request(payload: tuple) -> tuple[int, SyncDigest]:
         )
     except (TypeError, ValueError) as exc:
         raise SyncProtocolError(f"malformed sync request: {exc}") from None
+
+
+def parse_sync_done(payload: tuple) -> int:
+    """The responder's clock at serve time from a ``SYNC_DONE`` payload."""
+    if not (
+        isinstance(payload, tuple) and len(payload) == 2 and payload[0] == SYNC_DONE
+    ):
+        raise SyncProtocolError(f"malformed sync-done marker: {payload!r}")
+    try:
+        return _natural(payload[1])
+    except (TypeError, ValueError) as exc:
+        raise SyncProtocolError(f"malformed sync-done marker: {exc}") from None
 
 
 def _natural(value: Any) -> int:

@@ -100,6 +100,7 @@ class UniversalReplica(Replica):
         "_keys",
         "_runs",
         "unflushed_from",
+        "journaled",
         "_known",
         "heard",
         "_base",
@@ -121,6 +122,7 @@ class UniversalReplica(Replica):
     SYNC_REQ = sync_protocol.SYNC_REQ
     SYNC_RESP = sync_protocol.SYNC_RESP
     SYNC_STATE = sync_protocol.SYNC_STATE
+    SYNC_DONE = sync_protocol.SYNC_DONE
 
     #: the replay ``replay=None`` picks on a spec whose updates do not
     #: commute (on one that declares ``commutative_updates``: ``"fold"``).
@@ -171,6 +173,11 @@ class UniversalReplica(Replica):
         #: here only.  Appends never lower it, a late message lowers it to
         #: where it landed, a collected prefix shifts it left.
         self.unflushed_from = 0
+        #: whether a storage engine journals this replica: a collection
+        #: then folds only entries below the flush mark, so the journal's
+        #: base and entries cover every update under the floor even while
+        #: a rewrite waits (:class:`~repro.storage.engine.JournalStore`).
+        self.journaled = False
         #: epidemic relay: re-broadcast first-seen updates.  Algorithm 1
         #: assumes *reliable* broadcast — all-or-nothing delivery even when
         #: the sender crashes mid-broadcast.  Point-to-point channels only
@@ -255,22 +262,28 @@ class UniversalReplica(Replica):
         return (stamped,)  # line 6: broadcast
 
     def on_message(self, src: int, payload: Any) -> Sequence[Any]:
-        if isinstance(payload, tuple) and payload and payload[0] == self.SYNC_REQ:
-            return self._on_sync_request(payload)
-        if isinstance(payload, tuple) and payload and payload[0] == self.SYNC_RESP:
-            extra: list[Any] = []
-            for stamped in payload[1]:
-                extra.extend(self._ingest_synced(src, stamped))
-            return extra
-        if isinstance(payload, tuple) and payload and payload[0] == self.SYNC_STATE:
-            # verified as src's [meta, base] image before anything installs
-            if install_state_transfer(self, src, payload):
-                self._state_installs.inc()
-            return ()
+        if payload.__class__ is tuple and payload and payload[0].__class__ is str:
+            return self._on_control(src, payload[0], payload)
         cl, j, update = payload
         if self._covers_uid(cl, j):
             return ()  # relayed / network duplicate
         return self._learn((cl, j, update))
+
+    def _on_control(self, src: int, tag: str, payload: tuple) -> Sequence[Any]:
+        """A tagged control payload: the anti-entropy handshake."""
+        if tag == self.SYNC_REQ:
+            return self._on_sync_request(payload)
+        if tag == self.SYNC_RESP:
+            extra: list[Any] = []
+            for stamped in payload[1]:
+                extra.extend(self._ingest_synced(src, stamped))
+            return extra
+        if tag == self.SYNC_STATE:
+            # verified as src's [meta, base] image before anything installs
+            if install_state_transfer(self, src, payload):
+                self._state_installs.inc()
+            return ()
+        raise SyncProtocolError(f"unknown control payload {payload!r:.80}")
 
     # -- anti-entropy (crash-recovery & lossy-channel repair) -----------------------
 
@@ -278,15 +291,10 @@ class UniversalReplica(Replica):
         """The pull half of the anti-entropy handshake: broadcast this and
         every receiver pages back the updates this replica's digest does
         not cover (plus a state transfer if it certifies a higher floor)."""
-        payload = self._sync_digest().request_payload(self.pid)
+        digest = self._sync_digest()
         self._sync_requests.inc()
-        # Lazy import: analysis imports the sim layer for its cluster-wide
-        # helpers; importing it at module load would be cyclic in spirit
-        # (core must stay importable without the sim stack warmed up).
-        from repro.analysis.metrics import payload_size_bits
-
-        self._sync_request_bits.inc(payload_size_bits(payload))
-        return payload
+        self._sync_request_bits.inc(digest.request_bits(self.pid))
+        return digest.request_payload(self.pid)
 
     def _sync_digest(self) -> SyncDigest:
         """This replica's knowledge summary: ``heard`` as the floors (all
@@ -309,16 +317,25 @@ class UniversalReplica(Replica):
                 f"processes, replica {self.pid} runs {self.n}"
             )
         self._serve_sync(requester, digest)
-        if self._digest_claims_unknown(digest):
+        if not self._round_open(requester) and self._digest_claims_unknown(digest):
             # The requester has updates we lack (e.g. restored from its
             # durable log after a crash): pull them back.
             self.send_to(requester, self.sync_request())
         return ()
 
+    def _round_open(self, peer: int) -> bool:
+        """Is a sync round this replica opened with ``peer`` still in
+        flight?  Its request already asks for everything we lacked, so a
+        counter-request would only page it all a second time.  Algorithm 1
+        keeps no link epochs: never."""
+        return False
+
     def _serve_sync(self, requester: int, digest: SyncDigest) -> None:
         """Page the live updates the digest does not cover back to the
         requester, after a state transfer when its coverage ends below
-        this replica's floor (never on Algorithm 1, whose floor is 0).
+        this replica's floor (never on Algorithm 1, whose floor is 0),
+        and end the round with a ``SYNC_DONE`` marker when the requester
+        keeps completeness claims (its digest ``accepts_state``).
 
         Per author, this replica's runs above the requester's floor are
         compared with the digest's runs: equal lists cost one comparison,
@@ -349,17 +366,20 @@ class UniversalReplica(Replica):
             )
             if (gap := first_gap(runs_above(runs, floor), claimed)) is not None
         ]
-        if not gaps:
-            return
-        start = bisect_left(self._keys, (min(gaps),))
-        covers = digest.covers
-        missing = [
-            s for s in self.updates[start:] if not covers(s[0], s[1])
-        ]
-        for page in pages(missing, self.sync_page_size):
-            self._sync_pages.inc()
-            self._sync_shipped.inc(len(page))
-            self.send_to(requester, (self.SYNC_RESP, page))
+        if gaps:
+            start = bisect_left(self._keys, (min(gaps),))
+            covers = digest.covers
+            missing = [
+                s for s in self.updates[start:] if not covers(s[0], s[1])
+            ]
+            for page in pages(missing, self.sync_page_size):
+                self._sync_pages.inc()
+                self._sync_shipped.inc(len(page))
+                self.send_to(requester, (self.SYNC_RESP, page))
+        if digest.accepts_state:
+            # The round is complete: after every page on this FIFO link,
+            # certify our own authorship up to what we vouch for now.
+            self.send_to(requester, (self.SYNC_DONE, self._own_floor()))
 
     def _digest_claims_unknown(self, digest: SyncDigest) -> bool:
         """Does the requester's digest *enumerate* an id this replica
@@ -381,6 +401,12 @@ class UniversalReplica(Replica):
             first_gap(runs_above(claimed, floor), runs) is not None
             for claimed, runs in zip(digest.intervals, self._runs)
         )
+
+    def _own_floor(self) -> int:
+        """The clock up to which this replica vouches for having every
+        update it authored — what a ``SYNC_DONE`` certifies.  Algorithm 1
+        keeps no such claim, so it vouches for nothing (0)."""
+        return self.heard[self.pid]
 
     def _ingest_synced(self, src: int, stamped: Stamped) -> Sequence[Any]:
         """Fold one sync-resp entry.  Unlike a live broadcast this must
@@ -456,6 +482,12 @@ class UniversalReplica(Replica):
     ) -> None:
         """Re-derive ``heard`` claims after a durable restore: nothing to
         re-derive on a replica that certifies none."""
+
+    @property
+    def installed_floor(self) -> int:
+        """The highest floor installed from outside (a state transfer or a
+        durable base); 0 on a replica that keeps no base."""
+        return 0
 
     @property
     def gc_clock_floor(self) -> int:

@@ -31,6 +31,9 @@ union of the two must equal the closed effect set exactly.
 | EFX403 | the core event dispatcher (``ProtocolCore.handle``) covers      |
 |        | every event type in the ``Event`` union                         |
 | EFX404 | backends hand the core *typed* events, never raw payloads       |
+| EFX405 | every backend emits every link event (``LinkChange`` union):    |
+|        | a backend that never reports a link it lost or gained leaves    |
+|        | the core's completeness claims unsound                          |
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from repro.lint.engine import (
 
 HANDLED_NAME = "HANDLED_EFFECTS"
 IGNORED_NAME = "IGNORED_EFFECTS"
+LINK_UNION = "LinkChange"
 
 
 def _finding(module: ModuleInfo, node: ast.AST, code: str, message: str) -> Finding:
@@ -357,4 +361,60 @@ def efx404_typed_events_only(project: ProjectInfo) -> Iterator[Finding]:
                     "raw payload passed to .handle(): the core speaks typed "
                     "events only — construct the matching repro.proto.events "
                     "class so both backends keep one vocabulary",
+                )
+
+
+def _link_events(
+    project: ProjectInfo, module: ModuleInfo, effects_module: ModuleInfo
+) -> frozenset[str]:
+    """The ``LinkChange`` union's members: the module's own (fixture
+    layouts), else the one defined in the effects module's package."""
+    own = _union_members(module, LINK_UNION)
+    if own:
+        return frozenset(own)
+    package = effects_module.name.rsplit(".", 1)[0]
+    for other in project.modules:
+        if other.name.startswith(package + "."):
+            members = _union_members(other, LINK_UNION)
+            if members:
+                return frozenset(members)
+    return frozenset()
+
+
+def _snake(name: str) -> str:
+    """``LinkEstablished`` -> ``link_established`` (the core's method)."""
+    return "".join(
+        f"_{c.lower()}" if c.isupper() and i else c.lower() for i, c in enumerate(name)
+    )
+
+
+@register_project("EFX405", "every backend emits every link event")
+def efx405_link_events_emitted(project: ProjectInfo) -> Iterator[Finding]:
+    """A link epoch ends on ``LinkLost`` and opens on ``LinkEstablished``;
+    a backend that emits only one of them either never lets an epoch
+    complete or never ends one, and the second is the unsound half.  Each
+    member of the ``LinkChange`` union must appear in every interpreter,
+    as the event class or as the core's snake_case method call."""
+    for module, effects_module, _closed in _interpreters(project):
+        members = _link_events(project, module, effects_module)
+        if not members:
+            continue
+        union = _union_assign(module, LINK_UNION)
+        declared = set(ast.walk(union)) if union is not None else set()
+        used: set[str] = set()
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Name) and node not in declared:
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        for name in sorted(members):
+            if name not in used and _snake(name) not in used:
+                yield _finding(
+                    module,
+                    module.tree,
+                    "EFX405",
+                    f"{module.name} never emits link event {name}: call "
+                    f"core.{_snake(name)}(peer) (or hand the core a {name}) "
+                    f"where its transport gains or loses a link, or the "
+                    f"core's completeness claims go unsound",
                 )

@@ -14,7 +14,10 @@ Routes::
     GET  /healthz        -> {"ok": true, "pid": 0, "n": 3,
                              "task_errors": {"count": 0, "last": null},
                              "storage": {"backend": "journal",
-                                         "corrupt_image": null, ...}}
+                                         "corrupt_image": null, ...},
+                             "gc": {"floor": 7, "heard": [9, 8, 7],
+                                    "epochs": {"1": "complete", "2": "down"},
+                                    "floor_lag": 3, "pinned_by": 2}}
     GET  /state          -> {"state": <encoded local state>}
     GET  /witness        -> {"witness": {...}}   (timestamp, visibility, of the
                             last local op whose witness was not already claimed;
@@ -205,6 +208,9 @@ def _route_json(
                     # corrupt-image error (how a quarantined boot shows up
                     # to an operator without grepping logs).
                     "storage": node.storage_info(),
+                    # GC progress: floor, heard, link epochs, and which
+                    # peer pins the floor (null on a non-GC replica).
+                    "gc": node.gc_info(),
                 }, {}
             if path == "/state":
                 return 200, {"state": encode_value(node.local_state())}, {}

@@ -4,7 +4,12 @@ Each peer has one outbound link — connecting, up or down — and is heard
 on the connection it dialled, whose frames ``data_received`` splits out
 of one ``bytearray``.  A frame for a link that is not up is dropped and
 counted; a missing or down link is dialled once per sync tick, or at
-once on the peer's ``HELLO`` or new address (DESIGN.md §13)."""
+once on the peer's ``HELLO`` or new address (DESIGN.md §13).
+
+The connection a peer is heard on is the unit of a link epoch (DESIGN.md
+§11): its ``HELLO`` makes it the peer's one current inbound connection —
+an older one is closed, so no frame of a past connection can follow the
+new one's — and losing the current one is the node's ``LinkLost``."""
 
 from __future__ import annotations
 
@@ -25,6 +30,8 @@ class PeerProtocol(asyncio.Protocol):
     def __init__(self, links: PeerLinks, dst: int | None = None) -> None:
         self.links, self.dst, self.state, self.transport = links, dst, CONNECTING, None
         self._buf = bytearray()
+        #: inbound: the peer whose ``HELLO`` this connection carried.
+        self.src: int | None = None
 
     def connection_made(self, transport: Any) -> None:
         self.transport, links = transport, self.links
@@ -40,7 +47,7 @@ class PeerProtocol(asyncio.Protocol):
         self._buf += data
         try:
             for frame in pop_frames(self._buf):
-                if not self.links.deliver(frame):
+                if not self.links.deliver(frame, self):
                     raise FrameError(f"malformed peer frame {frame!r:.80}")
         except FrameError:
             self.links.rejected.inc()
@@ -48,7 +55,11 @@ class PeerProtocol(asyncio.Protocol):
 
     def connection_lost(self, exc: Exception | None) -> None:
         self.state = DOWN
-        self.links.inbound.discard(self)
+        links = self.links
+        links.inbound.discard(self)
+        if self.src is not None and links.heard_on.get(self.src) is self:
+            del links.heard_on[self.src]
+            links.lost(self.src)
 
     def close(self) -> None:
         self.state = DOWN
@@ -58,15 +69,20 @@ class PeerProtocol(asyncio.Protocol):
 
 class PeerLinks:
     """The address book, one link per peer, the inbound connections and
-    their counters.  ``deliver(frame)`` is the node's dispatch (False:
-    malformed); ``spawn`` runs a dial under the node's task bookkeeping."""
+    their counters.  ``deliver(frame, conn)`` is the node's dispatch
+    (False: malformed); ``spawn`` runs a dial under the node's task
+    bookkeeping; ``lost(peer)`` reports that the connection ``peer`` was
+    heard on is gone."""
 
     def __init__(self, pid: int, registry: MetricsRegistry,
-                 deliver: Callable[[Any], bool], spawn: Callable[[Any], None]) -> None:
-        self.pid, self.deliver, self._spawn = pid, deliver, spawn
+                 deliver: Callable[[Any, PeerProtocol], bool],
+                 spawn: Callable[[Any], None], lost: Callable[[int], None]) -> None:
+        self.pid, self.deliver, self._spawn, self.lost = pid, deliver, spawn, lost
         self.peers: dict[int, tuple[str, int]] = {}
         self.out: dict[int, PeerProtocol] = {}
         self.inbound: set[PeerProtocol] = set()
+        #: per peer, the inbound connection its latest ``HELLO`` came on.
+        self.heard_on: dict[int, PeerProtocol] = {}
         self.closed = False
         self.hello = encode_frame((HELLO, pid))
         count = registry.counter
@@ -87,6 +103,14 @@ class PeerLinks:
     async def connect(self) -> None:
         """Dial every missing or down link (at boot, then once per sync tick)."""
         await asyncio.gather(*filter(None, map(self._dial, list(self.peers))))
+
+    def heard_from(self, conn: PeerProtocol, src: int) -> None:
+        """``src`` dialled us on ``conn``: hear it there from now on, close
+        the connection it was heard on before, and repair our half now."""
+        old, conn.src, self.heard_on[src] = self.heard_on.get(src), src, conn
+        if old is not None and old is not conn:
+            old.close()
+        self.dial(src)
 
     def dial(self, dst: int) -> None:
         """Re-dial ``dst``'s link now if it is down (not before boot dialled it)."""
@@ -128,7 +152,8 @@ class PeerLinks:
 
     def close(self) -> None:
         """Close every connection; drop the node's callbacks (no ref cycle)."""
-        self.closed, self.deliver, self._spawn = True, None, None  # type: ignore[assignment]
+        self.closed, self.deliver, self._spawn, self.lost = True, None, None, None  # type: ignore[assignment]
         for link in [*self.out.values(), *self.inbound]:
             link.close()
         self.out.clear()
+        self.heard_on.clear()

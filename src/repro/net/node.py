@@ -25,6 +25,12 @@ algorithms, and the node's only job is to interpret the returned effects:
 * :class:`~repro.proto.effects.Timer` — schedule a one-shot follow-up
   :meth:`~repro.proto.core.ProtocolCore.sync_tick`.
 
+The periodic tick sends an anti-entropy request and a heartbeat (the
+liveness beacon a garbage-collected replica's floor moves on), and the
+peer links report link epochs to the core: a peer's ``HELLO`` is
+``LinkEstablished``, losing the connection it came on is ``LinkLost``
+(DESIGN.md §11).
+
 Everything runs on one event loop and every core call is synchronous, so
 no lock ever guards replica state — wait-freedom by construction, same as
 the sim.  :meth:`submit` and :meth:`query` never await: a burst of
@@ -172,6 +178,9 @@ class ReplicaNode:
         self._dirty = False
         self._dirty_since: float | None = None
         self._stopped = False
+        #: whether start() has restored the replica: a HELLO before that
+        #: opens no epoch (the first sync round after boot completes it)
+        self._booted = False
         self._log = _LOG.bind(pid=pid)
         #: protocol timestamp -> (trace_id, submit wall time), insertion
         #: ordered and bounded (:data:`TRACE_RECENT_CAP`).  Doubles as the
@@ -185,7 +194,12 @@ class ReplicaNode:
         self._ping_pending: dict[int, tuple[int, float]] = {}
         self._trace_seq = 0
         m = self.registry
-        self.links = PeerLinks(pid, m, self._on_frame, self._spawn)
+        self.links = PeerLinks(pid, m, self._on_frame, self._spawn, self._link_lost)
+        # No peer has dialled us yet: every link epoch starts down, and a
+        # peer's HELLO opens one (DESIGN.md §11).
+        for peer in range(n):
+            if peer != pid:
+                self.core.link_lost(peer)
         self._received = m.counter(
             "repro_net_frames_received_total", help="peer frames delivered",
         ).labels()
@@ -226,6 +240,12 @@ class ReplicaNode:
             label_names=("pid",),
             buckets=CONVERGENCE_BUCKETS,
         ).labels(pid=str(pid))
+        self._floor_lag = m.gauge(
+            "repro_replica_gc_floor_lag",
+            help="Lamport clock minus min(heard): how far the GC floor trails "
+            "(the peer pinning it is on /healthz)",
+            label_names=("pid",),
+        ).labels(pid=str(pid))
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -262,6 +282,10 @@ class ReplicaNode:
             # traffic is served, so nothing else is on the loop to stall.
             os.makedirs(self.data_dir, exist_ok=True)
             self._recover_from_disk()
+        # Peers that dialled in while we booted get no request of their
+        # own: the first sync round after boot (a recovery's rejoin
+        # broadcast, or the first tick) completes their epochs.
+        self._booted = True
         self._spawn(self._sync_loop())
         if self.data_dir is not None:
             self._spawn(self._flush_loop())
@@ -479,14 +503,18 @@ class ReplicaNode:
 
     # -- inbound peer frames -----------------------------------------------------------
 
-    def _on_frame(self, frame: Any) -> bool:
+    def _on_frame(self, frame: Any, conn: PeerProtocol) -> bool:
         """Dispatch one inbound peer frame; False (close the link) if malformed."""
         if not (isinstance(frame, (list, tuple)) and len(frame) > 1
                 and isinstance(frame[1], int) and 0 <= frame[1] < self.n):
             return False
         kind, src, rest = frame[0], frame[1], frame[2:]
         if kind == HELLO:
-            self.links.dial(src)  # the peer is back: repair our half now
+            # The peer is back on a new connection: a new link epoch
+            # (while booting, the first round after boot completes it).
+            self.links.heard_from(conn, src)
+            if self._booted:
+                self._apply_effects(self.core.link_established(src))
         elif not rest:
             return False
         elif kind == MSG:
@@ -537,6 +565,9 @@ class ReplicaNode:
                     attrs={**attrs, "lag_s": round(lag, 6)},
                 )
 
+    def _link_lost(self, peer: int) -> None:
+        self._apply_effects(self.core.link_lost(peer))
+
     # -- peer-link RTT probes ----------------------------------------------------------
 
     def _ping_peers(self) -> None:
@@ -561,8 +592,13 @@ class ReplicaNode:
             self._spawn(self.links.connect())  # re-dial missing or down links
             if self.links.peers and self.core.sync_capable:
                 self._apply_effects(self.core.sync_tick())  # no peer, no one to ask
+                # the liveness beacon that moves a GC replica's floor
+                self._apply_effects(self.core.sync_tick("heartbeat"))
             self._ping_peers()
             self._outbox_gauge.set(self.links.outbox_bytes())
+            gc = self.gc_info()
+            if gc is not None:
+                self._floor_lag.set(gc["floor_lag"])
 
     async def _one_shot_tick(self, kind: str) -> None:
         await asyncio.sleep(self.sync_interval / 2)
@@ -601,6 +637,25 @@ class ReplicaNode:
             self._flush_latency.observe(time.monotonic() - self._dirty_since)
             self._dirty_since = None
         self._flushes.inc()
+
+    def gc_info(self) -> dict[str, Any] | None:
+        """The ``/healthz`` gc section, ``None`` on a replica that keeps no
+        completeness claims: the floor, ``heard``, each peer's link epoch,
+        ``floor_lag = clock - min(heard)`` and ``pinned_by``, the process
+        whose ``heard`` entry is that minimum (the lowest pid on a tie)."""
+        replica = self.core.replica
+        epochs = replica.link_epochs
+        if epochs is None:
+            return None
+        heard = [int(h) for h in replica.heard]
+        low = min(heard)
+        return {
+            "floor": replica.gc_clock_floor,
+            "heard": heard,
+            "epochs": {str(j): e for j, e in enumerate(epochs) if j != self.pid},
+            "floor_lag": replica.clock.value - low,
+            "pinned_by": heard.index(low),
+        }
 
     def storage_info(self) -> dict[str, Any]:
         """The ``/healthz`` storage section: backend, journal stats, and

@@ -8,7 +8,8 @@ This package makes that boundary a first-class, typed contract:
 
 * :mod:`repro.proto.events` — what the outside world tells the protocol
   (:class:`UpdateSubmitted`, :class:`QuerySubmitted`,
-  :class:`MessageReceived`, :class:`SyncTick`, :class:`CrashRecovered`);
+  :class:`MessageReceived`, :class:`SyncTick`, :class:`CrashRecovered`,
+  :class:`LinkEstablished`, :class:`LinkLost`);
 * :mod:`repro.proto.effects` — what the protocol asks the outside world
   to do (:class:`Send`, :class:`Broadcast`, :class:`Persist`,
   :class:`Timer`, :class:`QueryAnswered`);
@@ -39,6 +40,8 @@ from repro.proto.effects import Broadcast, Effect, Persist, QueryAnswered, Send,
 from repro.proto.events import (
     CrashRecovered,
     Event,
+    LinkEstablished,
+    LinkLost,
     MessageReceived,
     QuerySubmitted,
     SyncTick,
@@ -58,6 +61,8 @@ __all__ = [
     "Event",
     "UpdateSubmitted",
     "QuerySubmitted",
+    "LinkEstablished",
+    "LinkLost",
     "MessageReceived",
     "SyncTick",
     "CrashRecovered",

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Hashable
 
+from repro.core.sync import LINK_OPEN
 from repro.proto import wire
 from repro.proto.effects import (
     ONLY_PERSIST_MESSAGE,
@@ -45,6 +46,8 @@ from repro.proto.effects import (
 from repro.proto.events import (
     CrashRecovered,
     Event,
+    LinkEstablished,
+    LinkLost,
     MessageReceived,
     QuerySubmitted,
     SyncTick,
@@ -68,7 +71,8 @@ class ProtocolCore:
 
     Backends interact through :meth:`handle` (the uniform typed entry
     point) or through the per-event convenience methods (:meth:`submit`,
-    :meth:`query`, :meth:`deliver`, :meth:`sync_tick`, :meth:`recover`),
+    :meth:`query`, :meth:`deliver`, :meth:`sync_tick`, :meth:`recover`,
+    :meth:`link_established`, :meth:`link_lost`),
     which skip the event-object allocation on hot paths.  Both routes run
     identical code.
     """
@@ -117,6 +121,10 @@ class ProtocolCore:
             return self.sync_tick(event.kind)
         if isinstance(event, CrashRecovered):
             return self.recover(event.snapshot)
+        if isinstance(event, LinkEstablished):
+            return self.link_established(event.peer)
+        if isinstance(event, LinkLost):
+            return self.link_lost(event.peer)
         raise TypeError(f"not a protocol event: {event!r}")
 
     # -- per-event methods (hot paths call these directly) ------------------------
@@ -181,6 +189,25 @@ class ProtocolCore:
         self._drain(replica, effects)
         return tuple(effects)
 
+    def link_established(self, peer: int) -> tuple[Effect, ...]:
+        """A new connection from ``peer``: a new link epoch opens, and the
+        sync request that opens its round goes to ``peer``.  ``()`` on a
+        replica that keeps no completeness claims."""
+        replica = self.replica
+        hook = replica.link_established
+        if hook is None:
+            return ()
+        effects: list[Effect] = [Send(peer, hook(peer))]
+        self._drain(replica, effects)
+        return tuple(effects)
+
+    def link_lost(self, peer: int) -> tuple[Effect, ...]:
+        """The connection from ``peer`` is gone: its epoch ends."""
+        hook = self.replica.link_lost
+        if hook is not None:
+            hook(peer)
+        return ()
+
     def recover(self, image: str | wire.JournalImage) -> tuple[Effect, ...]:
         """Rebuild the replica from its durable image and rejoin.
 
@@ -197,12 +224,17 @@ class ProtocolCore:
         image is the new durable truth), and a :class:`Timer` asking the
         backend for a follow-up sync round.  Raises :class:`ValueError`
         — leaving the current replica in place — when the image is
-        rejected.
+        rejected.  Every link epoch of the rebuilt replica reopens: it
+        holds only its image, so what a completed round delivered to the
+        old one is gone, and the rejoin broadcast is the opening round of
+        every link (DESIGN.md §11).
         """
         fresh = self._factory(self.pid, self.n)
         if self._registry is not None:
             fresh.bind_metrics(self._registry)
         wire.restore_replica(fresh, image)
+        if fresh.link_epochs is not None:
+            fresh.link_epochs[:] = [LINK_OPEN] * self.n
         self.replica = fresh
         effects: list[Effect] = []
         sync = fresh.sync_request

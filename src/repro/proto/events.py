@@ -82,4 +82,30 @@ class CrashRecovered:
     fsync_point: int | None = field(default=None)
 
 
-Event = Union[UpdateSubmitted, QuerySubmitted, MessageReceived, SyncTick, CrashRecovered]
+@dataclass(frozen=True, slots=True)
+class LinkEstablished:
+    """A new connection from ``peer`` came up (the net node: its ``HELLO``
+    arrived; the simulator: a recovery, a partition heal or a dropped
+    frame restarted the channel).  A new link epoch opens: the core asks
+    ``peer`` for a sync round, whose ``SYNC_DONE`` completes the epoch
+    (DESIGN.md §11)."""
+
+    peer: int
+
+
+@dataclass(frozen=True, slots=True)
+class LinkLost:
+    """The connection from ``peer`` is gone, or lost a frame: its epoch
+    ends, and live frames stop advancing ``heard[peer]`` until a new
+    epoch completes."""
+
+    peer: int
+
+
+Event = Union[
+    UpdateSubmitted, QuerySubmitted, MessageReceived, SyncTick, CrashRecovered,
+    LinkEstablished, LinkLost,
+]
+#: the inputs every backend must emit (uqlint EFX405): a backend that
+#: never tells the core about its links leaves completeness unsound.
+LinkChange = Union[LinkEstablished, LinkLost]

@@ -233,6 +233,9 @@ class Cluster:
         self.crashed: set[int] = set()
         self._eid = itertools.count()
         self._bind_cluster_metrics()
+        # Channels open complete (nothing can have been missed yet); a
+        # frame the network loses restarts its channel's link epoch.
+        self.network.on_lost = self._relink
 
     def _bind_cluster_metrics(self) -> None:
         """Create the cluster's own instruments on the shared registry."""
@@ -471,6 +474,8 @@ class Cluster:
         dropped_out = 0
         if drop_outgoing:
             dropped_out = self.network.drop_messages(lambda m: m.src == pid)
+            for k in self.alive():
+                self.cores[k].link_lost(pid)  # re-established on recover
         self.network.dissolve_holds(pid, self.now)
         dropped_in = self.network.drop_messages(lambda m: m.dst == pid)
         self._dropped.inc(dropped_in)
@@ -522,6 +527,12 @@ class Cluster:
         # directed sends the restore hooks queued (e.g. a subclass pulling
         # state from a peer); interpreting it ships both.
         self._apply_effects(pid, effects)
+        # Every channel from the restarted process is a new link (its own
+        # links reopened with the restore: the rejoin broadcast is their
+        # opening round).
+        for k in self.alive():
+            if k != pid:
+                self._relink(pid, k, self.now)
         return core.replica
 
     def hold(self, src: int, dst: int) -> None:
@@ -559,10 +570,24 @@ class Cluster:
             )
 
     def heal(self) -> None:
-        """End every partition/hold; parked messages become deliverable."""
-        self.network.heal(self.now)
+        """End every partition/hold; parked messages become deliverable,
+        and every healed channel is a new link."""
+        for src, dst in self.network.heal(self.now):
+            self._relink(src, dst, self.now)
         if self.tracer.enabled:
             self.tracer.event("channel.heal", self.now)
+
+    def _relink(self, src: int, dst: int, now: float) -> None:
+        """The ``src -> dst`` channel restarted at ``now`` (a recovery, a
+        heal, a lost frame): ``dst`` loses its link epoch with ``src`` and
+        opens a new one (DESIGN.md §11)."""
+        if dst in self.crashed or src in self.crashed:
+            return
+        core = self.cores[dst]
+        core.link_lost(src)
+        effects = core.link_established(src)
+        if effects:
+            self._apply_effects(dst, effects, now)
 
     def anti_entropy(self, *, rounds: int = 3) -> int:
         """Run sync rounds until replicas agree (or ``rounds`` exhausted).
@@ -626,17 +651,21 @@ class Cluster:
         """No deliverable message remains (held ones may)."""
         return self.network.peek_time() is None
 
-    def _apply_effects(self, pid: int, effects: Iterable[Effect]) -> None:
+    def _apply_effects(
+        self, pid: int, effects: Iterable[Effect], now: float | None = None
+    ) -> None:
         """Interpret one effect batch from process ``pid``'s core.
 
-        ``Broadcast``/``Send`` map onto the simulated network at the
-        current virtual time.  ``Persist`` is moot here (the sim's durable
-        image is taken on demand by :meth:`recover`) and ``Timer`` is
-        owned by the experiment script, so both are ignored.
+        ``Broadcast``/``Send`` map onto the simulated network at ``now``
+        (default: the current virtual time).  ``Persist`` is moot here
+        (the sim's durable image is taken on demand by :meth:`recover`)
+        and ``Timer`` is owned by the experiment script, so both are
+        ignored.
         """
         broadcast = self.network.broadcast
         send = self.network.send
-        now = self.now
+        if now is None:
+            now = self.now
         for eff in effects:
             cls = eff.__class__
             if cls is Broadcast:

@@ -156,6 +156,10 @@ class Network:
     Not a public entry point — :class:`repro.sim.cluster.Cluster` owns one.
     """
 
+    #: ``(src, dst, time)``: called where a lost frame would have been
+    #: delivered (:class:`LossyNetwork`); the cluster installs it.
+    on_lost: Callable[[int, int, float], None] | None = None
+
     def __init__(
         self,
         n: int,
@@ -392,10 +396,13 @@ class Network:
                         self.hold(s, d)
                         self.hold(d, s)
 
-    def heal(self, now: float) -> None:
-        """Release every hold (the partition ends; traffic resumes)."""
-        for src, dst in list(self._holds):
+    def heal(self, now: float) -> list[tuple[int, int]]:
+        """Release every hold (the partition ends; traffic resumes);
+        returns the released ``(src, dst)`` channels, sorted."""
+        healed = sorted(self._holds)
+        for src, dst in healed:
             self.release(src, dst, now)
+        return healed
 
     def dissolve_holds(self, pid: int, now: float) -> None:
         """Release every hold with ``pid`` as an endpoint.
@@ -415,6 +422,10 @@ class Network:
             raise ValueError(f"pid {pid} out of range for {self.n} processes")
 
 
+#: the payload of a lost frame's stand-in (:class:`LossyNetwork`).
+LOST = object()
+
+
 class LossyNetwork(Network):
     """Fault injection: each message is lost in transit with probability
     ``drop_probability`` (seeded, so runs stay reproducible).
@@ -425,7 +436,19 @@ class LossyNetwork(Network):
     VII-A) — Algorithm 1 alone no longer converges; the epidemic relay
     (``UniversalReplica(relay=True)``) or the cluster's anti-entropy sync
     restores agreement among what did get through.
+
+    A lost frame leaves a stand-in (payload :data:`LOST`, same slot in the
+    channel) that is never delivered: when it comes due, :attr:`on_lost`
+    is called with ``(src, dst, time)`` — the receiver learns that its
+    link lost a frame exactly where FIFO order puts the loss, which is
+    where its link epoch ends (DESIGN.md §11).  Stand-ins are not counted
+    as sent, delivered or pending.  A FIFO channel is a connection: a
+    loss breaks it, and what its sender writes until the receiver has
+    noticed (the stand-in came due) is lost with it, as on a reset TCP
+    connection — so nothing sent before the break can complete an epoch
+    opened after it.
     """
+
 
     def __init__(
         self,
@@ -441,6 +464,8 @@ class LossyNetwork(Network):
         if not 0 <= drop_probability <= 1:
             raise ValueError(f"drop probability must be in [0, 1], got {drop_probability}")
         self.drop_probability = drop_probability
+        #: FIFO channels broken by a loss whose stand-in has not come due.
+        self._broken: set[tuple[int, int]] = set()
 
     def bind_metrics(self, registry: MetricsRegistry) -> None:
         super().bind_metrics(registry)
@@ -450,15 +475,55 @@ class LossyNetwork(Network):
         ).labels()
 
     def _commit(self, msg: Message) -> None:
-        if msg.src != msg.dst and self.rng.random() < self.drop_probability:
+        chan = (msg.src, msg.dst)
+        if msg.src != msg.dst and (
+            self.rng.random() < self.drop_probability or chan in self._broken
+        ):
             self._lost.inc()
             if self.tracer.enabled:
                 self.tracer.event(
                     "message.lost", msg.sent_at, pid=msg.src,
                     attrs={"dst": msg.dst, "seq": msg.seq},
                 )
-            return
+            if chan in self._broken:
+                return  # one stand-in per break
+            if self.fifo:
+                self._broken.add(chan)
+            msg = Message(msg.src, msg.dst, LOST, msg.sent_at, msg.deliver_at, msg.seq)
         super()._commit(msg)
+
+    def _come_due(self) -> None:
+        """Retire the stand-ins at the head of the queue, in order."""
+        heap = self._heap
+        while heap and heap[0][1].payload is LOST:
+            _, lost = heapq.heappop(heap)
+            self._broken.discard((lost.src, lost.dst))
+            if self.on_lost is not None:
+                self.on_lost(lost.src, lost.dst, lost.deliver_at)
+
+    def drop_messages(self, predicate: Callable[[Message], bool]) -> int:
+        dropped = super().drop_messages(predicate)
+        # a channel whose stand-in went with the dropped traffic is whole
+        self._broken &= {
+            (m.src, m.dst)
+            for m in (*(m for _, m in self._heap), *self._held)
+            if m.payload is LOST
+        }
+        return dropped
+
+    def pop_next(self) -> Message | None:
+        self._come_due()
+        return super().pop_next()
+
+    def peek_time(self) -> float | None:
+        self._come_due()
+        return super().peek_time()
+
+    def pending_count(self) -> int:
+        return sum(
+            m.payload is not LOST
+            for m in (*(m for _, m in self._heap), *self._held)
+        )
 
 
 class DuplicatingNetwork(Network):

@@ -104,6 +104,13 @@ class Replica:
     #: payload.  Replicas that speak one define it as a method.
     sync_request: Callable[[], Any] | None = None
     heartbeat: Callable[[], Any] | None = None
+    #: the link-epoch dialect, None where a replica keeps no completeness
+    #: claims: ``link_established(peer)`` opens a new epoch on a new
+    #: connection from ``peer`` and returns the sync request to send it,
+    #: ``link_lost(peer)`` ends the epoch; ``link_epochs`` reads them.
+    link_established: Callable[[int], Any] | None = None
+    link_lost: Callable[[int], None] | None = None
+    link_epochs: list[str] | None = None
     #: entries in the replica's update log, None for log-free replicas.
     log_length: int | None = None
 

@@ -123,6 +123,20 @@ class MemorySpec(UQADT):
             new[x] = v
         return new
 
+    def thaw(self, state: dict) -> dict:
+        return dict(state)
+
+    def fold_into(self, work: dict, updates: Sequence[Update]) -> dict:
+        for u in updates:
+            if u.name != "write":
+                raise ValueError(f"unknown memory update {u.name!r}")
+            x, v = u.args
+            work[x] = v
+        return work
+
+    def freeze(self, work: dict) -> dict:
+        return dict(work)
+
     def observe(self, state: dict, name: str, args: tuple[Hashable, ...] = ()) -> Any:
         if name == "read":
             (x,) = args

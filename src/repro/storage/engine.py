@@ -33,13 +33,21 @@ scan CRC-checked and chain-verified as the
 :class:`~repro.proto.wire.JournalImage` that
 :func:`~repro.proto.wire.restore_replica` restores from.
 
-Compaction is keyed to the replica's floor: once
+Compaction is keyed to the replica's floor and amortized: once
 ``replica.gc_clock_floor`` passes what the on-disk base record covers,
-the folded entry cells are dead weight and the journal is atomically
-rewritten (tmp + rename + dir fsync) to a fresh generation holding just
-the new base and the surviving tail.  Whether a journal compacts and
-carries ``heard`` records is read off what it holds (a base record),
-never off the replica's class.
+the folded entry cells are dead weight, and once the journal has also
+doubled in bytes since this store last rewrote it (at once, the first
+time) it is atomically rewritten (tmp + rename + dir fsync) to a fresh
+generation holding just the new base and the surviving tail.  A rewrite
+costs about as much as appending what it writes, so the doubling keeps
+the bytes rewritten at the bytes appended and the journal under twice
+its compacted size plus one batch.  Deferring one is safe because the
+journal stays a superset of the state: a journaled replica folds only
+entries below its flush mark (``replica.journaled``), and a base
+installed from outside (``replica.installed_floor`` above the on-disk
+base) is rewritten at once; the ``heard`` records keep the completeness
+claims fresh.  Whether a journal compacts and carries ``heard`` records
+is read off what it holds (a base record), never off the replica's class.
 """
 
 from __future__ import annotations
@@ -85,6 +93,13 @@ class JournalStore:
         self.truncated_tail = False
         self.compactions = 0
         self.appends = 0
+        #: bytes on disk right after this store last rewrote the journal
+        #: (0 until it has): a floor advance compacts once the journal
+        #: has doubled past it.
+        self._whole_bytes = 0
+        #: bytes the write path appended and bytes compactions rewrote.
+        self.bytes_appended = 0
+        self.bytes_rewritten = 0
         #: log entries the last :meth:`sync` looked at (the work counter
         #: the flat-flush tests pin: new arrivals, not log length).
         self.examined = 0
@@ -128,11 +143,14 @@ class JournalStore:
         batch.  Returns ``{"appended": ..., "compacted": 0|1}``.
         """
         journal = self._require_journal()
-        if (
-            self._base_floor is not None
-            and replica.gc_clock_floor > self._base_floor
+        replica.journaled = True  # collections wait for the flush mark
+        base_floor = self._base_floor
+        if base_floor is not None and replica.gc_clock_floor > base_floor and (
+            # an installed base holds updates no record on disk has
+            replica.installed_floor > base_floor
+            # or the dead weight on disk is as much as a rewrite costs
+            or journal.bytes_on_disk() >= 2 * self._whole_bytes
         ):
-            # The folded prefix on disk is dead weight: rewrite.
             self.compact(replica)
             return {"appended": 0, "compacted": 1}
         if journal.records <= 1:
@@ -166,9 +184,11 @@ class JournalStore:
                 self._counter += 1
                 batch.append(heard_record(self._counter, heard))
         if batch:
+            before = journal.bytes_on_disk()
             self._account([journal.append(rec) for rec in batch])
             journal.commit()
             self.appends += len(batch)
+            self.bytes_appended += journal.bytes_on_disk() - before
         replica.mark_flushed()
         return {"appended": len(batch), "compacted": 0}
 
@@ -187,6 +207,8 @@ class JournalStore:
         replica.mark_flushed()
         self.appends += len(stamped)
         self.compactions += 1
+        self._whole_bytes = journal.bytes_on_disk()
+        self.bytes_rewritten += self._whole_bytes
 
     # -- introspection -----------------------------------------------------------
 
@@ -209,6 +231,8 @@ class JournalStore:
             "bytes": self.bytes_on_disk(),
             "appends": self.appends,
             "compactions": self.compactions,
+            "bytes_appended": self.bytes_appended,
+            "bytes_rewritten": self.bytes_rewritten,
             "truncated_tail": self.truncated_tail,
         }
 

@@ -24,6 +24,7 @@ from repro.net import __main__ as net_main
 from repro.sim.replica import KnownIds
 from repro.specs import SetSpec
 from repro.specs import set_spec as S
+from repro.specs.register import MemorySpec, mem_write
 from tests.counts import replayed, rollbacks
 from tests.core.test_checkpoint import CountingSetSpec
 
@@ -284,3 +285,55 @@ class TestWitnessCapturedOnClaim:
         meta = r.witness_meta()
         assert meta["timestamp"] == (5, 0) and meta["visible"] == ids(r)
         assert built == ["iterate"]
+
+
+class CountingMemorySpec(MemorySpec):
+    """A memory spec that counts its whole-dict copies: every path that
+    copies the register dict (``apply``, ``apply_batch``, ``thaw``,
+    ``freeze``) and each in-place fold."""
+
+    def __init__(self):
+        super().__init__()
+        self.reset()
+
+    def reset(self):
+        self.copies = []
+        self.folds = []
+
+    def apply(self, state, update):
+        self.copies.append("apply")
+        return super().apply(state, update)
+
+    def apply_batch(self, state, updates):
+        self.copies.append("apply_batch")
+        return super().apply_batch(state, updates)
+
+    def thaw(self, state):
+        self.copies.append("thaw")
+        return super().thaw(state)
+
+    def fold_into(self, work, updates):
+        self.folds.append(len(updates))
+        return super().fold_into(work, updates)
+
+    def freeze(self, work):
+        self.copies.append("freeze")
+        return super().freeze(work)
+
+
+def test_a_keyed_memory_query_folds_the_batch_and_copies_no_registers():
+    # 50 000 registers: a copy of the dict per query would be O(registers)
+    spec = CountingMemorySpec()
+    r = UniversalReplica(0, 2, spec, replay="keyed")
+    assert spec.copies == ["thaw"]  # its working state, once
+    for x in range(50_000):
+        r.on_update(mem_write(x, x))
+    assert r.on_query("read", (49_999,)) == 49_999  # the cold fold
+    spec.reset()
+    for i in range(200):
+        r.on_update(mem_write(i % 7, -i))
+        if i % 2:
+            r.on_message(1, (r.clock.value + 1, 1, mem_write(50_000 + i, i)))
+        assert r.on_query("read", (i % 7,)) == -i
+    assert spec.copies == []  # no whole-dict copy on the write+read path
+    assert spec.folds == [2 if i % 2 else 1 for i in range(200)]

@@ -21,6 +21,7 @@ from repro.core import universal
 from repro.core.adt import Update
 from repro.core.checkpoint import GarbageCollectedReplica, StabilityViolation
 from repro.core.sync import (
+    SYNC_DONE,
     SYNC_REQ,
     SYNC_RESP,
     SYNC_STATE,
@@ -31,6 +32,7 @@ from repro.core.sync import (
     first_gap,
     pages,
     parse_sync_request,
+    runs_above,
 )
 from repro.core.universal import UniversalReplica
 from repro.proto.wire import (
@@ -105,7 +107,28 @@ MALFORMED_REQUESTS = {
 }
 
 
+@st.composite
+def digests(draw):
+    """A digest as a replica advertises it (runs clipped above non-zero
+    floors) or as a peer might send it (floor 0, a run from clock 0)."""
+    n = draw(st.integers(1, 4))
+    floors, intervals = [], []
+    for _ in range(n):
+        runs = coalesce(draw(st.sets(st.integers(0, 3_000), max_size=40)))
+        floor = draw(st.sampled_from([0, 0, draw(st.integers(0, 3_000))]))
+        floors.append(floor)
+        intervals.append(tuple(runs_above(runs, floor)) if floor else runs)
+    return SyncDigest(tuple(floors), tuple(intervals), draw(st.booleans()))
+
+
 class TestSyncDigest:
+    @given(digest=digests(), requester=st.integers(0, 64))
+    @settings(max_examples=300, deadline=None)
+    def test_request_bits_is_the_priced_payload(self, digest, requester):
+        # payload_size_bits stays the definition of the pinned count
+        payload = digest.request_payload(requester)
+        assert digest.request_bits(requester) == payload_size_bits(payload)
+
     def test_from_uids_keeps_only_above_floor(self):
         d = SyncDigest.from_uids(
             {(1, 0), (2, 0), (7, 0), (3, 1)}, 2, floors=(2, 0)
@@ -406,7 +429,10 @@ class TestServeSync:
                 lambda self, cl, j: calls.append((cl, j)) or real(self, cl, j),
             )
         r._serve_sync(2, digest)
-        shipped = [s for _dst, payload in r.outbox for s in payload[1]]
+        sent = [payload for _dst, payload in r.outbox]
+        if digest.accepts_state:  # the round's marker comes last
+            assert sent.pop() == (SYNC_DONE, r.heard[r.pid])
+        shipped = [s for payload in sent for s in payload[1]]
         r.outbox.clear()
         return shipped, calls
 
@@ -471,7 +497,9 @@ class TestServeSync:
         # author 1's floor of 0 no longer pins the serve: the state
         # transfer repairs it, and no page follows
         r._serve_sync(1, SyncDigest((2, 0), ((), ()), accepts_state=True))
-        assert [payload[0] for _dst, payload in r.outbox] == [SYNC_STATE]
+        assert [payload[0] for _dst, payload in r.outbox] == [
+            SYNC_STATE, SYNC_DONE,
+        ]
 
 
 class TestGCDigest:

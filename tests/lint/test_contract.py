@@ -183,3 +183,29 @@ class TestTypedEventsOnly:
             "    queue.handle(('job', 1))\n"
         )
         assert codes(src) == set()
+
+
+class TestLinkEvents:
+    EVENTS = "src/repro/proto/events.py"
+
+    def sources(self) -> dict[str, str]:
+        return {**real_sources(), self.EVENTS: (REPO / self.EVENTS).read_text()}
+
+    def test_shipped_backends_emit_both_link_events(self) -> None:
+        assert [f for f in lint_sources(self.sources()) if f.code == "EFX405"] == []
+
+    def test_a_backend_that_never_loses_a_link_fails(self) -> None:
+        sources = self.sources()
+        sources[NODE] = sources[NODE].replace(".link_lost(", ".link_ignored(")
+        efx = [f for f in lint_sources(sources) if f.code == "EFX405"]
+        assert [f.path for f in efx] == [NODE]
+        assert "LinkLost" in efx[0].message
+
+    def test_a_backend_that_never_gains_a_link_fails(self) -> None:
+        sources = self.sources()
+        sources[CLUSTER] = sources[CLUSTER].replace(
+            ".link_established(", ".link_ignored("
+        )
+        efx = [f for f in lint_sources(sources) if f.code == "EFX405"]
+        assert [f.path for f in efx] == [CLUSTER]
+        assert "LinkEstablished" in efx[0].message

@@ -55,6 +55,9 @@ class Mutant:
 UNIVERSAL = "src/repro/core/universal.py"
 REPLAY = "src/repro/core/replay.py"
 NODE = "src/repro/net/node.py"
+GC = "src/repro/core/checkpoint.py"
+ENGINE = "src/repro/storage/engine.py"
+GC_MESH = "tests/net/test_gc_mesh.py::"
 CLAIM = "tests/core/test_query_cost.py::TestWitnessCapturedOnClaim::"
 KEYED_TEST = (
     "tests/core/test_query_cost.py::"
@@ -217,6 +220,78 @@ MUTANTS: tuple[Mutant, ...] = (
         tests=(
             "tests/core/test_sync.py::TestRunComparison::"
             "test_first_gap_on_runs_that_abut_or_share_an_end",
+        ),
+    ),
+    Mutant(
+        id="gc-heard-ignores-the-epoch",
+        guards="link epochs make `heard` sound",
+        path=GC,
+        old="        if src == j and self.link_epochs[j] is LINK_COMPLETE:\n"
+        "            # The claim",
+        new="        if src == j:\n"
+        "            # The claim",
+        tests=(
+            "tests/proto/test_core.py::TestRejoinUnderLiveTraffic::"
+            "test_updates_missed_while_down_are_paged_after_the_redial",
+            GC_MESH + "test_a_link_that_dropped_frames_claims_nothing_until_"
+            "its_round_completes",
+            "tests/sim/test_fault_injection.py::TestGCOverLossyLinks::"
+            "test_a_lost_frame_opens_a_new_epoch_that_a_round_completes",
+        ),
+    ),
+    Mutant(
+        id="sync-loop-never-heartbeats",
+        guards="the sync tick heartbeats",
+        path=NODE,
+        old="                self._apply_effects(self.core.sync_tick(\"heartbeat\"))\n",
+        new="",
+        tests=(
+            GC_MESH + "test_a_healthy_gc_mesh_keeps_what_is_in_flight_not_"
+            "every_update",
+        ),
+    ),
+    Mutant(
+        id="compact-on-every-floor-move",
+        guards="compaction is amortized",
+        path=ENGINE,
+        old="            or journal.bytes_on_disk() >= 2 * self._whole_bytes\n",
+        new="            or True\n",
+        tests=(
+            "tests/storage/test_engine.py::TestGcCompaction::"
+            "test_compaction_is_amortized_against_what_was_appended",
+        ),
+    ),
+    Mutant(
+        id="journaled-collection-folds-unflushed-entries",
+        guards="compaction is amortized",
+        path=GC,
+        old="        if self.journaled and self.unflushed_from < len(self._keys):\n",
+        new="        if False:\n",
+        tests=(
+            "tests/storage/test_engine.py::TestGcCompaction::"
+            "test_a_deferred_rewrite_loses_nothing",
+        ),
+    ),
+    Mutant(
+        id="installed-base-waits-for-doubling",
+        guards="compaction is amortized",
+        path=ENGINE,
+        old="            replica.installed_floor > base_floor\n",
+        new="            False\n",
+        tests=(
+            "tests/storage/test_engine.py::TestGcCompaction::"
+            "test_an_installed_base_is_rewritten_at_once",
+        ),
+    ),
+    Mutant(
+        id="installed-floor-forgotten",
+        guards="ROADMAP item 12 fixed",
+        path=GC,
+        old="        if self._installed_floor < cl <= self._gc_clock_floor:\n",
+        new="        if cl <= self._gc_clock_floor:\n",
+        tests=(
+            "tests/core/test_fast_path.py::TestDifferentialFuzz::"
+            "test_optimized_variants_differential",
         ),
     ),
 )

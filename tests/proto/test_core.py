@@ -10,10 +10,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.checkpoint import GarbageCollectedReplica
+from repro.core.sync import SyncProtocolError
 from repro.core.universal import UniversalReplica
 from repro.proto import (
     Broadcast,
     CrashRecovered,
+    LinkEstablished,
+    LinkLost,
     MessageReceived,
     Persist,
     ProtocolCore,
@@ -178,15 +181,9 @@ class TestRecover:
 
 
 class TestRejoinUnderLiveTraffic:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="divergence on the shipped GC mesh (ROADMAP, 'Simulate the "
-        "node we ship'): a FIFO completeness claim is only sound within "
-        "one connection, but the first live update after a re-dial "
-        "advances heard[j] past everything dropped while the link was "
-        "down, so the rejoiner's digest floor hides the gap from "
-        "_serve_sync and nothing is ever paged",
-    )
+    # A FIFO completeness claim is only sound within one connection: the
+    # first live update after a re-dial must not advance heard[j] past
+    # everything dropped while the link was down (DESIGN.md §11).
     def test_updates_missed_while_down_are_paged_after_the_redial(self):
         n_missed = 50
         responder = make_gc_core(0)
@@ -196,8 +193,9 @@ class TestRejoinUnderLiveTraffic:
         # the link is back: the next update is the first frame node 2 sees
         (live, _persist) = responder.submit(insert("live"))
         rejoiner = make_gc_core(2)
+        rejoiner.handle(LinkEstablished(0))  # node 0's HELLO
         rejoiner.deliver(0, live.payload)
-        assert rejoiner.replica.heard[0] == n_missed + 1
+        assert rejoiner.replica.heard[0] == 0  # an open epoch claims nothing
         (request,) = rejoiner.sync_tick()
         paged = [
             stamped
@@ -206,6 +204,77 @@ class TestRejoinUnderLiveTraffic:
             for stamped in eff.payload[1]
         ]
         assert len(paged) == n_missed
+
+    def test_the_rounds_sync_done_completes_the_epoch(self):
+        responder = make_gc_core(0)
+        for i in range(5):
+            responder.submit(insert(i))
+        rejoiner = make_gc_core(2)
+        (request,) = rejoiner.handle(LinkEstablished(0))
+        assert request == Send(0, request.payload)
+        assert rejoiner.replica.link_epochs[0] == "open"
+        replies = [e.payload for e in responder.deliver(2, request.payload)
+                   if isinstance(e, Send)]
+        assert replies[-1] == ("sync-done", 5)  # last, after every page
+        for payload in replies:
+            rejoiner.deliver(0, payload)
+        assert rejoiner.replica.link_epochs[0] == "complete"
+        assert rejoiner.replica.heard[0] == 5
+        (live, _persist) = responder.submit(insert("live"))
+        rejoiner.deliver(0, live.payload)  # a complete epoch's live frame
+        assert rejoiner.replica.heard[0] == 6
+
+    def test_an_open_round_is_not_asked_for_twice(self):
+        # A request from a peer that knows more draws a counter-request,
+        # unless our own round with that peer is still in flight: its
+        # request already asks for everything we lack.
+        peer = make_gc_core(0)
+        peer.handle(LinkLost(1))  # so its digest lists 1's ids as runs
+        for cl in range(1, 6):
+            peer.deliver(1, (cl, 1, insert(cl)))
+        (request,) = peer.sync_tick()
+
+        def counter_requests(core):
+            return [e for e in core.deliver(0, request.payload)
+                    if isinstance(e, Send) and e.payload[0] == "sync-req"]
+
+        assert len(counter_requests(make_gc_core(2))) == 1  # born complete
+        rejoiner = make_gc_core(2)
+        rejoiner.handle(LinkEstablished(0))
+        assert counter_requests(rejoiner) == []
+
+    def test_a_lost_link_stops_heard_until_a_round_completes(self):
+        core = make_gc_core(2)
+        core.deliver(0, (3, 0, insert("a")))
+        assert core.replica.heard[0] == 3  # born complete
+        assert core.handle(LinkLost(0)) == ()
+        core.deliver(0, (4, 0, insert("b")))
+        core.deliver(0, ("hb", 9, 0))
+        assert core.replica.heard[0] == 3  # kept, not advanced
+        assert core.replica.link_epochs[0] == "down"
+        # a round served on the next connection (a node that booted
+        # while the peer dialled in sends no request of its own)
+        core.deliver(0, ("sync-done", 9))
+        assert core.replica.link_epochs[0] == "complete"
+        assert core.replica.heard[0] == 9
+
+    @pytest.mark.parametrize("marker", [
+        ("sync-done",), ("sync-done", -1), ("sync-done", "7"),
+        ("sync-done", True), ("sync-done", 1, 2),
+    ])
+    def test_a_malformed_marker_is_a_protocol_error(self, marker):
+        with pytest.raises(SyncProtocolError):
+            make_gc_core(2).deliver(0, marker)
+
+    def test_a_plain_replica_ignores_links_and_gets_no_marker(self):
+        plain, gc = make_core(2), make_gc_core(0)
+        gc.submit(insert(1))
+        assert plain.handle(LinkEstablished(0)) == ()
+        assert plain.handle(LinkLost(0)) == ()
+        (request,) = plain.sync_tick()
+        replies = [e.payload[0] for e in gc.deliver(2, request.payload)
+                   if isinstance(e, Send)]
+        assert replies == ["sync-resp"]
 
 
 class TestIntrospection:

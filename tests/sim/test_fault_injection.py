@@ -441,3 +441,67 @@ class TestGCStateTransferScenario:
         ticks = iter([0.0, 100.0, 200.0])
         stats = gc_chaos_smoke(50.0, clock=lambda: next(ticks))
         assert stats["runs"] == 1  # fake clock: one run, then budget spent
+
+
+class TestGCOverLossyLinks:
+    """A lost frame ends its channel's link epoch where FIFO order puts
+    the loss (DESIGN.md §11): a later live frame or heartbeat from the
+    same author claims nothing until a sync round on the new epoch has
+    filled the gap, so ``heard`` never covers an update a replica lacks
+    and GC never folds over one."""
+
+    @staticmethod
+    def assert_heard_is_sound(c):
+        issued = [r.meta["timestamp"] for r in c.trace.updates()]
+        for r in c.replicas:
+            for cl, j in issued:
+                if cl <= r.heard[j]:
+                    assert r._covers_uid(cl, j), (
+                        f"p{r.pid} claims heard[{j}] = {r.heard[j]} but "
+                        f"lacks {(cl, j)}"
+                    )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_heard_never_claims_a_lost_update(self, seed):
+        c = Cluster(
+            3, lambda p, n: GarbageCollectedReplica(p, n, SetSpec(), gc_interval=16),
+            seed=seed, fifo=True, network_cls=LossyNetwork,
+            network_kwargs={"drop_probability": 0.15},
+        )
+        for round_ in range(30):
+            for pid in range(3):
+                c.update(pid, S.insert(10 * round_ + pid))
+            c.run()
+            for pid in range(3):
+                c.heartbeat(pid)
+            c.run()
+            self.assert_heard_is_sound(c)
+        assert c.metrics.total("repro_network_messages_lost_total") > 0
+        assert c.metrics.total("repro_replica_collected_entries_total") > 0
+        c.anti_entropy(rounds=20)
+        self.assert_heard_is_sound(c)
+        assert len({_canonical(s) for s in c.states().values()}) == 1
+        assert c.states()[0] == {10 * r + p for r in range(30) for p in range(3)}
+
+    def test_a_lost_frame_opens_a_new_epoch_that_a_round_completes(self):
+        c = Cluster(
+            2, lambda p, n: GarbageCollectedReplica(p, n, SetSpec()),
+            fifo=True, network_cls=LossyNetwork,
+            network_kwargs={"drop_probability": 1.0},
+        )
+        r1 = c.replicas[1]
+        c.update(0, S.insert("lost"))  # dropped on the wire
+        assert r1.link_epochs[0] == "complete"  # not yet: the loss is in flight
+        c.network.drop_probability = 0.0
+        # the break comes due: a new epoch opens, its sync request goes out
+        assert c.network.peek_time() == 2.0
+        assert r1.link_epochs[0] == "open"
+        c.update(0, S.insert("live"))
+        while "live" not in r1.local_state():
+            assert c.step()
+        assert r1.heard[0] == 0  # the live frame after the gap claims nothing
+        c.run()
+        assert r1.link_epochs[0] == "complete"  # the new round completed
+        assert r1.local_state() == {"lost", "live"}  # and filled the gap
+        assert r1.heard[0] == 2
+        assert c.network.pending_count() == 0

@@ -330,6 +330,76 @@ class TestGcCompaction:
         assert st.bytes_on_disk() < bloated
         st.close()
 
+    def test_compaction_is_amortized_against_what_was_appended(self, tmp_path):
+        # The floor moves on every flush (as heartbeats move it on a mesh):
+        # a rewrite waits until the journal has doubled since the last
+        # one, so rewritten bytes stay under appended bytes and the file
+        # under twice its compacted size plus one batch.
+        r = self.gc_replica(0)
+        st = open_store(tmp_path)
+        st.open()
+        compacted = batch = 0
+        for i in range(400):
+            r.on_update(S.insert(i))
+            if i % 4 == 3:
+                r.collect_garbage()
+                before = st.bytes_on_disk()
+                stats = st.sync(r)
+                if stats["compacted"]:
+                    compacted = st.bytes_on_disk()
+                else:
+                    batch = max(batch, st.bytes_on_disk() - before)
+                if st.compactions:
+                    assert st.bytes_on_disk() <= 2 * compacted + batch
+        assert 3 <= st.compactions <= 50  # not one per flush (100)
+        assert st.bytes_rewritten <= st.bytes_appended
+        st.close()
+
+    def test_a_deferred_rewrite_loses_nothing(self, tmp_path):
+        # Between rewrites the journal must stay a superset of the state:
+        # a journaled replica folds only what a flush has written, so a
+        # boot from the file at any point restores everything.
+        r = self.gc_replica(0)
+        st = open_store(tmp_path)
+        st.open()
+        rewrites = 0
+        for i in range(300):
+            r.on_update(S.insert(i))
+            if i % 3 == 2:
+                r.collect_garbage()
+                assert all(cl > r.gc_clock_floor for cl, _, _ in
+                           r.updates[r.unflushed_from:])
+            if i % 5 == 4:
+                st.sync(r)
+            if i % 50 == 49:
+                rewrites += st.compactions
+                st.close()
+                st = open_store(tmp_path)
+                fresh = GarbageCollectedReplica(0, 1, SPEC, checkpoint_interval=2)
+                restore_replica(fresh, st.open())
+                assert fresh.local_state() == r.local_state()
+        assert rewrites >= 6 and r.gc_clock_floor > 0
+        st.close()
+
+    def test_an_installed_base_is_rewritten_at_once(self, tmp_path):
+        # A state transfer's base holds updates no record on disk has, so
+        # it cannot wait for the journal to double.
+        r = self.gc_replica(3)
+        st = open_store(tmp_path)
+        st.open()
+        st.sync(r)
+        r.collect_garbage()
+        assert st.sync(r)["compacted"] == 1  # a first rewrite: now it waits
+        r.on_update(S.insert(3))
+        assert st.sync(r)["compacted"] == 0
+        base = frozenset(range(4)) | {"transferred"}
+        assert r.install_gc_state(base=base, clock_floor=10)
+        assert st.sync(r)["compacted"] == 1
+        st.close()
+        fresh = GarbageCollectedReplica(0, 1, SPEC, checkpoint_interval=2)
+        restore_replica(fresh, open_store(tmp_path).open())
+        assert fresh.local_state() == base and fresh.gc_clock_floor == 10
+
     def test_recovery_after_compaction_restores_state_and_floor(self, tmp_path):
         r = self.gc_replica(6)
         st = open_store(tmp_path)
